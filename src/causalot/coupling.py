@@ -18,6 +18,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InputError
 from .measures import Coupling, SliceMeasure
 from .spacetime import GEOM_ATOL
@@ -140,10 +142,18 @@ class _Instance:
         self.scale = sum(mu_int) * sum(nu_int)
         # One capacity unit carries this much mu-mass.
         self._unit_den = mu_scale * sum(nu_int)
-        self.adjacency = [
-            [st.causally_precedes(p, q, tol) for q, _ in nu.atoms]
-            for p, _ in mu.atoms
-        ]
+        if st.backend == st.MINKOWSKI:
+            # Same IEEE operations as Spacetime.causally_precedes, one outer
+            # comparison instead of m*n calls.
+            tp, xp = np.array([(e.t, e.x) for e, _ in mu.atoms]).T
+            tq, xq = np.array([(e.t, e.x) for e, _ in nu.atoms]).T
+            self.adjacency = ((tq[None, :] - tp[:, None])
+                              >= np.abs(xp[:, None] - xq[None, :]) - tol).tolist()
+        else:
+            self.adjacency = [
+                [st.causally_precedes(p, q, tol) for q, _ in nu.atoms]
+                for p, _ in mu.atoms
+            ]
 
     def weight_from_units(self, units):
         return float(Fraction(units, self._unit_den))

@@ -1,10 +1,14 @@
+import math
+
 import pytest
 
-from causalot import (Evolution, InputError, MeshSpec, SliceMeasure,
+from causalot import (Evolution, InputError, MeshSpec, SliceMeasure, Spacetime,
                       canonical_time, check_evolution, compose_couplings,
                       cut_witness, dominates_on_upsets, find_causal_coupling)
 from genrand import (inject_superluminal, random_backend, random_causal_evolution,
                      random_slice_measure, rng_for)
+from causalot.coupling import _Instance
+from causalot.spacetime import GEOM_ATOL
 
 T0 = canonical_time()
 
@@ -99,6 +103,38 @@ def test_flow_agrees_with_upsets_randomized():
             dominates_on_upsets(st, mu, nu)
         agree += 1
     assert agree == 150
+
+
+# -- causal adjacency --------------------------------------------------------------
+
+NUDGES = (lambda v: v, lambda v: math.nextafter(v, math.inf),
+          lambda v: math.nextafter(v, -math.inf))
+
+
+@pytest.mark.parametrize("eps_caus", [0.0, 1e-6, 0.25])
+def test_minkowski_adjacency_matches_causally_precedes(eps_caus):
+    # Right atoms sit on the null boundary |dx| = dt (and on dt + tol), then
+    # one ulp either side of it in x and in t; the vectorised adjacency must
+    # give the same booleans as the per-pair loop.
+    st = Spacetime("minkowski-1+1", eps_caus=eps_caus)
+    xs = [-1.5, -0.3, 0.0, 0.1, 0.7, 1.1, 2.0, 3.3]
+    t0 = 0.1
+    mu = SliceMeasure(st, [(st.event(t0, x), 0.125) for x in xs])
+    seen = set()
+    for tol in (max(eps_caus, GEOM_ATOL), 0.0):
+        for dt in (0.25, 0.3, 1.0):
+            for slack in (0.0, tol):
+                for sign in (1.0, -1.0):
+                    for nudge_t in NUDGES:
+                        for nudge_x in NUDGES:
+                            nu = SliceMeasure(st, [
+                                (st.event(nudge_t(t0 + dt), nudge_x(x + sign * (dt + slack))),
+                                 0.125) for x in xs])
+                            want = [[st.causally_precedes(p, q, tol) for q, _ in nu.atoms]
+                                    for p, _ in mu.atoms]
+                            assert _Instance(st, mu, nu, tol).adjacency == want
+                            seen.update(want[i][i] for i in range(len(xs)))
+    assert seen == {True, False}
 
 
 def test_monotone_embedding(mink):

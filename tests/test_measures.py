@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st_
 from scipy.stats import wasserstein_distance as scipy_w1
 
+import causalot.measures as M
 from causalot import (CurveMeasure, InputError, Interval, PreconditionError,
                       RawPath, SliceMeasure, Spacetime, TimeFunction,
                       canonical_time, canonicalize_noncompact,
@@ -234,6 +236,160 @@ def test_transport_distance_against_1d_oracle():
         want = scipy_w1([e.x for e, _ in m1.atoms], [e.x for e, _ in m2.atoms],
                         [w for _, w in m1.atoms], [w for _, w in m2.atoms])
         assert got == pytest.approx(math.sqrt(st.u * st.alpha) * want, abs=1e-9)
+
+
+# The closed form (monotone coupling between two Minkowski time slices)
+# against the LP oracle, with the tolerance fixed before looking at results.
+W1_RTOL = 1e-12
+
+
+def _w1_close(got, want):
+    return abs(got - want) <= W1_RTOL * max(1.0, abs(want))
+
+
+@st_.composite
+def dyadic_weight_lists(draw, n, max_bits=52):
+    """n positive weights summing exactly to one, over 2**e with e <= max_bits."""
+    e = draw(st_.integers(max(1, (n - 1).bit_length()), max_bits))
+    cuts = draw(st_.lists(st_.integers(1, 2 ** e - 1), min_size=n - 1,
+                          max_size=n - 1, unique=True))
+    bounds = [0] + sorted(cuts) + [2 ** e]
+    return [(b - a) / 2 ** e for a, b in zip(bounds, bounds[1:])]
+
+
+@st_.composite
+def dusted_weight_lists(draw, n):
+    """Weights over 2**12, then up to 3 * 2**-50 of mass moved between two
+    atoms, so denominators reach 2**52.
+
+    HiGHS decides signs only to its primal feasibility tolerance (1e-7 of
+    mass), so the LP is an exact oracle only while every gap between the
+    two sides' cumulative weights is far above that or so small that
+    misrouting it costs under 1e-12; here the gaps are at least 2**-13 or
+    at most 6 * 2**-50.  Gaps in between are checked against the 1-D
+    oracle below.
+    """
+    ws = draw(dyadic_weight_lists(n, max_bits=12))
+    if n > 1 and draw(st_.booleans()):
+        give, take = draw(st_.lists(st_.integers(0, n - 1), min_size=2, max_size=2,
+                                    unique=True))
+        dust = draw(st_.integers(1, 3)) * 2.0 ** -draw(st_.integers(50, 52))
+        ws[give] -= dust
+        ws[take] += dust
+    return ws
+
+
+@st_.composite
+def minkowski_slice_pairs(draw, dts=(0.0, 0.125, 1.0, 3.0, -0.5, -2.0),
+                          weights=dusted_weight_lists):
+    alpha = draw(st_.sampled_from([1.0, 0.25, 4.0, 0.75, 2.5]))
+    u = draw(st_.sampled_from([1.0, 0.5, 3.0, 1.25]))
+    st = Spacetime("minkowski-1+1", alpha=alpha, u=u)
+    t_mu = draw(st_.integers(-16, 16)) / 8
+    dt = draw(st_.sampled_from(dts))
+    grid = st_.integers(-64, 64).map(lambda k: k / 8)
+    xs = draw(st_.lists(grid, min_size=1, max_size=12, unique=True))
+    # the right side reuses some left positions, so coincident x is common
+    ys = draw(st_.lists(st_.one_of(st_.sampled_from(xs), grid),
+                        min_size=1, max_size=12, unique=True))
+    mu = SliceMeasure(st, [(st.event(t_mu, x), w) for x, w in
+                           zip(xs, draw(weights(len(xs))))])
+    nu = SliceMeasure(st, [(st.event(t_mu + dt, y), w) for y, w in
+                           zip(ys, draw(weights(len(ys))))])
+    return st, mu, nu
+
+
+@settings(max_examples=300, deadline=None)
+@given(minkowski_slice_pairs())
+def test_transport_closed_form_matches_lp(case):
+    st, mu, nu = case
+    assert _w1_close(transport_distance(st, mu, nu), M._transport_lp(st, mu, nu))
+
+
+@settings(max_examples=300, deadline=None)
+@given(minkowski_slice_pairs(dts=(0.0,), weights=dyadic_weight_lists))
+def test_transport_closed_form_matches_1d_oracle(case):
+    # any dyadic weights, tiny cumulative gaps included
+    st, mu, nu = case
+    want = math.sqrt(st.u * st.alpha) * scipy_w1(
+        [e.x for e, _ in mu.atoms], [e.x for e, _ in nu.atoms],
+        [w for _, w in mu.atoms], [w for _, w in nu.atoms])
+    assert _w1_close(transport_distance(st, mu, nu), want)
+
+
+def test_transport_closed_form_cases():
+    # dt = 0, > 0, < 0; alpha and u off one; one atom on a side; coincident x
+    for alpha, u in ((1.0, 1.0), (4.0, 0.25), (0.75, 3.0)):
+        st = Spacetime("minkowski-1+1", alpha=alpha, u=u)
+        for dt in (0.0, 1.5, -2.0):
+            for left, right in (
+                    ([(0.0, 0.5), (1.0, 0.5)], [(0.0, 0.25), (1.0, 0.75)]),
+                    ([(-1.0, 1.0)], [(0.0, 0.5), (2.0, 0.5)]),
+                    ([(0.0, 0.5), (2.0, 0.5)], [(3.0, 1.0)]),
+                    ([(x / 4, 2.0 ** -52) for x in range(1, 5)]
+                     + [(5.0, 1.0 - 4 * 2.0 ** -52)], [(5.0, 0.5), (0.25, 0.5)])):
+                mu = SliceMeasure(st, [(st.event(1.0, x), w) for x, w in left])
+                nu = SliceMeasure(st, [(st.event(1.0 + dt, y), w) for y, w in right])
+                got = M._transport_monotone(st, mu, nu)
+                assert _w1_close(got, M._transport_lp(st, mu, nu))
+                assert got == transport_distance(st, mu, nu)
+
+
+def test_transport_closed_form_value(mink):
+    # monotone plan: 1/2 from -1 to 0, 1/4 from 1 to 0, 1/4 from 1 to 2
+    mu = SliceMeasure(mink, [(mink.event(0, -1.0), 0.5), (mink.event(0, 1.0), 0.5)])
+    nu = SliceMeasure(mink, [(mink.event(1, 0.0), 0.75), (mink.event(1, 2.0), 0.25)])
+    want = math.fsum([0.5 * math.hypot(1, 1), 0.25 * math.hypot(1, 1), 0.25 * math.hypot(1, 1)])
+    assert transport_distance(mink, mu, nu) == want
+
+
+def _lp_only(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("closed form used off two Minkowski time slices")
+    monkeypatch.setattr(M, "_transport_monotone", refuse)
+
+
+def test_transport_routes_tilted_pair_to_lp(monkeypatch):
+    st = Spacetime("minkowski-1+1", alpha=4.0)
+    tilt = TimeFunction(slope=0.5)
+
+    def level(tau, atoms):
+        return SliceMeasure(st, [(tilt.level_event(st, tau, x), w) for x, w in atoms],
+                            time_function=tilt, tau=tau)
+    mu = level(0.0, [(-1.0, 0.25), (0.5, 0.25), (2.0, 0.5)])
+    nu = level(1.0, [(0.0, 0.5), (1.5, 0.5)])
+    want = M._transport_lp(st, mu, nu)
+    _lp_only(monkeypatch)
+    assert transport_distance(st, mu, nu) == want
+
+
+def test_transport_routes_graph_pair_to_lp(chain_graph, monkeypatch):
+    g = chain_graph
+    mu = SliceMeasure(g, [(g.event(0, "A"), 0.5), (g.event(0, ("B", "C", 0.5)), 0.5)])
+    nu = SliceMeasure(g, [(g.event(1, "B"), 0.25), (g.event(1, "C"), 0.75)])
+    want = M._transport_lp(g, mu, nu)
+    _lp_only(monkeypatch)
+    assert transport_distance(g, mu, nu) == want
+
+
+def test_transport_routes_one_ulp_off_slice_to_lp(mink, monkeypatch):
+    t = math.nextafter(1.0, 2.0)
+    mu = SliceMeasure(mink, [(mink.event(0, 0.0), 0.5), (mink.event(0, 1.0), 0.5)])
+    nu = SliceMeasure(mink, [(mink.event(1.0, 0.5), 0.5), (mink.event(t, 3.0), 0.5)])
+    want = M._transport_lp(mink, mu, nu)
+    _lp_only(monkeypatch)
+    assert transport_distance(mink, mu, nu) == want
+
+
+def test_transport_routes_time_slices_to_closed_form(mink, monkeypatch):
+    mu = SliceMeasure(mink, [(mink.event(0, 0.0), 0.5), (mink.event(0, 1.0), 0.5)])
+    nu = SliceMeasure(mink, [(mink.event(2, 0.5), 0.5), (mink.event(2, 3.0), 0.5)])
+    want = M._transport_lp(mink, mu, nu)
+
+    def refuse(*args):
+        raise AssertionError("LP used between two Minkowski time slices")
+    monkeypatch.setattr(M, "_transport_lp", refuse)
+    assert _w1_close(transport_distance(mink, mu, nu), want)
 
 
 # -- reconstruction through disintegrate + concat ------------------------------------------------
