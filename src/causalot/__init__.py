@@ -10,8 +10,7 @@ curve measures from causal evolutions.
 """
 
 from .errors import CausalotError, InputError, PreconditionError, VerificationError
-from .spacetime import (Event, Spacetime, causal_geodesic, causal_lipschitz_constant,
-                        causally_precedes, optical_distance, riemannian_distance)
+from .spacetime import Event, Spacetime, causal_geodesic, causal_lipschitz_constant
 from .timefunc import TimeFunction, canonical_time, validate as validate_time_function
 from .curves import (CausalCurve, Interval, RawPath, bilipschitz_report,
                      canonicalize_compact, canonicalize_noncompact, concat,
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CausalotError", "InputError", "PreconditionError", "VerificationError",
     "Event", "Spacetime", "causal_geodesic", "causal_lipschitz_constant",
-    "causally_precedes", "optical_distance", "riemannian_distance",
     "TimeFunction", "canonical_time", "validate_time_function",
     "CausalCurve", "Interval", "RawPath", "bilipschitz_report",
     "canonicalize_compact", "canonicalize_noncompact", "concat", "curves_close",

@@ -177,10 +177,6 @@ def _curve_out(c: CausalCurve):
     return out
 
 
-def _measure_out(m: SliceMeasure):
-    return {"tau": m.tau, "atoms": [[_event_out(e), w] for e, w in m.atoms]}
-
-
 def _curve_measure_out(sigma: CurveMeasure):
     return {"atoms": [[_curve_out(c), w] for c, w in sigma.atoms]}
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .measures import Coupling, SliceMeasure
+from .measures import Coupling, SliceMeasure, _fibers, slice_measures_equal
 from .spacetime import GEOM_ATOL
 from .timefunc import canonical_time
 
@@ -80,9 +80,6 @@ class Evolution:
     @property
     def times(self):
         return tuple(t for t, _ in self.entries)
-
-    def measure_at_index(self, i):
-        return self.entries[i][1]
 
     def validate_slices(self):
         """Every atom of the i-th slice must lie on the time function's
@@ -300,18 +297,17 @@ def compose_couplings(st, first: Coupling, second: Coupling) -> Coupling:
     right marginal of the second by conditioning on the middle; causal
     atoms compose by transitivity of the causal relation.
     """
-    from .measures import slice_measures_equal
-
-    mid_right = first.marginal(1)
-    mid_left = second.marginal(0)
-    if not slice_measures_equal(mid_right, mid_left, wtol=1e-9):
+    mid = first.marginal(1)
+    if not slice_measures_equal(mid, second.marginal(0), wtol=1e-9):
         raise InputError("middle marginals of the two couplings do not match")
+    fibers1 = _fibers(mid, [q for (_, q), _ in first.atoms])
+    fibers2 = _fibers(mid, [q for (q, _), _ in second.atoms])
     atoms = []
-    for y, wy in mid_right.atoms:
-        lefts = [(p, w) for (p, q), w in first.atoms if st.events_close(q, y, GEOM_ATOL)]
-        rights = [(r, w) for (q, r), w in second.atoms if st.events_close(q, y, GEOM_ATOL)]
-        for p, w1 in lefts:
-            for r, w2 in rights:
+    for (_, wy), fiber1, fiber2 in zip(mid.atoms, fibers1, fibers2):
+        for i in fiber1:
+            (p, _), w1 = first.atoms[i]
+            for j in fiber2:
+                (_, r), w2 = second.atoms[j]
                 atoms.append(((p, r), w1 * w2 / wy))
     return Coupling(st, atoms, causal=first.causal and second.causal)
 

@@ -6,7 +6,10 @@ and equal atoms are merged by weight addition (compensated summation
 throughout).  Disintegration is exact discrete conditioning, and the
 concatenation of two curve measures over a shared junction marginal is
 the finite sum of fiberwise product measures pushed through curve
-concatenation.
+concatenation.  Conditioning, concatenation and the composition of
+couplings (:func:`causalot.coupling.compose_couplings`) group atoms by
+one fiber rule: the events within 1e-9 of each atom of the junction
+marginal.
 
 The 1-Wasserstein distance between slice measures takes one of two exact
 routes.  Between two Minkowski time slices the cost is a convex function
@@ -114,10 +117,10 @@ class CurveMeasure:
 
 
 class Coupling:
-    """Joint measure on event pairs with prescribed marginals; when built
-    as causal, every atom pair must be causally related."""
+    """Joint measure on event pairs, whose marginals are read off its
+    atoms; when built as causal, every atom pair must be causally related."""
 
-    def __init__(self, st, atoms, left=None, right=None, causal=True):
+    def __init__(self, st, atoms, causal=True):
         atoms = [((st.event(p.t, p.x), st.event(q.t, q.x)), float(w))
                  for (p, q), w in atoms]
         key = lambda pq: st.event_key(pq[0]) + st.event_key(pq[1])
@@ -134,12 +137,6 @@ class Coupling:
             for (p, q), _ in self.atoms:
                 if not st.causally_precedes(p, q, tol):
                     raise InputError(f"atom pair ({p}, {q}) is not causally related")
-        self.left = left if left is not None else self.marginal(0)
-        self.right = right if right is not None else self.marginal(1)
-        for ref, side in ((self.left, 0), (self.right, 1)):
-            got = self.marginal(side)
-            if not slice_measures_equal(ref, got, wtol=MASS_ATOL):
-                raise InputError(f"marginal {side} does not match its reference measure")
 
     def marginal(self, side):
         st = self.spacetime
@@ -187,6 +184,14 @@ def marginal_at(sigma: CurveMeasure, t) -> SliceMeasure:
     return SliceMeasure(st, atoms, time_function=tf if tau is not None else None, tau=tau)
 
 
+def _fibers(base: SliceMeasure, events):
+    """For each atom x of base, the indices of the events within GEOM_ATOL
+    of x: the fibers that conditioning and gluing group by."""
+    close = base.spacetime.events_close
+    return [[i for i, e in enumerate(events) if close(e, x, GEOM_ATOL)]
+            for x, _ in base.atoms]
+
+
 def disintegrate(sigma: CurveMeasure, at):
     """Condition a curve measure on its value at one parameter.
 
@@ -200,9 +205,9 @@ def disintegrate(sigma: CurveMeasure, at):
     base = marginal_at(sigma, at)
     st = sigma.spacetime
     conditionals = []
-    for x, wx in base.atoms:
-        fiber = [(c, w) for c, w in sigma.atoms if st.events_close(c.at(at), x, GEOM_ATOL)]
-        conditionals.append((x, CurveMeasure(st, [(c, w / wx) for c, w in fiber])))
+    for (x, wx), fiber in zip(base.atoms, _fibers(base, [c.at(at) for c, _ in sigma.atoms])):
+        atoms = [(sigma.atoms[i][0], sigma.atoms[i][1] / wx) for i in fiber]
+        conditionals.append((x, CurveMeasure(st, atoms)))
     return base, conditionals
 
 
@@ -220,30 +225,25 @@ def concat_measures(s1: CurveMeasure, s2: CurveMeasure) -> CurveMeasure:
         raise InputError(f"left measure must live on curves bounded above, got {s1.domain}")
     if s2.domain.kind not in (Interval.COMPACT, Interval.FUTURE):
         raise InputError(f"right measure must live on curves bounded below, got {s2.domain}")
-    b = s1.domain.b
-    if abs(b - s2.domain.a) > GEOM_ATOL:
+    b, a = s1.domain.b, s2.domain.a
+    if abs(b - a) > GEOM_ATOL:
         raise InputError(f"domains do not meet: {s1.domain} then {s2.domain}")
     nu1 = marginal_at(s1, b)
-    nu2 = marginal_at(s2, s2.domain.a)
+    nu2 = marginal_at(s2, a)
     if not slice_measures_equal(nu1, nu2, wtol=MASS_ATOL):
         detail = [(e, w) for e, w in nu1.atoms], [(e, w) for e, w in nu2.atoms]
         raise PreconditionError(
             f"junction marginals differ at {b}: {detail[0]} vs {detail[1]}")
-    _, fibers1 = disintegrate(s1, b)
-    _, fibers2 = disintegrate(s2, s2.domain.a)
-    lookup2 = list(fibers2)
+    # The junction marginals agree atom by atom, so their fibers pair by position.
+    fibers1 = _fibers(nu1, [c.at(b) for c, _ in s1.atoms])
+    fibers2 = _fibers(nu2, [c.at(a) for c, _ in s2.atoms])
     atoms = []
-    for (x, cond1), wx in zip(fibers1, (w for _, w in nu1.atoms)):
-        cond2 = None
-        for y, cand in lookup2:
-            if st.events_close(x, y, GEOM_ATOL):
-                cond2 = cand
-                break
-        if cond2 is None:
-            raise PreconditionError(f"no fiber over {x} in the right measure")
-        for c1, w1 in cond1.atoms:
-            for c2, w2 in cond2.atoms:
-                atoms.append((concat(c1, c2), wx * w1 * w2))
+    for (_, wx), (_, wy), fiber1, fiber2 in zip(nu1.atoms, nu2.atoms, fibers1, fibers2):
+        for i in fiber1:
+            c1, w1 = s1.atoms[i]
+            for j in fiber2:
+                c2, w2 = s2.atoms[j]
+                atoms.append((concat(c1, c2), wx * (w1 / wx) * (w2 / wy)))
     return CurveMeasure(st, atoms)
 
 

@@ -343,18 +343,6 @@ class Spacetime:
         return q.t - p.t >= self.optical_distance(p.x, q.x) - tol
 
 
-def causally_precedes(st, p, q, tol=None):
-    return st.causally_precedes(p, q, tol)
-
-
-def optical_distance(st, x, y):
-    return st.optical_distance(x, y)
-
-
-def riemannian_distance(st, p, q):
-    return st.riemannian_distance(p, q)
-
-
 def causal_lipschitz_constant(st, a, b):
     """Lipschitz constant ``sqrt(2 u alpha)`` of causal evolutions between
     the time values a and b, w.r.t. the Riemannian product distance.

@@ -13,7 +13,9 @@ refinement quantifies the difference (see the Lipschitz bound of
 Unbounded intervals are handled at a finite horizon of unit slabs with
 the curves' static window extension; truncating a deeper horizon
 projects exactly onto a shallower one, and this consistency is asserted
-at every fold step.
+at every fold step.  Every route, compact, half-line, full-line or open,
+runs through one fold path and asserts its mesh marginals before it
+returns.
 """
 
 from __future__ import annotations
@@ -99,12 +101,34 @@ def _fold_slabs(st, tf, entries):
     return sigma
 
 
-def _assert_marginals(st, sigma, entries):
+def _synthesize(st, tf, entries, split=None, domains=(None, None)):
+    """Fold the entries into one curve measure and assert its mesh marginals.
+
+    With ``split``, the entries up to and from ``entries[split]`` are folded
+    separately and the two folds are glued there.  Each fold is rewrapped
+    onto its entry of ``domains`` unless that entry is None.
+    """
+    parts = [entries] if split is None else [entries[:split + 1], entries[split:]]
+    folds = []
+    for part, domain in zip(parts, domains):
+        sigma = _fold_slabs(st, tf, part)
+        if domain is not None:
+            sigma = CurveMeasure(st, [(c.with_domain(domain), w) for c, w in sigma.atoms])
+        folds.append(sigma)
+    sigma = folds[0] if split is None else concat_measures(*folds)
     for t, mu in entries:
-        got = marginal_at(sigma, t)
-        if not slice_measures_equal(got, mu):
+        if not slice_measures_equal(marginal_at(sigma, t), mu):
             raise VerificationError(
                 f"synthesized marginal at {t} does not match the input slice")
+    return sigma
+
+
+def _grid_zero(times, what):
+    """Index of the grid time 0."""
+    for i, t in enumerate(times):
+        if abs(t) <= 1e-12:
+            return i
+    raise InputError(f"{what} needs the grid time 0")
 
 
 def synthesize_compact(st, tf, evo: Evolution) -> CurveMeasure:
@@ -122,9 +146,7 @@ def synthesize_compact(st, tf, evo: Evolution) -> CurveMeasure:
         raise InputError(f"compact synthesis expects a dyadic mesh, got {evo.mesh.kind!r}")
     evo.validate_mesh()
     evo.validate_slices()
-    sigma = _fold_slabs(st, tf, evo.entries)
-    _assert_marginals(st, sigma, evo.entries)
-    return sigma
+    return _synthesize(st, tf, evo.entries)
 
 
 def synthesize_slabs(st, tf, evo: Evolution, horizon, direction="both") -> CurveMeasure:
@@ -147,44 +169,21 @@ def synthesize_slabs(st, tf, evo: Evolution, horizon, direction="both") -> Curve
     evo.validate_mesh()
     evo.validate_slices()
     times = evo.times
-    if direction == "forward":
-        if len(times) < horizon + 1:
-            raise InputError(f"grid has {len(times)} times, need {horizon + 1}")
-        entries = evo.entries[:horizon + 1]
-        sigma = _fold_slabs(st, tf, entries)
-        out = CurveMeasure(st, [(c.with_domain(Interval.future(entries[0][0])), w)
-                                for c, w in sigma.atoms])
-    elif direction == "backward":
-        if len(times) < horizon + 1:
-            raise InputError(f"grid has {len(times)} times, need {horizon + 1}")
-        entries = evo.entries[-(horizon + 1):]
-        sigma = _fold_slabs(st, tf, entries)
-        out = CurveMeasure(st, [(c.with_domain(Interval.past(entries[-1][0])), w)
-                                for c, w in sigma.atoms])
-    else:
-        center = None
-        for i, t in enumerate(times):
-            if abs(t) <= 1e-12:
-                center = i
-                break
-        if center is None:
-            raise InputError("two-sided synthesis needs the grid time 0")
+    if direction == "both":
+        center = _grid_zero(times, "two-sided synthesis")
         if center < horizon or len(times) - 1 - center < horizon:
             raise InputError(
                 f"grid supports horizons up to {min(center, len(times) - 1 - center)}, "
                 f"requested {horizon}")
-        entries_minus = evo.entries[center - horizon:center + 1]
-        entries_plus = evo.entries[center:center + horizon + 1]
-        minus = _fold_slabs(st, tf, entries_minus)
-        plus = _fold_slabs(st, tf, entries_plus)
-        minus = CurveMeasure(st, [(c.with_domain(Interval.past(0.0)), w)
-                                  for c, w in minus.atoms])
-        plus = CurveMeasure(st, [(c.with_domain(Interval.future(0.0)), w)
-                                 for c, w in plus.atoms])
-        out = concat_measures(minus, plus)
-        entries = evo.entries[center - horizon:center + horizon + 1]
-    _assert_marginals(st, out, entries)
-    return out
+        return _synthesize(st, tf, evo.entries[center - horizon:center + horizon + 1],
+                           split=horizon, domains=(Interval.past(0.0), Interval.future(0.0)))
+    if len(times) < horizon + 1:
+        raise InputError(f"grid has {len(times)} times, need {horizon + 1}")
+    if direction == "forward":
+        entries = evo.entries[:horizon + 1]
+        return _synthesize(st, tf, entries, domains=(Interval.future(entries[0][0]),))
+    entries = evo.entries[-(horizon + 1):]
+    return _synthesize(st, tf, entries, domains=(Interval.past(entries[-1][0]),))
 
 
 def extract_coupling(sigma: CurveMeasure, s, t) -> Coupling:
@@ -254,13 +253,7 @@ def observer_invariance_report(st, tf1, tf2, evo: Evolution, horizon=None) -> In
     measure reads as a causal, correctly tagged evolution there while its
     unparametrized path multiset is untouched."""
     times = evo.times
-    center = None
-    for i, t in enumerate(times):
-        if abs(t) <= 1e-12:
-            center = i
-            break
-    if center is None:
-        raise InputError("observer check needs the grid time 0")
+    center = _grid_zero(times, "observer check")
     max_h = min(center, len(times) - 1 - center)
     horizon = max_h if horizon is None else int(horizon)
     sigma1 = synthesize_slabs(st, tf1, evo, horizon, "both")
@@ -307,19 +300,16 @@ def geometric_times(a, b, n):
 @dataclass
 class SynthesisPlan:
     """A synthesis request: target interval (with optional open bounded
-    ends), the mesh evolution, the slab horizon for unbounded or open
-    ends, and the curve selector policy."""
+    ends), the mesh evolution, and the slab horizon for unbounded or open
+    ends."""
 
     interval: Interval
     mesh: Evolution
     horizon: int = 1
-    selector: str = "geodesic-lex"
     open_left: bool = False
     open_right: bool = False
 
     def __post_init__(self):
-        if self.selector != "geodesic-lex":
-            raise InputError(f"unknown selector {self.selector!r}; only geodesic-lex is built in")
         if (self.open_left or self.open_right) and self.interval.kind != Interval.COMPACT:
             raise InputError("open endpoint flags apply to bounded intervals only")
 
@@ -349,19 +339,15 @@ def run_plan(st, tf, plan: SynthesisPlan) -> CurveMeasure:
         return synthesize_compact(st, tf, evo)
     evo.validate_slices()
     a, b = iv.a, iv.b
+    split = None
     if plan.open_right and not plan.open_left:
-        _match_times(evo.times, geometric_times(a, b, plan.horizon), "right-open")
-        return _fold_slabs(st, tf, evo.entries)
-    if plan.open_left and not plan.open_right:
+        wanted, what = geometric_times(a, b, plan.horizon), "right-open"
+    elif plan.open_left and not plan.open_right:
         wanted = [a + b - t for t in geometric_times(a, b, plan.horizon)][::-1]
-        _match_times(evo.times, wanted, "left-open")
-        return _fold_slabs(st, tf, evo.entries)
-    mid = (a + b) / 2
-    left_times = [a + b - t for t in geometric_times(mid, b, plan.horizon)][::-1]
-    right_times = geometric_times(mid, b, plan.horizon)
-    wanted = left_times[:-1] + right_times
-    _match_times(evo.times, wanted, "two-sided geometric")
-    k = len(left_times)
-    left = _fold_slabs(st, tf, evo.entries[:k])
-    right = _fold_slabs(st, tf, evo.entries[k - 1:])
-    return concat_measures(left, right)
+        what = "left-open"
+    else:
+        right = geometric_times((a + b) / 2, b, plan.horizon)
+        left = [a + b - t for t in right][::-1]
+        wanted, what, split = left[:-1] + right, "two-sided geometric", len(left) - 1
+    _match_times(evo.times, wanted, what)
+    return _synthesize(st, tf, evo.entries, split)

@@ -149,11 +149,3 @@ def validate(st: Spacetime, tf: TimeFunction) -> TimeFunctionReport:
         if df > bound * length:
             violations.append((a, b, df, length))
     return TimeFunctionReport(not violations, worst, tuple(violations))
-
-
-def value(st, tf, p):
-    return tf.value(st, p)
-
-
-def level_event(st, tf, tau, x):
-    return tf.level_event(st, tau, x)

@@ -8,11 +8,11 @@ import causalot.measures as M
 from causalot import (CurveMeasure, InputError, Interval, PreconditionError,
                       RawPath, SliceMeasure, Spacetime, TimeFunction,
                       canonical_time, canonicalize_noncompact,
-                      causal_geodesic, concat_measures,
+                      causal_geodesic, concat, concat_measures,
                       curve_measures_equal, disintegrate, marginal_at,
                       pushforward_reparametrize, reparametrize,
                       slice_measures_equal, transport_distance)
-from genrand import (identity_parametrized_bundle, random_slice_measure,
+from genrand import (identity_parametrized_bundle, random_backend, random_slice_measure,
                      random_time_function, rng_for)
 
 T0 = canonical_time()
@@ -165,6 +165,41 @@ def test_concat_associative_bitwise(mink):
     for (c1, w1), (c2, w2) in zip(left.atoms, right.atoms):
         assert c1.breakpoints == c2.breakpoints
         assert w1 == pytest.approx(w2, abs=1e-15)
+
+
+def _concat_by_disintegration(s1, s2):
+    """Concatenation as conditional products: for each junction atom x of
+    weight wx, the conditionals of s1 and of s2 over x, mixed as wx * w1 * w2."""
+    st = s1.spacetime
+    base, conds1 = disintegrate(s1, s1.domain.b)
+    _, conds2 = disintegrate(s2, s2.domain.a)
+    atoms = []
+    for (x, wx), (_, cond1) in zip(base.atoms, conds1):
+        cond2 = next(cond for y, cond in conds2 if st.events_close(x, y))
+        atoms += [(concat(c1, c2), wx * w1 * w2)
+                  for c1, w1 in cond1.atoms for c2, w2 in cond2.atoms]
+    return CurveMeasure(st, atoms)
+
+
+def test_concat_matches_disintegration_oracle():
+    rng = rng_for(2718)
+    glued_fibers = 0
+    for trial in range(40):
+        st = random_backend(rng)
+        curves, weights = identity_parametrized_bundle(rng, st, T0, [0.0, 1.0, 2.0],
+                                                       n_paths=rng.randint(2, 6))
+        s1, s2 = (CurveMeasure(st, [(c.restrict(lo, hi), w) for c, w in zip(curves, weights)])
+                  for lo, hi in ((0.0, 1.0), (1.0, 2.0)))
+        got = concat_measures(s1, s2)
+        want = _concat_by_disintegration(s1, s2)
+        assert len(got) == len(want)
+        for (c1, w1), (c2, w2) in zip(got.atoms, want.atoms):
+            assert c1.domain == c2.domain
+            assert c1.breakpoints == c2.breakpoints
+            assert w1 == w2
+        glued_fibers += len(got) > len(s1)
+    # the seed exercises fibers that carry several curves on both sides
+    assert glued_fibers >= 5
 
 
 # -- pushforward by reparametrization ------------------------------------------------------

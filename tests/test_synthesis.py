@@ -302,6 +302,8 @@ def test_plan_left_open_geometric(mink):
     plan = SynthesisPlan(Interval.compact(0.0, 1.0), evo, horizon=3, open_left=True)
     sigma = run_plan(mink, T0, plan)
     assert sigma.domain == Interval.compact(wanted[0], 1.0)
+    for t, mu in entries:
+        assert slice_measures_equal(marginal_at(sigma, t), mu)
 
 
 def test_plan_open_both_sides(mink):
@@ -317,12 +319,6 @@ def test_plan_open_both_sides(mink):
     assert sigma.domain == Interval.compact(times[0], times[-1])
     for t, mu in entries:
         assert slice_measures_equal(marginal_at(sigma, t), mu)
-
-
-def test_plan_selector_guard(mink):
-    evo = grid_evolution(mink, 0, 1, lambda k: delta(mink, k, 0.0))
-    with pytest.raises(InputError, match="selector"):
-        SynthesisPlan(Interval.line(), evo, selector="random")
 
 
 # -- edge-interior atoms through the whole pipeline -------------------------------------------
