@@ -23,13 +23,12 @@ from importlib import resources
 import jsonschema
 
 from .errors import CausalotError, InputError, VerificationError
-from .spacetime import Spacetime, causal_lipschitz_constant
+from .spacetime import GEOM_ATOL, Spacetime, causal_lipschitz_constant
 from .timefunc import TimeFunction, canonical_time, validate as validate_tf
 from .curves import CausalCurve, Interval, bilipschitz_report, reparametrize, verify_causal
-from .measures import (CurveMeasure, SliceMeasure, marginal_at,
+from .measures import (Coupling, CurveMeasure, SliceMeasure, marginal_at,
                        pushforward_reparametrize, transport_distance)
-from .coupling import (Evolution, MeshSpec, check_evolution, cut_witness,
-                       find_causal_coupling)
+from .coupling import Evolution, MeshSpec, _decide, check_evolution
 from .synthesis import (NonCausalEvolutionError, SynthesisPlan,
                         observer_invariance_report, run_plan, to_time_parametrized)
 
@@ -221,13 +220,11 @@ def _verb_check_coupling(sc: Scenario, args):
     st = sc.spacetime
     mu = _named(sc.measures, args.mu, "measure")
     nu = _named(sc.measures, args.nu, "measure")
-    witness = find_causal_coupling(st, mu, nu)
-    if witness is not None:
-        return True, {"feasible": True, "coupling": _coupling_out(witness)}
-    cut = cut_witness(st, mu, nu)
-    return False, {"feasible": False, "violated_subset": {
-        "events": [_event_out(e) for e in cut.events],
-        "mu_mass": cut.mu_mass, "nu_future_mass": cut.nu_future_mass}}
+    atoms, cut = _decide(st, mu, nu)
+    if cut is not None:
+        return False, {"feasible": False, "violated_subset": cut.to_dict()}
+    omega = Coupling(st, atoms, causal=True)
+    return True, {"feasible": True, "coupling": _coupling_out(omega)}
 
 
 def _verb_check_evolution(sc: Scenario, args):
@@ -278,10 +275,8 @@ def _verb_synthesize(sc: Scenario, args):
     try:
         sigma = run_plan(st, tf, plan)
     except NonCausalEvolutionError as err:
-        return False, {"synthesized": False, "step": list(err.step), "witness": {
-            "events": [_event_out(e) for e in err.witness.events],
-            "mu_mass": err.witness.mu_mass,
-            "nu_future_mass": err.witness.nu_future_mass}}
+        return False, {"synthesized": False, "step": list(err.step),
+                       "witness": err.witness.to_dict()}
     result = {"synthesized": True, "atoms": len(sigma.atoms),
               "curve_measure": _curve_measure_out(sigma)}
     rows = []
@@ -290,7 +285,7 @@ def _verb_synthesize(sc: Scenario, args):
     # window; beyond it the static extension takes over
     lo, hi = sigma.atoms[0][0].window
     for t, mu in evo.entries:
-        if lo - 1e-9 <= t <= hi + 1e-9 and sigma.domain.contains(t, 1e-9):
+        if lo - GEOM_ATOL <= t <= hi + GEOM_ATOL and sigma.domain.contains(t, GEOM_ATOL):
             d = transport_distance(st, marginal_at(sigma, t), mu)
             rows.append((t, d))
             worst = max(worst, d)
@@ -305,7 +300,7 @@ def _verb_synthesize(sc: Scenario, args):
         moved = pushforward_reparametrize(sigma, tf, tf2)
         result["observer"] = {"time_function": args.observer,
                               "curve_measure": _curve_measure_out(moved)}
-    ok = worst <= 1e-9
+    ok = worst <= GEOM_ATOL
     if args.marginals_csv:
         result["csv"] = args.marginals_csv
         _write_csv(args, rows)

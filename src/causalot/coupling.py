@@ -4,11 +4,14 @@ Whether one measure causally precedes another is a transport
 feasibility question: is there a coupling supported on the causal
 relation?  It is decided here by maximum flow on the bipartite support
 graph, carried out in exact integer arithmetic (every 64-bit float is a
-dyadic rational, so the instance scales to integers without loss).  The
-independent oracle is the finite Strassen condition: feasibility holds
-iff no subset of the left support outweighs the causal future of itself
-on the right.  Max-flow/min-cut makes the two routes provably agree; the
-test suite checks that on thousands of instances anyway.
+dyadic rational, so the instance scales to integers without loss).  One
+solve decides a pair: a saturating flow is the coupling, and otherwise
+the left atoms reachable in the final residual graph are a min-cut
+subset that outweighs its causal future.  The independent oracle is the
+finite Strassen condition: feasibility holds iff no subset of the left
+support outweighs the causal future of itself on the right.
+Max-flow/min-cut makes the two routes provably agree; the test suite
+checks that on thousands of instances anyway.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .measures import Coupling, SliceMeasure, _fibers, slice_measures_equal
-from .spacetime import GEOM_ATOL
+from .measures import (Coupling, SliceMeasure, _dyadic_ints, _fibers,
+                       slice_measures_equal)
+from .spacetime import GEOM_ATOL, GRID_ATOL
 from .timefunc import canonical_time
 
 UPSET_SUPPORT_CAP = 20
@@ -98,13 +102,13 @@ class Evolution:
         times = self.times
         if mesh.kind == MeshSpec.DYADIC:
             want = dyadic_times(mesh.a, mesh.b, mesh.depth)
-            if len(times) != len(want) or any(abs(s - t) > 1e-12 for s, t in zip(times, want)):
+            if len(times) != len(want) or any(abs(s - t) > GRID_ATOL for s, t in zip(times, want)):
                 raise InputError(
                     f"times {list(times)} do not form the dyadic mesh of "
                     f"[{mesh.a}, {mesh.b}] at depth {mesh.depth}")
         elif mesh.kind == MeshSpec.INTEGER:
             for s, t in zip(times, times[1:]):
-                if abs((t - s) - 1.0) > 1e-12:
+                if abs((t - s) - 1.0) > GRID_ATOL:
                     raise InputError(f"integer grid needs unit steps, got {s} then {t}")
 
     def __len__(self):
@@ -114,41 +118,31 @@ class Evolution:
 # -- exact bipartite instances ---------------------------------------------------
 
 
-def _int_weights(ms: SliceMeasure):
-    """Weights as exact integers over a common power-of-two denominator."""
-    fracs = [Fraction(w) for _, w in ms.atoms]
-    scale = max(f.denominator for f in fracs)
-    return [int(f * scale) for f in fracs], scale
-
-
 class _Instance:
     """Exactly mass-balanced integer transport instance between two
     supports, with the causal adjacency."""
 
-    def __init__(self, st, mu, nu, tol=None):
-        if tol is None:
-            tol = max(st.eps_caus, GEOM_ATOL)
-        self.mu = mu
-        self.nu = nu
-        mu_int, mu_scale = _int_weights(mu)
-        nu_int, nu_scale = _int_weights(nu)
+    def __init__(self, st, mu, nu):
+        m = len(mu.atoms)
+        ints, scale = _dyadic_ints([w for _, w in mu.atoms + nu.atoms])
+        mu_total, nu_total = sum(ints[:m]), sum(ints[m:])
         # Cross-multiplying balances the two totals exactly in integers,
         # absorbing the (at most 1e-12) mass discrepancy between the sides.
-        self.supply = [w * sum(nu_int) for w in mu_int]
-        self.demand = [w * sum(mu_int) for w in nu_int]
-        self.scale = sum(mu_int) * sum(nu_int)
+        self.supply = [w * nu_total for w in ints[:m]]
+        self.demand = [w * mu_total for w in ints[m:]]
+        self.scale = mu_total * nu_total
         # One capacity unit carries this much mu-mass.
-        self._unit_den = mu_scale * sum(nu_int)
+        self._unit_den = scale * nu_total
         if st.backend == st.MINKOWSKI:
             # Same IEEE operations as Spacetime.causally_precedes, one outer
             # comparison instead of m*n calls.
             tp, xp = np.array([(e.t, e.x) for e, _ in mu.atoms]).T
             tq, xq = np.array([(e.t, e.x) for e, _ in nu.atoms]).T
             self.adjacency = ((tq[None, :] - tp[:, None])
-                              >= np.abs(xp[:, None] - xq[None, :]) - tol).tolist()
+                              >= np.abs(xp[:, None] - xq[None, :]) - st.causal_tol).tolist()
         else:
             self.adjacency = [
-                [st.causally_precedes(p, q, tol) for q, _ in nu.atoms]
+                [st.causally_precedes(p, q, st.causal_tol) for q, _ in nu.atoms]
                 for p, _ in mu.atoms
             ]
 
@@ -231,6 +225,32 @@ class CutWitness:
     mu_mass: float
     nu_future_mass: float
 
+    def to_dict(self):
+        return {"events": [[e.t, e.x] for e in self.events],
+                "mu_mass": self.mu_mass, "nu_future_mass": self.nu_future_mass}
+
+
+def _decide(st, mu: SliceMeasure, nu: SliceMeasure):
+    """Decide whether mu causally precedes nu with one max flow.
+
+    Returns ``(atoms, None)``, the (event pair, weight) atoms of a causal
+    coupling, when the pair is feasible, and ``(None, CutWitness)`` when
+    it is not: the left atoms still reachable from the source in the final
+    residual graph outweigh their causal future.
+    """
+    inst = _Instance(st, mu, nu)
+    value, flows, reachable = _max_flow(inst)
+    if not _deficient(inst.scale - value, inst.scale):
+        atoms = [((p, q), inst.weight_from_units(flows[i][j]))
+                 for i, (p, _) in enumerate(mu.atoms)
+                 for j, (q, _) in enumerate(nu.atoms) if flows[i][j] > 0]
+        return atoms, None
+    left = sorted(reachable)
+    future = sorted({j for i in left for j in range(len(nu.atoms)) if inst.adjacency[i][j]})
+    return None, CutWitness(tuple(mu.atoms[i][0] for i in left),
+                            math.fsum(mu.atoms[i][1] for i in left),
+                            math.fsum(nu.atoms[j][1] for j in future))
+
 
 def find_causal_coupling(st, mu: SliceMeasure, nu: SliceMeasure):
     """Return a causal coupling of mu and nu, or None when none exists.
@@ -240,29 +260,13 @@ def find_causal_coupling(st, mu: SliceMeasure, nu: SliceMeasure):
     in 10^9 forgiven as rounding dust); the witness plan uses a fixed
     deterministic arc ordering so repeated runs reproduce it bit for bit.
     """
-    inst = _Instance(st, mu, nu)
-    value, flows, _ = _max_flow(inst)
-    if _deficient(inst.scale - value, inst.scale):
-        return None
-    atoms = []
-    for i, (p, _) in enumerate(mu.atoms):
-        for j, (q, _) in enumerate(nu.atoms):
-            if flows[i][j] > 0:
-                atoms.append(((p, q), inst.weight_from_units(flows[i][j])))
-    return Coupling(st, atoms, causal=True)
+    atoms, _ = _decide(st, mu, nu)
+    return None if atoms is None else Coupling(st, atoms, causal=True)
 
 
 def cut_witness(st, mu: SliceMeasure, nu: SliceMeasure):
     """Min-cut certificate for an infeasible pair, or None if feasible."""
-    inst = _Instance(st, mu, nu)
-    value, _, reachable = _max_flow(inst)
-    if not _deficient(inst.scale - value, inst.scale):
-        return None
-    events = tuple(mu.atoms[i][0] for i in sorted(reachable))
-    mu_mass = math.fsum(mu.atoms[i][1] for i in sorted(reachable))
-    future = {j for i in reachable for j in range(len(nu.atoms)) if inst.adjacency[i][j]}
-    nu_mass = math.fsum(nu.atoms[j][1] for j in sorted(future))
-    return CutWitness(events, mu_mass, nu_mass)
+    return _decide(st, mu, nu)[1]
 
 
 def dominates_on_upsets(st, mu: SliceMeasure, nu: SliceMeasure) -> bool:
@@ -344,11 +348,7 @@ class EvolutionReport:
         for step in self.steps:
             entry = {"s": step.s, "t": step.t, "causal": step.causal}
             if step.witness is not None:
-                entry["witness"] = {
-                    "events": [[e.t, e.x] for e in step.witness.events],
-                    "mu_mass": step.witness.mu_mass,
-                    "nu_future_mass": step.witness.nu_future_mass,
-                }
+                entry["witness"] = step.witness.to_dict()
             out["steps"].append(entry)
         return out
 
@@ -373,7 +373,7 @@ def check_evolution(st, evo: Evolution, mode="consecutive") -> EvolutionReport:
     for i, j in pairs:
         s, mu = evo.entries[i]
         t, nu = evo.entries[j]
-        witness = cut_witness(st, mu, nu)
+        _, witness = _decide(st, mu, nu)
         ok = witness is None
         steps.append(StepResult(s, t, ok, witness))
         if not ok:

@@ -22,11 +22,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
-from .spacetime import Event, GEOM_ATOL, Spacetime
+from .spacetime import Event, GEOM_ATOL, GRID_ATOL, Spacetime
 from .timefunc import TimeFunction, canonical_time, validate as validate_tf
-
-AFFINITY_ATOL = 1e-9
-ENDPOINT_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,11 +84,10 @@ class RawPath:
         events = tuple(st.event(e.t, e.x) for e in events)
         if not events:
             raise InputError("a path needs at least one event")
-        tol = max(st.eps_caus, GEOM_ATOL)
         for p, q in zip(events, events[1:]):
             if q.t <= p.t:
                 raise InputError(f"path events out of time order: {p} then {q}")
-            if not st.causally_precedes(p, q, tol):
+            if not st.causally_precedes(p, q, st.causal_tol):
                 raise InputError(f"consecutive path events not causally related: {p}, {q}")
         self.spacetime = st
         self.events = events
@@ -164,14 +160,14 @@ class CausalCurve:
             st.segment_length(p.x, q.x)
         lo, hi = self._params[0], self._params[-1]
         if self.domain.kind == Interval.COMPACT:
-            if abs(lo - self.domain.a) > 1e-12 or abs(hi - self.domain.b) > 1e-12:
+            if abs(lo - self.domain.a) > GRID_ATOL or abs(hi - self.domain.b) > GRID_ATOL:
                 raise InputError(
                     f"compact curve breakpoints [{lo}, {hi}] must span the domain {self.domain}")
         elif self.domain.kind == Interval.FUTURE:
-            if abs(lo - self.domain.a) > 1e-12:
+            if abs(lo - self.domain.a) > GRID_ATOL:
                 raise InputError("half-line curve must start at the domain endpoint")
         elif self.domain.kind == Interval.PAST:
-            if abs(hi - self.domain.b) > 1e-12:
+            if abs(hi - self.domain.b) > GRID_ATOL:
                 raise InputError("half-line curve must end at the domain endpoint")
         if self.pace is not None:
             if self.pace <= 0:
@@ -181,7 +177,7 @@ class CausalCurve:
             t0 = self._params[0]
             for tau, e in self.breakpoints:
                 expected = v0 + self.pace * (tau - t0)
-                if abs(tf.value(st, e) - expected) > AFFINITY_ATOL:
+                if abs(tf.value(st, e) - expected) > GEOM_ATOL:
                     raise InputError(
                         f"breakpoint {e} at parameter {tau} violates time-affinity "
                         f"(value {tf.value(st, e)}, expected {expected})")
@@ -447,11 +443,11 @@ def concat(c1: CausalCurve, c2: CausalCurve) -> CausalCurve:
         raise InputError(f"right curve must be bounded below, got {c2.domain}")
     b1 = c1.domain.b
     b2 = c2.domain.a
-    if abs(b1 - b2) > ENDPOINT_ATOL:
+    if abs(b1 - b2) > GEOM_ATOL:
         raise InputError(f"domains do not meet: {c1.domain} then {c2.domain}")
     e1 = c1.breakpoints[-1][1]
     e2 = c2.breakpoints[0][1]
-    if not st.events_close(e1, e2, ENDPOINT_ATOL):
+    if not st.events_close(e1, e2):
         raise InputError(f"endpoint mismatch at junction: {e1} vs {e2}")
     pts = list(c1.breakpoints) + list(c2.breakpoints[1:])
     left_open = c1.domain.kind == Interval.PAST
@@ -466,7 +462,7 @@ def concat(c1: CausalCurve, c2: CausalCurve) -> CausalCurve:
         domain = Interval.compact(c1.domain.a, c2.domain.b)
     pace = None
     tf = None
-    if c1.pace is not None and c2.pace is not None and abs(c1.pace - c2.pace) <= AFFINITY_ATOL:
+    if c1.pace is not None and c2.pace is not None and abs(c1.pace - c2.pace) <= GEOM_ATOL:
         tf1 = c1.time_function or canonical_time()
         tf2 = c2.time_function or canonical_time()
         if tf1.same_as(tf2):
@@ -501,16 +497,15 @@ def verify_causal(st, curve: CausalCurve, samples=8) -> CausalityReport:
         params.update(lo + (hi - lo) * i / (samples - 1) for i in range(samples))
     ordered = sorted(params)
     events = [curve.at(tau) for tau in ordered]
-    tol = max(st.eps_caus, GEOM_ATOL)
     violations = []
     for i in range(len(ordered)):
         for j in range(i, len(ordered)):
-            if not st.causally_precedes(events[i], events[j], tol):
+            if not st.causally_precedes(events[i], events[j], st.causal_tol):
                 violations.append((ordered[i], ordered[j], events[i], events[j]))
     return CausalityReport(not violations, tuple(violations))
 
 
-def is_time_parametrized(st, tf: TimeFunction, curve: CausalCurve, tol=AFFINITY_ATOL):
+def is_time_parametrized(st, tf: TimeFunction, curve: CausalCurve, tol=GEOM_ATOL):
     """True iff the time function reads its own parameter along the whole
     curve, checked through the values at parameters 0 and 1 (sufficient by
     affinity)."""

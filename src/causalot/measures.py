@@ -76,9 +76,6 @@ class SliceMeasure:
                 return w
         return 0.0
 
-    def support(self):
-        return tuple(e for e, _ in self.atoms)
-
     def __len__(self):
         return len(self.atoms)
 
@@ -106,9 +103,6 @@ class CurveMeasure:
         if abs(total - 1.0) > MASS_ATOL:
             raise InputError(f"weights must sum to 1 within {MASS_ATOL}, got {total!r}")
 
-    def support(self):
-        return tuple(c for c, _ in self.atoms)
-
     def __len__(self):
         return len(self.atoms)
 
@@ -133,9 +127,8 @@ class Coupling:
         if abs(total - 1.0) > MASS_ATOL:
             raise InputError(f"weights must sum to 1 within {MASS_ATOL}, got {total!r}")
         if self.causal:
-            tol = max(st.eps_caus, GEOM_ATOL)
             for (p, q), _ in self.atoms:
-                if not st.causally_precedes(p, q, tol):
+                if not st.causally_precedes(p, q, st.causal_tol):
                     raise InputError(f"atom pair ({p}, {q}) is not causally related")
 
     def marginal(self, side):
@@ -230,7 +223,7 @@ def concat_measures(s1: CurveMeasure, s2: CurveMeasure) -> CurveMeasure:
         raise InputError(f"domains do not meet: {s1.domain} then {s2.domain}")
     nu1 = marginal_at(s1, b)
     nu2 = marginal_at(s2, a)
-    if not slice_measures_equal(nu1, nu2, wtol=MASS_ATOL):
+    if not slice_measures_equal(nu1, nu2):
         detail = [(e, w) for e, w in nu1.atoms], [(e, w) for e, w in nu2.atoms]
         raise PreconditionError(
             f"junction marginals differ at {b}: {detail[0]} vs {detail[1]}")
@@ -282,6 +275,14 @@ def _one_time(ms: SliceMeasure) -> bool:
     return all(e.t == t for e, _ in ms.atoms)
 
 
+def _dyadic_ints(weights):
+    """Float weights as exact integers over their common power-of-two
+    denominator: ``(ints, scale)`` with ``weights[k] == ints[k] / scale``."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    scale = max(den for _, den in ratios)
+    return [num * (scale // den) for num, den in ratios], scale
+
+
 def _transport_monotone(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
     """Cost of the monotone coupling of two measures on Minkowski time slices.
 
@@ -292,9 +293,8 @@ def _transport_monotone(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
     As in the LP, the last atom of nu takes whatever mass of mu is left,
     which absorbs the (at most 2e-12) difference of the two totals.
     """
-    ratios = [w.as_integer_ratio() for _, w in mu.atoms + nu.atoms]
-    scale = max(den for _, den in ratios)
-    levels = list(accumulate(num * (scale // den) for num, den in ratios))
+    ints, scale = _dyadic_ints([w for _, w in mu.atoms + nu.atoms])
+    levels = list(accumulate(ints))
     m = len(mu.atoms)
     total = levels[m - 1]
     cum_mu = levels[:m]

@@ -35,6 +35,8 @@ from .errors import InputError, PreconditionError
 # (breakpoints, interpolated offsets).  Raw scenario data is expected to
 # be exactly representable; this guards rounding of derived values only.
 GEOM_ATOL = 1e-9
+# Absolute tolerance for matching mesh times and curve domain endpoints.
+GRID_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,8 @@ class Spacetime:
     vertices, edges : graph data (ignored for Minkowski); edges are
         ``(a, b, length)`` triples with ``length > 0``.
     alpha, u : positive global constants (lapse, conformal factor).
-    eps_caus : slack admitted in causality comparisons (default 0).
+    eps_caus : slack admitted in causality comparisons (default 0);
+        library checks use ``causal_tol``, which is at least ``GEOM_ATOL``.
     """
 
     MINKOWSKI = "minkowski-1+1"
@@ -76,6 +79,7 @@ class Spacetime:
         self.alpha = float(alpha)
         self.u = float(u)
         self.eps_caus = float(eps_caus)
+        self.causal_tol = max(self.eps_caus, GEOM_ATOL)
         if backend == self.GRAPH:
             self._init_graph(vertices, edges)
         else:
@@ -368,7 +372,7 @@ def causal_geodesic(st, p, q):
 
     p = st.event(p.t, p.x)
     q = st.event(q.t, q.x)
-    if not st.causally_precedes(p, q, max(st.eps_caus, GEOM_ATOL)):
+    if not st.causally_precedes(p, q, st.causal_tol):
         raise PreconditionError(f"{p} does not causally precede {q}")
     if p == q:
         return CausalCurve(st, Interval.compact(p.t, p.t), ((p.t, p),),

@@ -23,13 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError, VerificationError
-from .spacetime import GEOM_ATOL, causal_geodesic
+from .spacetime import GEOM_ATOL, GRID_ATOL, causal_geodesic
 from .curves import Interval, canonicalize_compact, is_time_parametrized
 from .measures import (Coupling, CurveMeasure, concat_measures,
                        curve_measures_equal, marginal_at,
                        pushforward_reparametrize, slice_measures_equal)
-from .coupling import (Evolution, MeshSpec, check_evolution, cut_witness,
-                       find_causal_coupling)
+from .coupling import Evolution, MeshSpec, _decide, check_evolution
 
 
 class NonCausalEvolutionError(PreconditionError):
@@ -64,7 +63,7 @@ def lift_coupling(st, tf, omega: Coupling, a, b) -> CurveMeasure:
             raise PreconditionError(f"left atom {p} not on the level set {a} (value {vp})")
         if abs(vq - b) > GEOM_ATOL:
             raise PreconditionError(f"right atom {q} not on the level set {b} (value {vq})")
-        if not st.causally_precedes(p, q, max(st.eps_caus, GEOM_ATOL)):
+        if not st.causally_precedes(p, q, st.causal_tol):
             raise PreconditionError(f"non-causal coupling atom ({p}, {q})")
         curve = canonicalize_compact(st, tf, causal_geodesic(st, p, q), a, b)
         atoms.append((curve, w))
@@ -86,10 +85,10 @@ def _fold_slabs(st, tf, entries):
     sigma = None
     start = entries[0][0]
     for (s, mu), (t, nu) in zip(entries, entries[1:]):
-        omega = find_causal_coupling(st, mu, nu)
-        if omega is None:
-            raise NonCausalEvolutionError(s, t, cut_witness(st, mu, nu))
-        piece = lift_coupling(st, tf, omega, s, t)
+        atoms, cut = _decide(st, mu, nu)
+        if cut is not None:
+            raise NonCausalEvolutionError(s, t, cut)
+        piece = lift_coupling(st, tf, Coupling(st, atoms, causal=True), s, t)
         if sigma is None:
             sigma = piece
         else:
@@ -126,7 +125,7 @@ def _synthesize(st, tf, entries, split=None, domains=(None, None)):
 def _grid_zero(times, what):
     """Index of the grid time 0."""
     for i, t in enumerate(times):
-        if abs(t) <= 1e-12:
+        if abs(t) <= GRID_ATOL:
             return i
     raise InputError(f"{what} needs the grid time 0")
 
@@ -315,7 +314,7 @@ class SynthesisPlan:
 
 
 def _match_times(actual, wanted, what):
-    if len(actual) != len(wanted) or any(abs(s - t) > 1e-12 for s, t in zip(actual, wanted)):
+    if len(actual) != len(wanted) or any(abs(s - t) > GRID_ATOL for s, t in zip(actual, wanted)):
         raise InputError(f"evolution times {list(actual)} do not match the {what} "
                          f"mesh {list(wanted)}")
 

@@ -1,11 +1,18 @@
 import json
 import os
+import re
+import shlex
 
 import jsonschema
+import pytest
 
+import causalot.coupling
+from causalot import (Evolution, MeshSpec, NonCausalEvolutionError, SliceMeasure,
+                      Spacetime, canonical_time, synthesize_compact)
 from causalot.cli import _load_schema, load_scenario, main
 
-SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SCENARIOS = os.path.join(ROOT, "scenarios")
 
 
 def scenario(name):
@@ -63,6 +70,60 @@ def test_check_coupling_witness(tmp_path):
     doc = report(tmp_path, "check-coupling")
     assert doc["result"]["feasible"] is False
     assert doc["result"]["violated_subset"]["nu_future_mass"] == 0.5
+
+
+def test_one_max_flow_per_decision(tmp_path, monkeypatch):
+    # An infeasible pair is decided, and its cut found, by a single solve.
+    solves = []
+    max_flow = causalot.coupling._max_flow
+
+    def counted(instance):
+        solves.append(instance)
+        return max_flow(instance)
+
+    monkeypatch.setattr(causalot.coupling, "_max_flow", counted)
+    assert run(tmp_path, scenario("static_graph.json"), "check-coupling") == 2
+    assert len(solves) == 1
+    st = Spacetime("minkowski-1+1")
+    slices = [(0.0, SliceMeasure(st, [(st.event(0.0, 0.0), 1.0)])),
+              (1.0, SliceMeasure(st, [(st.event(1.0, 3.0), 1.0)]))]
+    evo = Evolution(st, slices, canonical_time(), MeshSpec("dyadic", 0.0, 1.0, 0))
+    solves.clear()
+    with pytest.raises(NonCausalEvolutionError):
+        synthesize_compact(st, canonical_time(), evo)
+    assert len(solves) == 1
+
+
+def test_failed_synthesis_reports_the_check_evolution_witness(tmp_path):
+    path = scenario("minkowski_branching.json")
+    assert run(tmp_path, path, "synthesize", "--evolution", "superluminal") == 2
+    doc = report(tmp_path, "synthesize")
+    jsonschema.validate(doc, _load_schema("report.schema.json"))
+    result = doc["result"]
+    assert result["synthesized"] is False
+    assert result["step"] == [0.375, 0.5]
+    assert run(tmp_path, path, "check-evolution", "--evolution", "superluminal") == 2
+    steps = report(tmp_path, "check-evolution")["result"]["steps"]
+    failing = [step for step in steps if not step["causal"]]
+    assert [[step["s"], step["t"]] for step in failing] == [result["step"]]
+    assert result["witness"] == failing[0]["witness"]
+
+
+def test_readme_cli_commands(tmp_path):
+    # Every command of the README's bundled-scenario block runs with the
+    # exit code the README states: 0, or the one named in its comment.
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"```sh\n(causalot scenarios/.*?)```", readme, re.S).group(1)
+    commands = block.replace("\\\n", " ").splitlines()
+    assert len(commands) >= 6
+    for line in commands:
+        command, _, comment = line.partition("#")
+        exit_code = re.search(r"exit (\d)", comment)
+        prog, path, *argv = shlex.split(command)
+        assert prog == "causalot"
+        code = run(tmp_path, os.path.join(ROOT, path), *argv)
+        assert code == (int(exit_code.group(1)) if exit_code else 0), line
 
 
 def test_invariance_check(tmp_path):

@@ -115,25 +115,27 @@ NUDGES = (lambda v: v, lambda v: math.nextafter(v, math.inf),
 def test_minkowski_adjacency_matches_causally_precedes(eps_caus):
     # Right atoms sit on the null boundary |dx| = dt (and on dt + tol), then
     # one ulp either side of it in x and in t; the vectorised adjacency must
-    # give the same booleans as the per-pair loop.
+    # give the same booleans as the per-pair loop at the spacetime's causal
+    # tolerance.
     st = Spacetime("minkowski-1+1", eps_caus=eps_caus)
+    tol = st.causal_tol
+    assert tol == max(eps_caus, GEOM_ATOL)
     xs = [-1.5, -0.3, 0.0, 0.1, 0.7, 1.1, 2.0, 3.3]
     t0 = 0.1
     mu = SliceMeasure(st, [(st.event(t0, x), 0.125) for x in xs])
     seen = set()
-    for tol in (max(eps_caus, GEOM_ATOL), 0.0):
-        for dt in (0.25, 0.3, 1.0):
-            for slack in (0.0, tol):
-                for sign in (1.0, -1.0):
-                    for nudge_t in NUDGES:
-                        for nudge_x in NUDGES:
-                            nu = SliceMeasure(st, [
-                                (st.event(nudge_t(t0 + dt), nudge_x(x + sign * (dt + slack))),
-                                 0.125) for x in xs])
-                            want = [[st.causally_precedes(p, q, tol) for q, _ in nu.atoms]
-                                    for p, _ in mu.atoms]
-                            assert _Instance(st, mu, nu, tol).adjacency == want
-                            seen.update(want[i][i] for i in range(len(xs)))
+    for dt in (0.25, 0.3, 1.0):
+        for slack in (0.0, tol):
+            for sign in (1.0, -1.0):
+                for nudge_t in NUDGES:
+                    for nudge_x in NUDGES:
+                        nu = SliceMeasure(st, [
+                            (st.event(nudge_t(t0 + dt), nudge_x(x + sign * (dt + slack))),
+                             0.125) for x in xs])
+                        want = [[st.causally_precedes(p, q, tol) for q, _ in nu.atoms]
+                                for p, _ in mu.atoms]
+                        assert _Instance(st, mu, nu).adjacency == want
+                        seen.update(want[i][i] for i in range(len(xs)))
     assert seen == {True, False}
 
 
