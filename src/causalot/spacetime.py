@@ -9,7 +9,10 @@ provided:
   distance ``|x - y|``;
 * ``static-graph`` -- spatial factor is a connected metric graph with
   positive edge lengths, optical distance is shortest-path length
-  (edge-interior points included).
+  (edge-interior points included).  Construction checks connectivity in
+  O(V + E); the shortest-path tree from a vertex is computed on the first
+  query that leaves from it and cached, so a run pays one Dijkstra per
+  source vertex it queries.
 
 The lapse ``alpha`` and the conformal factor ``u`` are global positive
 constants per scenario; they enter the auxiliary Riemannian product
@@ -53,6 +56,10 @@ class Event:
 
 class Spacetime:
     """Immutable backend bundling the spatial factor and the constants.
+
+    On the graph backend, shortest-path trees are computed per source
+    vertex on first use and cached; the cache is internal, and every
+    distance and track is the same whatever order queries come in.
 
     Parameters
     ----------
@@ -111,10 +118,23 @@ class Spacetime:
             adj[a].append(b)
             adj[b].append(a)
         self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
-        self._paths = {v: self._dijkstra(v) for v in self.vertices}
-        for v in self.vertices:
-            if len(self._paths[v]) != len(self.vertices):
-                raise InputError("graph is not connected")
+        seen = {self.vertices[0]}
+        stack = [self.vertices[0]]
+        while stack:
+            for w in self._adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != len(self.vertices):
+            raise InputError("graph is not connected")
+        self._trees = {}
+
+    def _tree(self, source):
+        # Shortest-path tree from ``source``, computed on first use.
+        tree = self._trees.get(source)
+        if tree is None:
+            tree = self._trees[source] = self._dijkstra(source)
+        return tree
 
     def _dijkstra(self, source):
         # Deterministic single-source shortest paths: ties broken by the
@@ -244,7 +264,7 @@ class Spacetime:
             candidates.append((abs(off_x - off_y), (), None))
         for vx, dx in self._endpoint_offsets(x):
             for vy, dy in self._endpoint_offsets(y):
-                dist, path = self._paths[vx][vy]
+                dist, path = self._tree(vx)[vy]
                 candidates.append((dx + dist + dy, path, None))
         best = min(candidates, key=lambda c: (c[0], c[1]))
         dist, chain = best[0], best[1]
@@ -342,8 +362,6 @@ class Spacetime:
         """
         if tol is None:
             tol = self.eps_caus
-        self.normalize_point(p.x)
-        self.normalize_point(q.x)
         return q.t - p.t >= self.optical_distance(p.x, q.x) - tol
 
 

@@ -54,8 +54,76 @@ def test_optical_distance_shortcut(net_graph):
 
 
 def test_disconnected_graph_rejected():
-    with pytest.raises(InputError):
-        Spacetime("static-graph", vertices=["A", "B", "C"], edges=[("A", "B", 1.0)])
+    # C isolated; A (vertices[0]) isolated; a second component without A
+    for vertices, edges in ((["A", "B", "C"], [("A", "B", 1.0)]),
+                            (["A", "B", "C"], [("B", "C", 1.0)]),
+                            (["A", "B", "C", "D"], [("A", "B", 1.0), ("C", "D", 1.0)])):
+        with pytest.raises(InputError, match="graph is not connected"):
+            Spacetime("static-graph", vertices=vertices, edges=edges)
+
+
+def test_graph_build_runs_no_dijkstra_and_lookups_are_lazy(monkeypatch):
+    calls = []
+    dijkstra = Spacetime._dijkstra
+
+    def counted(self, source):
+        calls.append(source)
+        return dijkstra(self, source)
+
+    monkeypatch.setattr(Spacetime, "_dijkstra", counted)
+    names = [f"v{i:03d}" for i in range(400)]
+    edges = [(names[i], names[(i + 1) % 400], 1.0) for i in range(400)]
+    edges += [(names[i], names[(i + 133) % 400], 4.0) for i in range(0, 400, 7)]
+    st = Spacetime("static-graph", vertices=names, edges=edges)
+    assert calls == []
+    d = st.optical_distance("v000", "v200")
+    assert calls == ["v000"]
+    assert st.optical_distance("v000", "v200") == d
+    assert calls == ["v000"]
+
+
+def _assert_query_order_free(st_forward, st_reversed, st_eager):
+    st_eager._trees = {v: st_eager._dijkstra(v) for v in st_eager.vertices}
+    pts = list(st_eager.vertices)
+    for a, b in sorted(st_eager.edges):
+        pts += [(a, b, st_eager.edge_length(a, b) / 4), (a, b, st_eager.edge_length(a, b) / 2)]
+    pairs = [(x, y) for x in pts for y in pts]
+    got = {}
+    for st, order in ((st_forward, pairs), (st_reversed, pairs[::-1])):
+        got[st] = {(x, y): (st.optical_distance(x, y), st.geodesic_track(x, y))
+                   for x, y in order}
+    for x, y in pairs:
+        want = (st_eager.optical_distance(x, y), st_eager.geodesic_track(x, y))
+        assert got[st_forward][x, y] == want, (x, y)
+        assert got[st_reversed][x, y] == want, (x, y)
+
+
+def test_graph_routes_do_not_depend_on_query_order():
+    # edge lengths in {0.5, 1, 2}: equal-length routes occur
+    for n_vertices in (3, 5, 8, 12):
+        for seed in range(3):
+            st_forward, st_reversed, st_eager = (
+                random_graph(rng_for(7000 + 10 * n_vertices + seed), n_vertices=n_vertices)
+                for _ in range(3))
+            _assert_query_order_free(st_forward, st_reversed, st_eager)
+
+
+def test_graph_route_ties_take_the_lexicographically_smaller_route():
+    def square():
+        return Spacetime("static-graph", vertices=["A", "B", "C", "D"],
+                         edges=[("A", "B", 1.0), ("B", "C", 1.0),
+                                ("C", "D", 1.0), ("A", "D", 1.0)])
+
+    _assert_query_order_free(square(), square(), square())
+    for first in ("A", "C"):
+        st = square()
+        st.optical_distance(first, "B")
+        assert st.geodesic_track("A", "C") == ["A", "B", "C"]
+        assert st.geodesic_track("C", "A") == ["C", "B", "A"]
+        assert st.geodesic_track("B", "D") == ["B", "A", "D"]
+        # from mid A-B to mid C-D: via A-D and via B-C both have length 2
+        assert st.geodesic_track(("A", "B", 0.5), ("C", "D", 0.5)) == [
+            ("A", "B", 0.5), "A", "D", ("C", "D", 0.5)]
 
 
 def _brute_distance(st, x, y):
