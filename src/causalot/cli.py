@@ -7,6 +7,11 @@ transport distances).  Reports are byte-identical across repeated runs
 with the same inputs: the only run-dependent value is the timestamp in
 the ``generated_at`` header field.
 
+Scenarios are validated against the packaged ``scenario.schema.json``.
+The schema is read, checked against its metaschema and compiled into a
+validator once per process, on the first scenario loaded; every document
+is then validated in full by that one validator.
+
 Exit codes: 0 success, 1 input error, 2 verification failure.
 """
 
@@ -14,13 +19,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
 from datetime import datetime, timezone
 from importlib import resources
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .errors import CausalotError, InputError, VerificationError
 from .spacetime import GEOM_ATOL, Spacetime, causal_lipschitz_constant
@@ -41,14 +48,22 @@ def _load_schema(name):
         return json.load(fh)
 
 
+@functools.cache
+def _scenario_validator():
+    schema = _load_schema("scenario.schema.json")
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 class Scenario:
     """A fully resolved scenario: every cross-reference checked before any
     computation runs."""
 
     def __init__(self, doc, name="<memory>"):
-        try:
-            jsonschema.validate(doc, _load_schema("scenario.schema.json"))
-        except jsonschema.ValidationError as err:
+        # best_match, as jsonschema.validate picks the error it raises
+        err = best_match(_scenario_validator().iter_errors(doc))
+        if err is not None:
             raise InputError(f"scenario schema violation at "
                              f"{'/'.join(str(p) for p in err.absolute_path)}: {err.message}")
         self.name = name

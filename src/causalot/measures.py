@@ -263,8 +263,11 @@ def transport_distance(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
     Villani, *Topics in Optimal Transportation*, 2.2) and is computed in
     O(m + n), exactly up to the rounding of each term.  Everything else
     (graphs, tilted level sets, atoms off one common time) is solved as a
-    linear program over the finite bipartite support.
+    linear program over the finite bipartite support.  A measure against
+    itself (equal atoms, equal weights) is 0 without either route.
     """
+    if mu.atoms == nu.atoms:
+        return 0.0
     if st.backend == st.MINKOWSKI and _one_time(mu) and _one_time(nu):
         return _transport_monotone(st, mu, nu)
     return _transport_lp(st, mu, nu)

@@ -249,32 +249,22 @@ class Spacetime:
         return self._graph_route(x, y)[0]
 
     def _graph_route(self, x, y):
-        """Shortest route between graph points.
+        """Shortest route between graph points as ``(dist, chain)``.
 
-        Returns ``(dist, track)`` where the track is the list of spatial
-        points visited (x, vertices passed, y) with consecutive entries on
-        a common edge.  Ties are broken by the lexicographically smallest
-        vertex sequence; the empty sequence (direct move along a shared
-        edge) wins every tie.
+        The chain is the sequence of vertices the route passes.  Ties are
+        broken by the lexicographically smallest vertex sequence; the empty
+        sequence (direct move along a shared edge) wins every tie.
         """
         candidates = []
         same_edge = self._shared_edge(x, y)
         if same_edge is not None:
             off_x, off_y = same_edge[1], same_edge[2]
-            candidates.append((abs(off_x - off_y), (), None))
+            candidates.append((abs(off_x - off_y), ()))
         for vx, dx in self._endpoint_offsets(x):
             for vy, dy in self._endpoint_offsets(y):
                 dist, path = self._tree(vx)[vy]
-                candidates.append((dx + dist + dy, path, None))
-        best = min(candidates, key=lambda c: (c[0], c[1]))
-        dist, chain = best[0], best[1]
-        track = [x]
-        for v in chain:
-            if not track or not self.points_close(track[-1], v, 0.0):
-                track.append(v)
-        if not self.points_close(track[-1], y, 0.0):
-            track.append(y)
-        return dist, track
+                candidates.append((dx + dist + dy, path))
+        return min(candidates)
 
     def _shared_edge(self, x, y):
         """Common edge of two graph points as (key, off_x, off_y), or None."""
@@ -339,7 +329,13 @@ class Spacetime:
             return [x] if x == y else [x, y]
         if self.points_close(x, y, 0.0):
             return [x]
-        return self._graph_route(x, y)[1]
+        track = [x]
+        for v in self._graph_route(x, y)[1]:
+            if not self.points_close(track[-1], v, 0.0):
+                track.append(v)
+        if not self.points_close(track[-1], y, 0.0):
+            track.append(y)
+        return track
 
     def riemannian_distance(self, p, q):
         """Distance in the auxiliary complete Riemannian product metric.

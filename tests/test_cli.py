@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -6,9 +7,10 @@ import shlex
 import jsonschema
 import pytest
 
+import causalot.cli
 import causalot.coupling
-from causalot import (Evolution, MeshSpec, NonCausalEvolutionError, SliceMeasure,
-                      Spacetime, canonical_time, synthesize_compact)
+from causalot import (Evolution, InputError, MeshSpec, NonCausalEvolutionError,
+                      SliceMeasure, Spacetime, canonical_time, synthesize_compact)
 from causalot.cli import _load_schema, load_scenario, main
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -238,3 +240,91 @@ def test_emitted_curves_reload_as_literals(tmp_path):
                 [st.event(t, tuple(x) if isinstance(x, list) else x)
                  for _, t, x in literal["breakpoints"]]
             assert weight > 0
+
+
+def test_shipped_schemas_are_valid():
+    for name in ("scenario.schema.json", "report.schema.json"):
+        schema = _load_schema(name)
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def _broken_scenarios():
+    with open(scenario("static_graph.json"), encoding="utf-8") as fh:
+        base = json.load(fh)
+
+    def edited(edit):
+        doc = copy.deepcopy(base)
+        edit(doc)
+        return doc
+
+    def several(doc):
+        # the first error found is the edge length, deepest in the document;
+        # best_match picks the shallowest one, the evolutions section
+        doc["spacetime"]["edges"][1][2] = 0.0
+        doc["measures"]["spread"]["atoms"][0] = ["A"]
+        doc["evolutions"] = []
+
+    return {
+        "missing spacetime": edited(lambda d: d.pop("spacetime")),
+        "unknown backend": edited(lambda d: d["spacetime"].update(backend="de-sitter")),
+        "two-element edge": edited(lambda d: d["spacetime"]["edges"].__setitem__(0, ["A", "B"])),
+        "non-positive edge length": edited(lambda d: d["spacetime"]["edges"][1].__setitem__(2, 0.0)),
+        "extra top-level key": edited(lambda d: d.update(extra=1)),
+        "several errors": edited(several),
+    }
+
+
+def _reference_message(doc):
+    # the message the CLI built around jsonschema.validate, which checks
+    # the schema, builds a validator and raises best_match on every call
+    try:
+        jsonschema.validate(doc, _load_schema("scenario.schema.json"))
+    except jsonschema.ValidationError as err:
+        return (f"scenario schema violation at "
+                f"{'/'.join(str(p) for p in err.absolute_path)}: {err.message}")
+    return None
+
+
+def test_prebuilt_validator_reports_what_validate_reported(tmp_path):
+    broken = _broken_scenarios()
+    schema = _load_schema("scenario.schema.json")
+    errors = list(jsonschema.validators.validator_for(schema)(schema)
+                  .iter_errors(broken["several errors"]))
+    assert len(errors) == 3
+    assert errors[0].message != jsonschema.exceptions.best_match(errors).message
+    for what, doc in broken.items():
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        want = _reference_message(doc)
+        assert want is not None, what
+        with pytest.raises(InputError) as err:
+            load_scenario(str(path))
+        assert str(err.value) == want, what
+
+
+def test_one_scenario_validator_per_process(monkeypatch):
+    checks, builds = [], []
+    validator_for = causalot.cli.validator_for
+
+    class Counted:
+        def __init__(self, schema):
+            self.cls = validator_for(schema)
+
+        def check_schema(self, schema):
+            checks.append(schema)
+            self.cls.check_schema(schema)
+
+        def __call__(self, schema):
+            builds.append(schema)
+            return self.cls(schema)
+
+    monkeypatch.setattr(causalot.cli, "validator_for", Counted)
+    causalot.cli._scenario_validator.cache_clear()
+    try:
+        for name in ("static_graph.json", "minkowski_branching.json",
+                     "tilted_observer.json"):
+            load_scenario(scenario(name))
+    finally:
+        causalot.cli._scenario_validator.cache_clear()
+    assert len(checks) == 1
+    assert len(builds) == 1

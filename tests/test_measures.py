@@ -427,6 +427,42 @@ def test_transport_routes_time_slices_to_closed_form(mink, monkeypatch):
     assert _w1_close(transport_distance(mink, mu, nu), want)
 
 
+def test_transport_of_a_measure_with_itself_is_zero_without_a_solve(chain_graph, monkeypatch):
+    st = Spacetime("minkowski-1+1", alpha=4.0)
+    tilt = TimeFunction(slope=0.5)
+    tilted = [(tilt.level_event(st, 1.0, x), w) for x, w in ((-1.0, 0.25), (2.0, 0.75))]
+    g = chain_graph
+    on_graph = [(g.event(1, "A"), 0.5), (g.event(1, ("B", "C", 0.5)), 0.5)]
+    pairs = [(st, SliceMeasure(st, tilted, time_function=tilt, tau=1.0),
+              SliceMeasure(st, tilted[::-1], time_function=tilt, tau=1.0)),
+             (g, SliceMeasure(g, on_graph), SliceMeasure(g, on_graph[::-1]))]
+
+    def refuse(*args):
+        raise AssertionError("W1 of a measure with itself reached a solver")
+    monkeypatch.setattr(M, "_transport_lp", refuse)
+    monkeypatch.setattr(M, "_transport_monotone", refuse)
+    for backend, mu, nu in pairs:
+        assert mu is not nu
+        got = transport_distance(backend, mu, nu)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+def test_transport_one_ulp_apart_still_reaches_the_lp(chain_graph, monkeypatch):
+    g = chain_graph
+    off = math.nextafter(0.5, 1.0)
+    mu = SliceMeasure(g, [(g.event(1, "A"), 0.5), (g.event(1, ("B", "C", 0.5)), 0.5)])
+    nu = SliceMeasure(g, [(g.event(1, "A"), 0.5), (g.event(1, ("B", "C", off)), 0.5)])
+    solves = []
+    lp = M._transport_lp
+
+    def counted(*args):
+        solves.append(args)
+        return lp(*args)
+    monkeypatch.setattr(M, "_transport_lp", counted)
+    transport_distance(g, mu, nu)
+    assert len(solves) == 1
+
+
 # -- reconstruction through disintegrate + concat ------------------------------------------------
 
 def test_reconstruction_roundtrip(mink):
