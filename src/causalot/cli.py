@@ -10,7 +10,9 @@ the ``generated_at`` header field.
 Scenarios are validated against the packaged ``scenario.schema.json``.
 The schema is read, checked against its metaschema and compiled into a
 validator once per process, on the first scenario loaded; every document
-is then validated in full by that one validator.
+is then validated in full by that one validator.  Only a process that
+loads several scenarios saves anything: a single ``causalot`` run still
+pays the read, the check and the build once.
 
 Exit codes: 0 success, 1 input error, 2 verification failure.
 """
