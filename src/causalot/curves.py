@@ -135,23 +135,31 @@ class CausalCurve:
     """
 
     def __init__(self, st, domain, breakpoints, pace=None, time_function=None,
-                 _checked=False):
+                 _valid_from=0):
         self.spacetime = st
         self.domain = domain
         self.breakpoints = tuple((float(tau), e) for tau, e in breakpoints)
         self.pace = None if pace is None else float(pace)
         self.time_function = time_function
         self._params = tuple(tau for tau, _ in self.breakpoints)
-        if not _checked:
-            self._validate()
+        self._validate(_valid_from)
 
     # -- construction and validation ----------------------------------------
 
-    def _validate(self):
+    def _validate(self, start):
+        """Check the breakpoints, the domain and the time-affinity.
+
+        The checks on consecutive breakpoints and on affinity run from
+        breakpoint ``start`` on; the caller guarantees that those before it
+        passed them already, against the same first breakpoint, pace and
+        time function (``concat`` passes the last breakpoint of its left
+        piece).
+        """
         st = self.spacetime
         if not self.breakpoints:
             raise InputError("a curve needs at least one breakpoint")
-        for (s, p), (t, q) in zip(self.breakpoints, self.breakpoints[1:]):
+        tail = self.breakpoints[start:]
+        for (s, p), (t, q) in zip(tail, tail[1:]):
             if t <= s:
                 raise InputError(f"breakpoint parameters must increase: {s} then {t}")
             if q.t <= p.t:
@@ -175,7 +183,7 @@ class CausalCurve:
             tf = self.time_function or canonical_time()
             v0 = tf.value(st, self.breakpoints[0][1])
             t0 = self._params[0]
-            for tau, e in self.breakpoints:
+            for tau, e in tail:
                 expected = v0 + self.pace * (tau - t0)
                 if abs(tf.value(st, e) - expected) > GEOM_ATOL:
                     raise InputError(
@@ -225,27 +233,26 @@ class CausalCurve:
     def at(self, tau):
         """Event at parameter ``tau`` (domain-checked)."""
         tau = float(tau)
+        params = self._params
+        if params[0] < tau < params[-1]:  # inside the breakpoints, so inside the domain
+            i = bisect_left(params, tau)
+            if params[i] == tau:
+                return self.breakpoints[i][1]
+            (s, p), (t, q) = self.breakpoints[i - 1], self.breakpoints[i]
+            frac = (tau - s) / (t - s)
+            return Event(p.t + frac * (q.t - p.t),
+                         self.spacetime.point_on_segment(p.x, q.x, frac))
         if not self.domain.contains(tau, GEOM_ATOL):
             raise InputError(f"parameter {tau} outside domain {self.domain}")
-        lo, hi = self.window
-        if tau <= lo:
-            if tau == lo or self.domain.kind == Interval.COMPACT:
-                t0, e0 = self.breakpoints[0]
-                return e0
+        if tau <= params[0]:
             t0, e0 = self.breakpoints[0]
+            if tau == t0 or self.domain.kind == Interval.COMPACT:
+                return e0
             return Event(e0.t + self._ext_slope(False) * (tau - t0), e0.x)
-        if tau >= hi:
-            if tau == hi or self.domain.kind == Interval.COMPACT:
-                return self.breakpoints[-1][1]
-            t1, e1 = self.breakpoints[-1]
-            return Event(e1.t + self._ext_slope(True) * (tau - t1), e1.x)
-        i = bisect_left(self._params, tau)
-        if self._params[i] == tau:
-            return self.breakpoints[i][1]
-        (s, p), (t, q) = self.breakpoints[i - 1], self.breakpoints[i]
-        frac = (tau - s) / (t - s)
-        return Event(p.t + frac * (q.t - p.t),
-                     self.spacetime.point_on_segment(p.x, q.x, frac))
+        t1, e1 = self.breakpoints[-1]
+        if tau == t1 or self.domain.kind == Interval.COMPACT:
+            return e1
+        return Event(e1.t + self._ext_slope(True) * (tau - t1), e1.x)
 
     def raw_path(self):
         """Ordered breakpoint events (the parametrization forgotten)."""
@@ -261,7 +268,7 @@ class CausalCurve:
         if a == b:
             return CausalCurve(self.spacetime, Interval.compact(a, b),
                                ((a, self.at(a)),), pace=self.pace,
-                               time_function=self.time_function, _checked=True)
+                               time_function=self.time_function)
         pts = [(a, self.at(a))]
         for tau, e in self.breakpoints:
             if a < tau < b:
@@ -434,7 +441,9 @@ def concat(c1: CausalCurve, c2: CausalCurve) -> CausalCurve:
 
     The result restricts exactly to the two inputs; it is time-affine only
     when both pieces share the time function and the pace, and is stored
-    as non-affine otherwise.
+    as non-affine otherwise.  It is validated from c1's last breakpoint on:
+    it keeps c1's first breakpoint, pace and time function, so c1's own
+    construction already ran the checks before that.
     """
     st = c1.spacetime
     if c1.domain.kind not in (Interval.COMPACT, Interval.PAST):
@@ -468,7 +477,8 @@ def concat(c1: CausalCurve, c2: CausalCurve) -> CausalCurve:
         if tf1.same_as(tf2):
             pace = c1.pace
             tf = c1.time_function
-    return CausalCurve(st, domain, pts, pace=pace, time_function=tf)
+    return CausalCurve(st, domain, pts, pace=pace, time_function=tf,
+                       _valid_from=len(c1.breakpoints) - 1)
 
 
 # -- verification ---------------------------------------------------------------

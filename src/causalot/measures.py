@@ -11,11 +11,22 @@ couplings (:func:`causalot.coupling.compose_couplings`) group atoms by
 one fiber rule: the events within 1e-9 of each atom of the junction
 marginal.
 
+Cost model, for N (atom, weight) pairs with D distinct atoms: a
+constructor normalizes each distinct raw event once, groups exactly
+equal atoms in O(N), and sorts and merges only the D distinct ones, in
+O(D log D).  An evaluation pushforward evaluates each curve once, computes
+a time value once per distinct event, and its fibers over K junction atoms
+take D * K closeness tests; concatenation and disintegration reuse those
+evaluations.  A glued curve is validated only from its left piece's last
+breakpoint on (:func:`causalot.curves.concat`), so each fold step checks
+the new slab, not the whole grown curve again.
+
 The 1-Wasserstein distance between slice measures takes one of two exact
 routes.  Between two Minkowski time slices the cost is a convex function
 of the spatial displacement, so the monotone coupling is optimal
 (McCann's condition) and W1 is a closed-form sum; everything else is a
-sparse linear program solved by HiGHS.
+sparse linear program solved by HiGHS, and scipy is imported on the first
+such solve.
 """
 
 from __future__ import annotations
@@ -24,8 +35,6 @@ import math
 from itertools import accumulate
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import InputError, PreconditionError
 from .spacetime import GEOM_ATOL
@@ -36,17 +45,54 @@ MASS_ATOL = 1e-12
 
 
 def _merge(items, key, close, tol):
-    """Sort (atom, weight) pairs by key and merge adjacent equal atoms."""
-    pairs = sorted(items, key=lambda aw: key(aw[0]))
+    """Merge (atom, weight) pairs into atoms sorted by key.
+
+    Exactly equal atoms are grouped first: events and event pairs by value,
+    curves by identity.  The sort and the merge of ``close`` neighbours then
+    run over the distinct atoms, and each merged atom's weight is the
+    ``math.fsum`` of all its weights, which does not depend on their order.
+    """
+    items = list(items)
+    # the error names the first non-positive weight in sort order, as before
+    bad = [aw for aw in items if aw[1] <= 0]
+    if bad:
+        atom, w = min(bad, key=lambda aw: key(aw[0]))
+        raise InputError(f"weights must be positive, got {w} at {atom!r}")
+    groups = {}
+    for atom, w in items:
+        groups.setdefault(atom, []).append(w)
     out = []
-    for atom, w in pairs:
-        if w <= 0:
-            raise InputError(f"weights must be positive, got {w} at {atom!r}")
+    for atom, ws in sorted(groups.items(), key=lambda aw: key(aw[0])):
         if out and close(out[-1][0], atom, tol):
-            out[-1][1].append(w)
+            out[-1][1].extend(ws)
         else:
-            out.append([atom, [w]])
+            out.append((atom, ws))
     return tuple((atom, math.fsum(ws)) for atom, ws in out)
+
+
+def _event_memo(st):
+    """``st.event`` for raw events, run once per distinct hashable event.
+
+    The memo is keyed by the coordinates and their signs: -0.0 equals 0.0,
+    but the two normalize to different events.  A raw point that cannot
+    be hashed, such as a graph point given as a list, is normalized on
+    every call.
+    """
+    memo = {}
+    signed_x = st.backend == st.MINKOWSKI
+
+    def event(e):
+        t, x = e.t, e.x
+        try:
+            key = (t, x, math.copysign(1.0, t), math.copysign(1.0, x) if signed_x else 0.0)
+            ev = memo.get(key)
+        except TypeError:
+            return st.event(t, x)
+        if ev is None:
+            ev = memo[key] = st.event(t, x)
+        return ev
+
+    return event
 
 
 class SliceMeasure:
@@ -54,7 +100,8 @@ class SliceMeasure:
     level set of a time function."""
 
     def __init__(self, st, atoms, time_function=None, tau=None):
-        st_atoms = [(st.event(e.t, e.x), float(w)) for e, w in atoms]
+        event = _event_memo(st)
+        st_atoms = [(event(e), float(w)) for e, w in atoms]
         self.spacetime = st
         self.atoms = _merge(st_atoms, st.event_key, st.events_close, GEOM_ATOL)
         self.time_function = time_function
@@ -115,8 +162,8 @@ class Coupling:
     atoms; when built as causal, every atom pair must be causally related."""
 
     def __init__(self, st, atoms, causal=True):
-        atoms = [((st.event(p.t, p.x), st.event(q.t, q.x)), float(w))
-                 for (p, q), w in atoms]
+        event = _event_memo(st)
+        atoms = [((event(p), event(q)), float(w)) for (p, q), w in atoms]
         key = lambda pq: st.event_key(pq[0]) + st.event_key(pq[1])
         close = lambda a, b, tol: (st.events_close(a[0], b[0], tol)
                                    and st.events_close(a[1], b[1], tol))
@@ -162,26 +209,46 @@ def curve_measures_equal(s1: CurveMeasure, s2: CurveMeasure, tol=GEOM_ATOL, wtol
 
 def marginal_at(sigma: CurveMeasure, t) -> SliceMeasure:
     """Pushforward of a curve measure under evaluation at parameter t."""
+    return _pushforward(sigma, t)[0]
+
+
+def _pushforward(sigma: CurveMeasure, t):
+    """The evaluation pushforward at t and the evaluated events, as
+    ``(SliceMeasure, events)`` with ``events[i]`` the value of the i-th
+    curve of sigma; each curve is evaluated once."""
     t = float(t)
     if not sigma.domain.contains(t, GEOM_ATOL):
         raise InputError(f"parameter {t} outside common domain {sigma.domain}")
     st = sigma.spacetime
-    atoms = [(c.at(t), w) for c, w in sigma.atoms]
+    events = [c.at(t) for c, _ in sigma.atoms]
     tf = sigma.atoms[0][0].time_function or canonical_time()
+    same = {}  # a curve's time function (None: canonical) -> same_as(tf)
+
+    def same_tf(tfc):
+        if tfc not in same:
+            same[tfc] = (tfc or canonical_time()).same_as(tf)
+        return same[tfc]
+
     tau = None
-    if all(c.pace is not None and (c.time_function or canonical_time()).same_as(tf)
-           for c, _ in sigma.atoms):
-        values = [tf.value(st, e) for e, _ in atoms]
+    if all(c.pace is not None and same_tf(c.time_function) for c, _ in sigma.atoms):
+        # one value per distinct event, in first-seen order
+        values = [tf.value(st, e) for e in dict.fromkeys(events)]
         if max(values) - min(values) <= GEOM_ATOL:
             tau = values[0]
-    return SliceMeasure(st, atoms, time_function=tf if tau is not None else None, tau=tau)
+    ms = SliceMeasure(st, [(e, w) for e, (_, w) in zip(events, sigma.atoms)],
+                      time_function=tf if tau is not None else None, tau=tau)
+    return ms, events
 
 
 def _fibers(base: SliceMeasure, events):
     """For each atom x of base, the indices of the events within GEOM_ATOL
-    of x: the fibers that conditioning and gluing group by."""
+    of x, in increasing order: the fibers that conditioning and gluing group
+    by.  Closeness is tested once per distinct event."""
     close = base.spacetime.events_close
-    return [[i for i, e in enumerate(events) if close(e, x, GEOM_ATOL)]
+    where = {}
+    for i, e in enumerate(events):
+        where.setdefault(e, []).append(i)
+    return [sorted(i for e, idx in where.items() if close(e, x, GEOM_ATOL) for i in idx)
             for x, _ in base.atoms]
 
 
@@ -194,11 +261,10 @@ def disintegrate(sigma: CurveMeasure, at):
     The mixture of the conditionals against the base reproduces sigma
     exactly.
     """
-    at = float(at)
-    base = marginal_at(sigma, at)
+    base, events = _pushforward(sigma, at)
     st = sigma.spacetime
     conditionals = []
-    for (x, wx), fiber in zip(base.atoms, _fibers(base, [c.at(at) for c, _ in sigma.atoms])):
+    for (x, wx), fiber in zip(base.atoms, _fibers(base, events)):
         atoms = [(sigma.atoms[i][0], sigma.atoms[i][1] / wx) for i in fiber]
         conditionals.append((x, CurveMeasure(st, atoms)))
     return base, conditionals
@@ -221,15 +287,15 @@ def concat_measures(s1: CurveMeasure, s2: CurveMeasure) -> CurveMeasure:
     b, a = s1.domain.b, s2.domain.a
     if abs(b - a) > GEOM_ATOL:
         raise InputError(f"domains do not meet: {s1.domain} then {s2.domain}")
-    nu1 = marginal_at(s1, b)
-    nu2 = marginal_at(s2, a)
+    nu1, events1 = _pushforward(s1, b)
+    nu2, events2 = _pushforward(s2, a)
     if not slice_measures_equal(nu1, nu2):
         detail = [(e, w) for e, w in nu1.atoms], [(e, w) for e, w in nu2.atoms]
         raise PreconditionError(
             f"junction marginals differ at {b}: {detail[0]} vs {detail[1]}")
     # The junction marginals agree atom by atom, so their fibers pair by position.
-    fibers1 = _fibers(nu1, [c.at(b) for c, _ in s1.atoms])
-    fibers2 = _fibers(nu2, [c.at(a) for c, _ in s2.atoms])
+    fibers1 = _fibers(nu1, events1)
+    fibers2 = _fibers(nu2, events2)
     atoms = []
     for (_, wx), (_, wy), fiber1, fiber2 in zip(nu1.atoms, nu2.atoms, fibers1, fibers2):
         for i in fiber1:
@@ -319,8 +385,13 @@ def _transport_lp(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
     """W1 by linear programming over the bipartite support.
 
     HiGHS decides the sign of a flow only to its primal feasibility
-    tolerance (1e-7), so masses below that may be misrouted.
+    tolerance (1e-7), so masses below that may be misrouted.  scipy is
+    imported here, on the first call, so runs that never reach the LP do
+    not import it.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     ps = mu.atoms
     qs = nu.atoms
     cost = np.array([[st.riemannian_distance(p, q) for q, _ in qs] for p, _ in ps])

@@ -213,6 +213,51 @@ def test_concat_endpoint_mismatch(chain_graph):
         concat(c1, c2)
 
 
+def _bare(st, domain, points, pace=None):
+    return CausalCurve(st, domain, [(tau, st.event(t, x)) for tau, t, x in points], pace=pace)
+
+
+def test_concat_rejects_a_junction_where_the_parameter_does_not_increase(mink):
+    # c2 starts within GEOM_ATOL of c1's end, but its second breakpoint lies
+    # before c1's last one: only the junction pair shows it.
+    c1 = _bare(mink, Interval.compact(0, 1), [(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)])
+    c2 = _bare(mink, Interval.compact(1 - 5e-10, 2),
+               [(1 - 5e-10, 1.0, 0.0), (1 - 2e-10, 1.5, 0.0), (2.0, 2.0, 0.0)])
+    with pytest.raises(InputError, match="parameters must increase"):
+        concat(c1, c2)
+
+
+def test_concat_rejects_a_junction_where_time_does_not_increase(mink):
+    c1 = _bare(mink, Interval.compact(0, 1), [(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)])
+    c2 = _bare(mink, Interval.compact(1, 2),
+               [(1.0, 1 - 5e-10, 0.0), (1.5, 1 - 2e-10, 0.0), (2.0, 2.0, 0.0)])
+    with pytest.raises(InputError, match="coordinate time must increase"):
+        concat(c1, c2)
+
+
+def test_concat_rejects_endpoints_apart_beyond_tolerance(mink):
+    c1 = _bare(mink, Interval.compact(0, 1), [(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)])
+    c2 = _bare(mink, Interval.compact(1, 2), [(1.0, 1.0, 2e-9), (2.0, 2.0, 2e-9)])
+    with pytest.raises(InputError, match="endpoint mismatch"):
+        concat(c1, c2)
+
+
+def test_concat_checks_the_appended_part_against_the_left_piece(mink):
+    # Paces 1 and 1 + 5e-10 agree within GEOM_ATOL, so the result keeps c1's
+    # pace; each piece is affine on its own, but over 1e4 units of parameter
+    # c2 drifts 5e-6 away from the line through c1's first breakpoint.
+    c1 = _bare(mink, Interval.compact(0, 1), [(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)], pace=1.0)
+    pace2 = 1 + 5e-10
+    c2 = _bare(mink, Interval.compact(1, 1e4),
+               [(1.0, 1.0, 0.0), (1e4, 1.0 + pace2 * (1e4 - 1.0), 0.0)], pace=pace2)
+    with pytest.raises(InputError, match="time-affinity"):
+        concat(c1, c2)
+    # the same pieces over a short span glue into one affine curve
+    c3 = _bare(mink, Interval.compact(1, 2), [(1.0, 1.0, 0.0), (2.0, 1.0 + pace2, 0.0)],
+               pace=pace2)
+    assert concat(c1, c3).pace == 1.0
+
+
 # -- causality verification ------------------------------------------------------------
 
 def test_verify_causal_geodesic(mink):

@@ -1,11 +1,14 @@
 import math
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st_
 from scipy.stats import wasserstein_distance as scipy_w1
 
 import causalot.measures as M
-from causalot import (CurveMeasure, InputError, Interval, PreconditionError,
+from causalot import (CausalCurve, Coupling, CurveMeasure, Event, InputError,
+                      Interval, PreconditionError,
                       RawPath, SliceMeasure, Spacetime, TimeFunction,
                       canonical_time, canonicalize_noncompact,
                       causal_geodesic, concat, concat_measures,
@@ -37,6 +40,147 @@ def test_slice_measure_merges_and_validates(mink):
         SliceMeasure(mink, [(mink.event(0, 1.0), 0.5)])
     with pytest.raises(InputError):
         SliceMeasure(mink, [(mink.event(0, 1.0), 1.0)], time_function=T0, tau=5.0)
+
+
+# -- merging atoms -------------------------------------------------------------------
+
+def _sorted_merge(items, key, close, tol):
+    """Reference: the merge that sorts every pair by key and merges each atom
+    into the previous one when they are close, without grouping first."""
+    out = []
+    for atom, w in sorted(items, key=lambda aw: key(aw[0])):
+        if w <= 0:
+            raise InputError(f"weights must be positive, got {w} at {atom!r}")
+        if out and close(out[-1][0], atom, tol):
+            out[-1][1].append(w)
+        else:
+            out.append([atom, [w]])
+    return tuple((atom, math.fsum(ws)) for atom, ws in out)
+
+
+def _outcome(build):
+    """The atoms of ``build()`` (curves by identity, weights bit for bit), or
+    its error text."""
+    try:
+        atoms = build().atoms
+    except InputError as err:
+        return "error", str(err)
+    return [(id(a) if isinstance(a, CausalCurve) else repr(a), w.hex()) for a, w in atoms]
+
+
+def _reference(build):
+    """``_outcome(build)`` with the sorted merge and one ``st.event`` per raw event."""
+    with mock.patch.object(M, "_merge", _sorted_merge), \
+            mock.patch.object(M, "_event_memo", lambda st: lambda e: st.event(e.t, e.x)):
+        return _outcome(build)
+
+
+def _weights(draw, n):
+    """n weights proportional to small integers; sometimes one or two are 0
+    or negative."""
+    ks = draw(st_.lists(st_.integers(1, 8), min_size=n, max_size=n))
+    ws = [k / sum(ks) for k in ks]
+    for _ in range(draw(st_.sampled_from((0,) * 8 + (1, 2)))):
+        ws[draw(st_.integers(0, n - 1))] = draw(st_.sampled_from([0.0, -0.0, -0.25]))
+    return ws
+
+
+MERGE_MINK = Spacetime("minkowski-1+1")
+MERGE_GRAPH = Spacetime("static-graph", vertices=["A", "B", "C"],
+                        edges=[("A", "B", 1.0), ("B", "C", 2.0)])
+# repeated values, -0.0 against 0.0, int against float, atoms within GEOM_ATOL
+MINK_TIMES = (0, 0.0, -0.0, 1, 1.0, 5e-10, 1.5e-9)
+MINK_POINTS = (0, 0.0, -0.0, 1, 1.0, 1 + 4e-10, 1 + 8e-10, 1 + 1.2e-9, -0.5, 2e-9)
+# offsets that normalize onto vertices, both edge orientations, near-vertex
+# interior points, and a list, which cannot be hashed
+GRAPH_POINTS = ("A", "B", "C", ("A", "B", 0.0), ("B", "A", 1.0), ("A", "B", 0.5),
+                ("B", "A", 0.5), ("A", "B", 0.5 + 3e-10), ("A", "B", 4e-10),
+                ["A", "B", 0.5], ("B", "C", 2.0), ("B", "C", 1.0))
+
+
+@st_.composite
+def raw_slice_atoms(draw):
+    if draw(st_.booleans()):
+        st, times, points = MERGE_MINK, MINK_TIMES, MINK_POINTS
+    else:
+        st, times, points = MERGE_GRAPH, (0.0, 1.0, 1.0 + 5e-10), GRAPH_POINTS
+    n = draw(st_.integers(1, 12))
+    events = [Event(draw(st_.sampled_from(times)), draw(st_.sampled_from(points)))
+              for _ in range(n)]
+    return st, list(zip(events, _weights(draw, n)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_slice_atoms())
+def test_slice_measure_merge_matches_the_sorted_merge(case):
+    st, atoms = case
+    build = lambda: SliceMeasure(st, atoms)
+    assert _outcome(build) == _reference(build)
+
+
+@st_.composite
+def raw_coupling_atoms(draw):
+    xs = (0, 0.0, -0.0, 0.25, 0.25 + 4e-10, 0.25 + 8e-10, -0.5, 0.5)
+    n = draw(st_.integers(1, 10))
+    pairs = [(Event(0.0, draw(st_.sampled_from(xs))), Event(1, draw(st_.sampled_from(xs))))
+             for _ in range(n)]
+    return list(zip(pairs, _weights(draw, n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_coupling_atoms())
+def test_coupling_merge_matches_the_sorted_merge(atoms):
+    build = lambda: Coupling(MERGE_MINK, atoms)
+    assert _outcome(build) == _reference(build)
+
+
+def _curve_pool():
+    """Geodesics on [0, 1], equal copies of some (other objects), and copies
+    moved by 3e-10 (within GEOM_ATOL)."""
+    st = MERGE_MINK
+    pool = [causal_geodesic(st, st.event(0, x0), st.event(1, x1))
+            for x0 in (0.0, 0.5) for x1 in (0.0, 0.25, 1.0)]
+    for c in pool[:3]:
+        pool.append(CausalCurve(st, c.domain, c.breakpoints, pace=c.pace,
+                                time_function=c.time_function))
+        pool.append(CausalCurve(st, c.domain,
+                                [(tau, Event(e.t, e.x + 3e-10)) for tau, e in c.breakpoints],
+                                pace=c.pace, time_function=c.time_function))
+    return pool
+
+
+CURVE_POOL = _curve_pool()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st_.data())
+def test_curve_measure_merge_matches_the_sorted_merge(data):
+    n = data.draw(st_.integers(1, 12))
+    curves = data.draw(st_.lists(st_.sampled_from(CURVE_POOL), min_size=n, max_size=n))
+    atoms = list(zip(curves, _weights(data.draw, n)))
+    build = lambda: CurveMeasure(MERGE_MINK, atoms)
+    assert _outcome(build) == _reference(build)
+
+
+def test_merge_differs_from_the_sorted_merge_only_on_tied_unequal_atoms():
+    # Vertex ids containing "|" give the interior points P of edge (a|b, c) and
+    # Q of edge (a, b|c) one sort key.  The sorted merge kept P, Q, P as three
+    # atoms, P twice; grouping equal atoms first gives one atom per event.
+    st = Spacetime("static-graph", vertices=["a", "a|b", "b|c", "c"],
+                   edges=[("a|b", "c", 1.0), ("a", "b|c", 1.0), ("a", "c", 1.0)])
+    p, q = st.event(0, ("a|b", "c", 0.5)), st.event(0, ("a", "b|c", 0.5))
+    assert st.event_key(p) == st.event_key(q)
+    build = lambda: SliceMeasure(st, [(p, 0.25), (q, 0.25), (p, 0.5)])
+    assert build().atoms == ((p, 0.75), (q, 0.25))
+    assert _reference(build) == [(repr(p), 0.25.hex()), (repr(q), 0.25.hex()),
+                                 (repr(p), 0.5.hex())]
+    # The same holds for one curve object around a curve with its breakpoints
+    # but another pace.
+    c = causal_geodesic(MERGE_MINK, MERGE_MINK.event(0, 0.0), MERGE_MINK.event(1, 0.5))
+    bare = CausalCurve(MERGE_MINK, c.domain, c.breakpoints)
+    build = lambda: CurveMeasure(MERGE_MINK, [(c, 0.25), (bare, 0.25), (c, 0.5)])
+    assert build().atoms == ((c, 0.75), (bare, 0.25))
+    assert len(_reference(build)) == 3
 
 
 # -- evaluation marginals ------------------------------------------------------------
@@ -200,6 +344,31 @@ def test_concat_matches_disintegration_oracle():
         glued_fibers += len(got) > len(s1)
     # the seed exercises fibers that carry several curves on both sides
     assert glued_fibers >= 5
+
+
+def test_pushforwards_evaluate_each_curve_once(monkeypatch):
+    rng = rng_for(2718)
+    st = random_backend(rng)
+    curves, weights = identity_parametrized_bundle(rng, st, T0, [0.0, 1.0, 2.0], n_paths=6)
+    s1, s2 = (CurveMeasure(st, [(c.restrict(lo, hi), w) for c, w in zip(curves, weights)])
+              for lo, hi in ((0.0, 1.0), (1.0, 2.0)))
+    calls = Counter()
+    real_at = CausalCurve.at
+
+    def counting_at(self, tau):
+        calls[id(self)] += 1
+        return real_at(self, tau)
+
+    monkeypatch.setattr(CausalCurve, "at", counting_at)
+    once = lambda *sigmas: Counter({id(c): 1 for sigma in sigmas for c, _ in sigma.atoms})
+    marginal_at(s1, 0.5)
+    assert calls == once(s1)
+    calls.clear()
+    disintegrate(s1, 1.0)
+    assert calls == once(s1)
+    calls.clear()
+    concat_measures(s1, s2)
+    assert calls == once(s1, s2)
 
 
 # -- pushforward by reparametrization ------------------------------------------------------

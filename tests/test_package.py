@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import causalot
 
 
@@ -7,3 +11,13 @@ def test_public_names_resolve():
     namespace = {}
     exec("from causalot import *", namespace)
     assert set(causalot.__all__) <= set(namespace)
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy serves only the transport LP, which imports it on first use.
+    src = os.path.dirname(os.path.dirname(causalot.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, causalot.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
