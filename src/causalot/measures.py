@@ -12,14 +12,17 @@ one fiber rule: the events within 1e-9 of each atom of the junction
 marginal.
 
 Cost model, for N (atom, weight) pairs with D distinct atoms: a
-constructor normalizes each distinct raw event once, groups exactly
+constructor passes events with a float time and a finite float point or
+a known vertex id through unchanged and normalizes the others
+(:meth:`causalot.spacetime.Spacetime.canonical_event`), groups exactly
 equal atoms in O(N), and sorts and merges only the D distinct ones, in
-O(D log D).  An evaluation pushforward evaluates each curve once, computes
-a time value once per distinct event, and its fibers over K junction atoms
-take D * K closeness tests; concatenation and disintegration reuse those
-evaluations.  A glued curve is validated only from its left piece's last
-breakpoint on (:func:`causalot.curves.concat`), so each fold step checks
-the new slab, not the whole grown curve again.
+O(D log D).  An evaluation pushforward evaluates each curve once,
+computes a time value once per distinct event, and its fibers over K
+junction atoms take D * K closeness tests; concatenation and
+disintegration reuse those evaluations.  A glued curve is validated
+only from its left piece's last breakpoint on
+(:func:`causalot.curves.concat`), so each fold step checks the new slab,
+not the whole grown curve again.
 
 The 1-Wasserstein distance between slice measures takes one of two exact
 routes.  Between two Minkowski time slices the cost is a convex function
@@ -70,38 +73,12 @@ def _merge(items, key, close, tol):
     return tuple((atom, math.fsum(ws)) for atom, ws in out)
 
 
-def _event_memo(st):
-    """``st.event`` for raw events, run once per distinct hashable event.
-
-    The memo is keyed by the coordinates and their signs: -0.0 equals 0.0,
-    but the two normalize to different events.  A raw point that cannot
-    be hashed, such as a graph point given as a list, is normalized on
-    every call.
-    """
-    memo = {}
-    signed_x = st.backend == st.MINKOWSKI
-
-    def event(e):
-        t, x = e.t, e.x
-        try:
-            key = (t, x, math.copysign(1.0, t), math.copysign(1.0, x) if signed_x else 0.0)
-            ev = memo.get(key)
-        except TypeError:
-            return st.event(t, x)
-        if ev is None:
-            ev = memo[key] = st.event(t, x)
-        return ev
-
-    return event
-
-
 class SliceMeasure:
     """Probability measure on events, optionally tagged as living on a
     level set of a time function."""
 
     def __init__(self, st, atoms, time_function=None, tau=None):
-        event = _event_memo(st)
-        st_atoms = [(event(e), float(w)) for e, w in atoms]
+        st_atoms = [(st.canonical_event(e), float(w)) for e, w in atoms]
         self.spacetime = st
         self.atoms = _merge(st_atoms, st.event_key, st.events_close, GEOM_ATOL)
         self.time_function = time_function
@@ -162,7 +139,7 @@ class Coupling:
     atoms; when built as causal, every atom pair must be causally related."""
 
     def __init__(self, st, atoms, causal=True):
-        event = _event_memo(st)
+        event = st.canonical_event
         atoms = [((event(p), event(q)), float(w)) for (p, q), w in atoms]
         key = lambda pq: st.event_key(pq[0]) + st.event_key(pq[1])
         close = lambda a, b, tol: (st.events_close(a[0], b[0], tol)

@@ -231,6 +231,19 @@ class Spacetime:
     def event(self, t, x):
         return Event(float(t), self.normalize_point(x))
 
+    def canonical_event(self, e):
+        """``self.event(e.t, e.x)``, or e itself when it is already that
+        event: a float time and a finite float point (Minkowski) or a known
+        vertex id (graph).  Any other event is normalized."""
+        t, x = e.t, e.x
+        if type(e) is Event and type(t) is float:
+            if self.backend == self.MINKOWSKI:
+                if type(x) is float and math.isfinite(x):
+                    return e
+            elif type(x) is str and x in self._adj:
+                return e
+        return self.event(t, x)
+
     def _endpoint_offsets(self, x):
         # (vertex, offset-to-it) pairs describing how to leave point x.
         if isinstance(x, str):

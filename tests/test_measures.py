@@ -71,7 +71,7 @@ def _outcome(build):
 def _reference(build):
     """``_outcome(build)`` with the sorted merge and one ``st.event`` per raw event."""
     with mock.patch.object(M, "_merge", _sorted_merge), \
-            mock.patch.object(M, "_event_memo", lambda st: lambda e: st.event(e.t, e.x)):
+            mock.patch.object(Spacetime, "canonical_event", lambda st, e: st.event(e.t, e.x)):
         return _outcome(build)
 
 
@@ -86,16 +86,18 @@ def _weights(draw, n):
 
 
 MERGE_MINK = Spacetime("minkowski-1+1")
-MERGE_GRAPH = Spacetime("static-graph", vertices=["A", "B", "C"],
-                        edges=[("A", "B", 1.0), ("B", "C", 2.0)])
+MERGE_GRAPH = Spacetime("static-graph", vertices=["A", "B", "C", "1"],
+                        edges=[("A", "B", 1.0), ("B", "C", 2.0), ("1", "B", 1.0)])
 # repeated values, -0.0 against 0.0, int against float, atoms within GEOM_ATOL
 MINK_TIMES = (0, 0.0, -0.0, 1, 1.0, 5e-10, 1.5e-9)
 MINK_POINTS = (0, 0.0, -0.0, 1, 1.0, 1 + 4e-10, 1 + 8e-10, 1 + 1.2e-9, -0.5, 2e-9)
 # offsets that normalize onto vertices, both edge orientations, near-vertex
-# interior points, and a list, which cannot be hashed
+# interior points, a list, which cannot be hashed, and equal vertex ids of
+# other types, which only the id "1" names
 GRAPH_POINTS = ("A", "B", "C", ("A", "B", 0.0), ("B", "A", 1.0), ("A", "B", 0.5),
                 ("B", "A", 0.5), ("A", "B", 0.5 + 3e-10), ("A", "B", 4e-10),
-                ["A", "B", 0.5], ("B", "C", 2.0), ("B", "C", 1.0))
+                ["A", "B", 0.5], ("B", "C", 2.0), ("B", "C", 1.0), "1", 1, 1.0,
+                (1, "B", 0.5), (1.0, "B", 0.5), (True, "B", 0.5), ("1", "B", 0.5))
 
 
 @st_.composite
@@ -160,6 +162,41 @@ def test_curve_measure_merge_matches_the_sorted_merge(data):
     atoms = list(zip(curves, _weights(data.draw, n)))
     build = lambda: CurveMeasure(MERGE_MINK, atoms)
     assert _outcome(build) == _reference(build)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_equal_raw_points_that_normalize_differently_are_each_checked(reverse):
+    # (1, "B", 0.5), (1.0, "B", 0.5) and (True, "B", 0.5) are equal tuples,
+    # but only the first names the edge ("1", "B"); the others must raise
+    # whichever comes first.
+    good = Event(0.0, (1, "B", 0.5))
+    for bad in (Event(0.0, (1.0, "B", 0.5)), Event(0.0, (True, "B", 0.5))):
+        atoms = [(good, 0.5), (bad, 0.5)]
+        if reverse:
+            atoms.reverse()
+        with pytest.raises(InputError, match="no edge between"):
+            SliceMeasure(MERGE_GRAPH, atoms)
+        with pytest.raises(InputError, match="no edge between"):
+            Coupling(MERGE_GRAPH, [((e, Event(1.0, "B")), w) for e, w in atoms])
+
+
+def test_canonical_event_returns_canonical_events_themselves(mink):
+    e = Event(0.5, -0.0)
+    assert mink.canonical_event(e) is e
+    g = Event(1.0, "A")
+    assert MERGE_GRAPH.canonical_event(g) is g
+    # anything else is normalized, as st.event does
+    for st, raw in [(mink, Event(0, 1)), (mink, Event(0.0, 1)), (mink, Event(0.0, True)),
+                    (MERGE_GRAPH, Event(0.0, ("B", "A", 0.25))),
+                    (MERGE_GRAPH, Event(0.0, ("A", "B", 0.0))),
+                    (MERGE_GRAPH, Event(0.0, ["A", "B", 0.5]))]:
+        got = st.canonical_event(raw)
+        assert got == st.event(raw.t, raw.x) and got is not raw
+        assert repr(got) == repr(st.event(raw.t, raw.x))
+    for st, raw in [(mink, Event(0.0, math.inf)), (mink, Event(0.0, "A")),
+                    (MERGE_GRAPH, Event(0.0, "Z")), (MERGE_GRAPH, Event(0.0, 1.0))]:
+        with pytest.raises(InputError):
+            st.canonical_event(raw)
 
 
 def test_merge_differs_from_the_sorted_merge_only_on_tied_unequal_atoms():
