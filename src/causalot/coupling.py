@@ -24,9 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .measures import (Coupling, SliceMeasure, _dyadic_ints, _fibers,
-                       slice_measures_equal)
-from .spacetime import GEOM_ATOL, GRID_ATOL
+from .measures import Coupling, SliceMeasure, _fibers, slice_measures_equal
+from .spacetime import GEOM_ATOL, GRID_ATOL, _dyadic_ints
 from .timefunc import canonical_time
 
 UPSET_SUPPORT_CAP = 20
@@ -133,18 +132,17 @@ class _Instance:
         self.scale = mu_total * nu_total
         # One capacity unit carries this much mu-mass.
         self._unit_den = scale * nu_total
+        # Same IEEE operations as Spacetime.causally_precedes, one outer
+        # comparison instead of m*n calls.
+        tp = np.array([e.t for e, _ in mu.atoms])
+        tq = np.array([e.t for e, _ in nu.atoms])
+        xs = [e.x for e, _ in mu.atoms]
+        ys = [e.x for e, _ in nu.atoms]
         if st.backend == st.MINKOWSKI:
-            # Same IEEE operations as Spacetime.causally_precedes, one outer
-            # comparison instead of m*n calls.
-            tp, xp = np.array([(e.t, e.x) for e, _ in mu.atoms]).T
-            tq, xq = np.array([(e.t, e.x) for e, _ in nu.atoms]).T
-            self.adjacency = ((tq[None, :] - tp[:, None])
-                              >= np.abs(xp[:, None] - xq[None, :]) - st.causal_tol).tolist()
+            dist = np.abs(np.array(xs)[:, None] - np.array(ys)[None, :])
         else:
-            self.adjacency = [
-                [st.causally_precedes(p, q, st.causal_tol) for q, _ in nu.atoms]
-                for p, _ in mu.atoms
-            ]
+            dist = np.array(st._graph_distances(xs, ys))
+        self.adjacency = ((tq[None, :] - tp[:, None]) >= dist - st.causal_tol).tolist()
 
     def weight_from_units(self, units):
         return float(Fraction(units, self._unit_den))

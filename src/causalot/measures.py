@@ -40,7 +40,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .spacetime import GEOM_ATOL
+from .spacetime import GEOM_ATOL, _dyadic_ints
 from .curves import Interval, concat, curves_close, reparametrize
 from .timefunc import canonical_time
 
@@ -319,14 +319,6 @@ def transport_distance(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
 def _one_time(ms: SliceMeasure) -> bool:
     t = ms.atoms[0][0].t
     return all(e.t == t for e, _ in ms.atoms)
-
-
-def _dyadic_ints(weights):
-    """Float weights as exact integers over their common power-of-two
-    denominator: ``(ints, scale)`` with ``weights[k] == ints[k] / scale``."""
-    ratios = [w.as_integer_ratio() for w in weights]
-    scale = max(den for _, den in ratios)
-    return [num * (scale // den) for num, den in ratios], scale
 
 
 def _transport_monotone(st, mu: SliceMeasure, nu: SliceMeasure) -> float:

@@ -10,9 +10,13 @@ provided:
 * ``static-graph`` -- spatial factor is a connected metric graph with
   positive edge lengths, optical distance is shortest-path length
   (edge-interior points included).  Construction checks connectivity in
-  O(V + E); the shortest-path tree from a vertex is computed on the first
-  query that leaves from it and cached, so a run pays one Dijkstra per
-  source vertex it queries.
+  O(V + E) and writes the edge lengths as exact integers over their
+  common power-of-two denominator.  The distances from a vertex are
+  computed by one integer Dijkstra on the first query that leaves from
+  it and cached, so a run pays one Dijkstra per source vertex it
+  queries; after that a distance is an O(1) lookup, compared exactly and
+  rounded to float once.  Vertex chains are built only for geodesics,
+  by a walk over the source's distances.
 
 The lapse ``alpha`` and the conformal factor ``u`` are global positive
 constants per scenario; they enter the auxiliary Riemannian product
@@ -42,6 +46,30 @@ GEOM_ATOL = 1e-9
 GRID_ATOL = 1e-12
 
 
+def _dyadic_ints(values):
+    """Floats as exact integers over their common power-of-two
+    denominator: ``(ints, scale)`` with ``values[k] == ints[k] / scale``."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(den for _, den in ratios)
+    return [num * (scale // den) for num, den in ratios], scale
+
+
+def _over(value, den):
+    # A float as an exact integer over den, a power of two that its own
+    # denominator divides.
+    num, d = value.as_integer_ratio()
+    return num * (den // d)
+
+
+def _to_float(num, den):
+    # num / den rounded once; beyond the float range it is inf, as a float
+    # sum of the lengths would be.
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Event:
     """A point (t, x) of the split spacetime; the atom of causality queries."""
@@ -57,9 +85,11 @@ class Event:
 class Spacetime:
     """Immutable backend bundling the spatial factor and the constants.
 
-    On the graph backend, shortest-path trees are computed per source
-    vertex on first use and cached; the cache is internal, and every
-    distance and track is the same whatever order queries come in.
+    On the graph backend, the exact integer distances from a source vertex
+    are computed by one Dijkstra on first use and cached; a distance is
+    then an O(1) lookup, and only :meth:`geodesic_track` builds a vertex
+    chain, from the source's distances alone.  The cache is internal, and
+    every distance and track is the same whatever order queries come in.
 
     Parameters
     ----------
@@ -101,58 +131,63 @@ class Spacetime:
         self.vertices = tuple(sorted(str(v) for v in vertices))
         if len(set(self.vertices)) != len(self.vertices):
             raise InputError("duplicate vertex ids")
+        # Vertex i is self.vertices[i]; ids sort like their indices.
+        self._index = {v: i for i, v in enumerate(self.vertices)}
         self.edges = {}
-        adj = {v: [] for v in self.vertices}
         for a, b, length in (edges or ()):
             a, b = str(a), str(b)
             if a == b:
                 raise InputError(f"self-loop at {a!r} not allowed")
-            if a not in adj or b not in adj:
+            if a not in self._index or b not in self._index:
                 raise InputError(f"edge ({a!r}, {b!r}) references unknown vertex")
             key = (a, b) if a < b else (b, a)
             if key in self.edges:
                 raise InputError(f"duplicate edge {key!r}")
             if not (length > 0):
                 raise InputError(f"edge {key!r} must have positive length")
+            if not math.isfinite(length):
+                raise InputError(f"edge {key!r} must have finite length")
             self.edges[key] = float(length)
-            adj[a].append(b)
-            adj[b].append(a)
-        self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
+        # Exact lengths: integers over the common denominator self._scale.
+        ints, self._scale = _dyadic_ints(list(self.edges.values()) or [1.0])
+        adj = [[] for _ in self.vertices]
+        for (a, b), length in zip(self.edges, ints):
+            i, j = self._index[a], self._index[b]
+            adj[i].append((j, length))
+            adj[j].append((i, length))
+        # Neighbours of vertex i as (j, exact length), sorted by j.
+        self._adj = [sorted(ws) for ws in adj]
+        seen = {0}
+        stack = [0]
         while stack:
-            for w in self._adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+            for j, _ in self._adj[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
         if len(seen) != len(self.vertices):
             raise InputError("graph is not connected")
         self._trees = {}
 
     def _tree(self, source):
-        # Shortest-path tree from ``source``, computed on first use.
+        # Exact distances from vertex id ``source``, computed on first use.
         tree = self._trees.get(source)
         if tree is None:
             tree = self._trees[source] = self._dijkstra(source)
         return tree
 
     def _dijkstra(self, source):
-        # Deterministic single-source shortest paths: ties broken by the
-        # lexicographically smallest vertex-id sequence.  Keying the heap
-        # by (dist, path) realises the tie-break because edge lengths are
-        # strictly positive.
-        done = {}
-        heap = [(0.0, (source,))]
+        # Distances from vertex id ``source`` as exact integers over
+        # self._scale, listed by vertex index.
+        done = [None] * len(self.vertices)
+        heap = [(0, self._index[source])]
         while heap:
-            dist, path = heappop(heap)
-            v = path[-1]
-            if v in done:
+            dist, i = heappop(heap)
+            if done[i] is not None:
                 continue
-            done[v] = (dist, path)
-            for w in self._adj[v]:
-                if w not in done:
-                    key = (v, w) if v < w else (w, v)
-                    heappush(heap, (dist + self.edges[key], path + (w,)))
+            done[i] = dist
+            for j, length in self._adj[i]:
+                if done[j] is None:
+                    heappush(heap, (dist + length, j))
         return done
 
     def edge_length(self, a, b):
@@ -175,7 +210,7 @@ class Spacetime:
                 raise InputError(f"Minkowski point must be finite, got {x!r}")
             return x
         if isinstance(x, str):
-            if x not in self._adj:
+            if x not in self._index:
                 raise InputError(f"unknown vertex {x!r}")
             return x
         try:
@@ -233,51 +268,110 @@ class Spacetime:
 
     def canonical_event(self, e):
         """``self.event(e.t, e.x)``, or e itself when it is already that
-        event: a float time and a finite float point (Minkowski) or a known
-        vertex id (graph).  Any other event is normalized."""
-        t, x = e.t, e.x
-        if type(e) is Event and type(t) is float:
-            if self.backend == self.MINKOWSKI:
-                if type(x) is float and math.isfinite(x):
-                    return e
-            elif type(x) is str and x in self._adj:
-                return e
-        return self.event(t, x)
+        event: a float time and a canonical point (see ``_is_canonical``).
+        Any other event is normalized."""
+        if type(e) is Event and type(e.t) is float and self._is_canonical(e.x):
+            return e
+        return self.event(e.t, e.x)
 
-    def _endpoint_offsets(self, x):
-        # (vertex, offset-to-it) pairs describing how to leave point x.
-        if isinstance(x, str):
-            return ((x, 0.0),)
-        a, b, off = x
-        return ((a, off), (b, self.edge_length(a, b) - off))
+    def _is_canonical(self, x):
+        # True for points normalize_point returns unchanged without work:
+        # a finite float (Minkowski) or a known vertex id (graph).
+        if self.backend == self.MINKOWSKI:
+            return type(x) is float and math.isfinite(x)
+        return type(x) is str and x in self._index
+
+    def _point(self, x):
+        return x if self._is_canonical(x) else self.normalize_point(x)
 
     # -- distances -----------------------------------------------------------
 
     def optical_distance(self, x, y):
-        """Length-metric distance in the spatial factor."""
-        x = self.normalize_point(x)
-        y = self.normalize_point(y)
+        """Length-metric distance in the spatial factor.
+
+        On a graph the distance is the exact shortest route length,
+        rounded to float once."""
+        x, y = self._point(x), self._point(y)
         if self.backend == self.MINKOWSKI:
             return abs(x - y)
-        return self._graph_route(x, y)[0]
+        den = max(self._den(x), self._den(y))
+        return _to_float(self._graph_distance(x, y, den), den)
 
-    def _graph_route(self, x, y):
-        """Shortest route between graph points as ``(dist, chain)``.
+    def _graph_distances(self, xs, ys):
+        """``optical_distance(x, y)`` for canonical graph points, one row
+        per x."""
+        den = max(self._den(x) for x in xs + ys)
+        return [[_to_float(self._graph_distance(x, y, den), den) for y in ys] for x in xs]
 
-        The chain is the sequence of vertices the route passes.  Ties are
-        broken by the lexicographically smallest vertex sequence; the empty
-        sequence (direct move along a shared edge) wins every tie.
+    def _den(self, x):
+        # A power-of-two denominator over which the exits of canonical
+        # graph point x are exact integers.
+        if isinstance(x, str):
+            return self._scale
+        return max(self._scale, x[2].as_integer_ratio()[1])
+
+    def _exits(self, x, den):
+        # (vertex, offset-to-it) pairs describing how to leave canonical
+        # graph point x; offsets are exact integers over den.
+        if isinstance(x, str):
+            return ((x, 0),)
+        a, b, off = x
+        off = _over(off, den)
+        return ((a, off), (b, _over(self.edges[a, b], den) - off))
+
+    def _graph_distance(self, x, y, den):
+        """Exact distance between canonical graph points as an integer
+        over den: the shortest of the routes through the exits of x and y,
+        or the direct move when both lie inside one edge."""
+        if isinstance(x, str) and isinstance(y, str):
+            return self._tree(x)[self._index[y]] * (den // self._scale)
+        ex, ey = self._exits(x, den), self._exits(y, den)
+        f = den // self._scale
+        best = min(ox + self._tree(vx)[self._index[vy]] * f + oy
+                   for vx, ox in ex for vy, oy in ey)
+        if len(ex) == len(ey) == 2 and x[:2] == y[:2]:
+            best = min(best, abs(ex[0][1] - ey[0][1]))
+        return best
+
+    def _graph_chain(self, x, y):
+        """Vertex chain of the shortest route between canonical graph points.
+
+        Ties are broken by the lexicographically smallest vertex sequence;
+        the empty chain (direct move along a shared edge) wins every tie.
+        Every length is compared exactly, and only the trees of x's exit
+        vertices are read.
         """
-        candidates = []
-        same_edge = self._shared_edge(x, y)
-        if same_edge is not None:
-            off_x, off_y = same_edge[1], same_edge[2]
-            candidates.append((abs(off_x - off_y), ()))
-        for vx, dx in self._endpoint_offsets(x):
-            for vy, dy in self._endpoint_offsets(y):
-                dist, path = self._tree(vx)[vy]
-                candidates.append((dx + dist + dy, path))
-        return min(candidates)
+        den = max(self._den(x), self._den(y))
+        best = self._graph_distance(x, y, den)
+        shared = self._shared_edge(x, y)
+        if shared is not None and abs(_over(shared[1], den) - _over(shared[2], den)) == best:
+            return ()
+        f = den // self._scale
+        return min(self._lex_path(vx, vy)
+                   for vx, ox in self._exits(x, den) for vy, oy in self._exits(y, den)
+                   if ox + self._tree(vx)[self._index[vy]] * f + oy == best)
+
+    def _lex_path(self, source, target):
+        # Lexicographically smallest shortest vertex sequence from source to
+        # target.  Shortest routes are the paths of tight edges,
+        # dist[u] + len(u, w) == dist[w]; the walk steps from source to the
+        # smallest tight neighbour that still reaches target.
+        dist = self._tree(source)
+        end = self._index[target]
+        reaches = {end}
+        stack = [end]
+        while stack:
+            w = stack.pop()
+            for u, length in self._adj[w]:
+                if u not in reaches and dist[u] + length == dist[w]:
+                    reaches.add(u)
+                    stack.append(u)
+        path = [self._index[source]]
+        while path[-1] != end:
+            u = path[-1]
+            path.append(next(w for w, length in self._adj[u]
+                             if w in reaches and dist[u] + length == dist[w]))
+        return tuple(self.vertices[i] for i in path)
 
     def _shared_edge(self, x, y):
         """Common edge of two graph points as (key, off_x, off_y), or None."""
@@ -291,7 +385,7 @@ class Spacetime:
 
     def _edges_of(self, x):
         if isinstance(x, str):
-            return [tuple(sorted((x, w))) for w in self._adj[x]]
+            return [tuple(sorted((x, self.vertices[j]))) for j, _ in self._adj[self._index[x]]]
         return [(x[0], x[1])]
 
     def _offset_on(self, x, key):
@@ -336,14 +430,13 @@ class Spacetime:
         The track is a list of spatial points with consecutive entries on a
         common edge, so it can be traversed by single-edge segments.
         """
-        x = self.normalize_point(x)
-        y = self.normalize_point(y)
+        x, y = self._point(x), self._point(y)
         if self.backend == self.MINKOWSKI:
             return [x] if x == y else [x, y]
         if self.points_close(x, y, 0.0):
             return [x]
         track = [x]
-        for v in self._graph_route(x, y)[1]:
+        for v in self._graph_chain(x, y):
             if not self.points_close(track[-1], v, 0.0):
                 track.append(v)
         if not self.points_close(track[-1], y, 0.0):
@@ -397,8 +490,8 @@ def causal_geodesic(st, p, q):
     from .curves import CausalCurve, Interval
     from .timefunc import canonical_time
 
-    p = st.event(p.t, p.x)
-    q = st.event(q.t, q.x)
+    p = st.canonical_event(p)
+    q = st.canonical_event(q)
     if not st.causally_precedes(p, q, st.causal_tol):
         raise PreconditionError(f"{p} does not causally precede {q}")
     if p == q:

@@ -139,6 +139,39 @@ def test_minkowski_adjacency_matches_causally_precedes(eps_caus):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("eps_caus", [0.0, 1e-6, 0.25])
+def test_graph_adjacency_matches_causally_precedes(eps_caus, monkeypatch):
+    # Right atoms sit at times equal to left-right distances (the null
+    # boundary), plus the tolerance, then one ulp either side; lengths and
+    # offsets carry large power-of-two denominators.  The adjacency reads
+    # the distance trees directly and must give the per-pair booleans.
+    st = Spacetime("static-graph", vertices=["A", "B", "C", "D"],
+                   edges=[("A", "B", 1.0), ("B", "C", 2.0 ** -53), ("C", "D", 1 + 2.0 ** -52),
+                          ("A", "D", 0.75), ("A", "C", 1 + 2.0 ** -52)],
+                   eps_caus=eps_caus)
+    tol = st.causal_tol
+    xs = ["A", "B", "C", "D", ("C", "D", 0.1), ("A", "B", 0.5), ("A", "D", 0.3), ("C", "D", 1.0)]
+    mu = SliceMeasure(st, [(st.event(0.0, x), 0.125) for x in xs])
+    dts = sorted({st.optical_distance(x, y) for x in xs[::3] for y in xs} - {0.0})
+    calls = []
+    precedes = Spacetime.causally_precedes
+    seen = set()
+    for dt in dts:
+        for slack in (0.0, tol):
+            for nudge_t in NUDGES:
+                nu = SliceMeasure(st, [(st.event(nudge_t(dt + slack), y), 0.125) for y in xs])
+                monkeypatch.setattr(Spacetime, "causally_precedes",
+                                    lambda *args: calls.append(args) or precedes(*args))
+                adjacency = _Instance(st, mu, nu).adjacency
+                monkeypatch.setattr(Spacetime, "causally_precedes", precedes)
+                want = [[st.causally_precedes(p, q, tol) for q, _ in nu.atoms]
+                        for p, _ in mu.atoms]
+                assert adjacency == want
+                seen.update(b for row in want for b in row)
+    assert calls == []
+    assert seen == {True, False}
+
+
 def test_monotone_embedding(mink):
     rng = rng_for(654)
     for _ in range(30):

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st_
 
 from causalot import (InputError, PreconditionError, Spacetime, causal_geodesic,
                       causal_lipschitz_constant, verify_causal)
@@ -126,37 +129,53 @@ def test_graph_route_ties_take_the_lexicographically_smaller_route():
             ("A", "B", 0.5), "A", "D", ("C", "D", 0.5)]
 
 
-def _brute_distance(st, x, y):
-    """Independent oracle: enumerate all simple vertex paths."""
-    def exits(p):
-        if isinstance(p, str):
-            return [(p, 0.0)]
-        a, b, off = p
-        return [(a, off), (b, st.edge_length(a, b) - off)]
+def _exits(st, x):
+    # (vertex, exact offset) pairs for leaving the canonical point x
+    if isinstance(x, str):
+        return [(x, Fraction(0))]
+    a, b, off = x
+    return [(a, Fraction(off)), (b, Fraction(st.edge_length(a, b)) - Fraction(off))]
 
-    best = math.inf
-    shared = st._shared_edge(st.normalize_point(x), st.normalize_point(y))
-    if shared is not None:
-        best = abs(shared[1] - shared[2])
-    for va, da in exits(st.normalize_point(x)):
-        for vb, db in exits(st.normalize_point(y)):
-            for k in range(len(st.vertices)):
+
+def _brute_route(st, x, y):
+    """Independent oracle: enumerate all simple vertex paths in exact
+    arithmetic.  Returns (length, chain), ties broken by the smallest chain;
+    the empty chain is a direct move along a shared edge."""
+    def edges_of(p):
+        return {e for e in st.edges if p in e} if isinstance(p, str) else {p[:2]}
+
+    def offset_on(p, key):
+        if isinstance(p, str):
+            return Fraction(0) if p == key[0] else Fraction(st.edges[key])
+        return Fraction(p[2])
+
+    x, y = st.normalize_point(x), st.normalize_point(y)
+    best = [(abs(offset_on(x, key) - offset_on(y, key)), ())
+            for key in edges_of(x) & edges_of(y)]
+    for va, da in _exits(st, x):
+        for vb, db in _exits(st, y):
+            if va == vb:
+                best.append((da + db, (va,)))
+                continue
+            for k in range(len(st.vertices) - 1):
                 for mid in permutations([v for v in st.vertices if v not in (va, vb)], k):
-                    seq = (va,) + mid + ((vb,) if vb != va else ())
-                    if len(seq) == 1 and va == vb:
-                        best = min(best, da + db)
-                        continue
-                    length = 0.0
-                    ok = True
-                    for u, w in zip(seq, seq[1:]):
-                        key = (u, w) if u < w else (w, u)
-                        if key not in st.edges:
-                            ok = False
-                            break
-                        length += st.edges[key]
-                    if ok:
-                        best = min(best, da + length + db)
-    return best
+                    seq = (va,) + mid + (vb,)
+                    keys = [(u, w) if u < w else (w, u) for u, w in zip(seq, seq[1:])]
+                    if all(key in st.edges for key in keys):
+                        best.append((da + sum(Fraction(st.edges[key]) for key in keys) + db, seq))
+    return min(best)
+
+
+def _track(st, x, chain, y):
+    # geodesic track through the vertices of chain
+    x, y = st.normalize_point(x), st.normalize_point(y)
+    if st.points_close(x, y, 0.0):
+        return [x]
+    track = [x]
+    for v in chain + (y,):
+        if not st.points_close(track[-1], v, 0.0):
+            track.append(v)
+    return track
 
 
 def test_optical_distance_against_bruteforce():
@@ -172,9 +191,159 @@ def test_optical_distance_against_bruteforce():
                 pts.append((a, b, dyadic(rng, 0.0, st.edge_length(a, b), 8)))
         for x in pts:
             for y in pts:
-                got = st.optical_distance(x, y)
-                want = _brute_distance(st, x, y)
-                assert got == pytest.approx(want, abs=1e-9), (x, y, st.edges)
+                want = float(_brute_route(st, x, y)[0])
+                assert st.optical_distance(x, y) == want, (x, y, st.edges)
+
+
+def test_route_ties_below_float_resolution_are_exact():
+    # A-C-D-B has length 1 + 2**-53 + 2**-53 == 1 + 2**-52 == len(A-B)
+    # exactly; float sums along A-C-D-B round to 1.0, shorter than every
+    # route.  The exact distance is 1 + 2**-52, and the tie goes to the
+    # lexicographically smaller chain A, B.
+    st = Spacetime("static-graph", vertices=["A", "B", "C", "D"],
+                   edges=[("A", "C", 1.0), ("C", "D", 2.0 ** -53),
+                          ("D", "B", 2.0 ** -53), ("A", "B", 1 + 2.0 ** -52)])
+    assert st.optical_distance("A", "B") == 1 + 2.0 ** -52
+    assert st.geodesic_track("A", "B") == ["A", "B"]
+    assert st.geodesic_track("B", "A") == ["B", "A"]
+    assert st.optical_distance("A", "D") == 1.0
+    assert st.geodesic_track("A", "D") == ["A", "C", "D"]
+    assert not st.causally_precedes(st.event(0.0, "A"), st.event(1.0, "B"), 0.0)
+    assert st.causally_precedes(st.event(0.0, "A"), st.event(1 + 2.0 ** -52, "B"), 0.0)
+
+
+def test_exact_lengths_beyond_the_float_range():
+    # the exact route length exceeds the largest float: it reads inf, as the
+    # float sum did; an infinite edge has no exact length and is refused
+    st = Spacetime("static-graph", vertices=["A", "B", "C"],
+                   edges=[("A", "B", 1e308), ("B", "C", 1e308)])
+    assert st.optical_distance("A", "B") == 1e308
+    assert st.optical_distance("A", "C") == math.inf
+    assert not st.causally_precedes(st.event(0.0, "A"), st.event(1.0, "C"))
+    with pytest.raises(InputError, match="finite length"):
+        Spacetime("static-graph", vertices=["A", "B"], edges=[("A", "B", math.inf)])
+
+
+def _path_dijkstra(st, source):
+    # The earlier float tree: heap keyed by (dist, path), so equal-length
+    # routes are broken by the lexicographically smallest vertex sequence.
+    adj = {v: [] for v in st.vertices}
+    for a, b in st.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    done = {}
+    heap = [(0.0, (source,))]
+    while heap:
+        dist, path = heappop(heap)
+        v = path[-1]
+        if v in done:
+            continue
+        done[v] = (dist, path)
+        for w in sorted(adj[v]):
+            if w not in done:
+                heappush(heap, (dist + st.edge_length(v, w), path + (w,)))
+    return done
+
+
+def _path_route(st, x, y, trees):
+    x, y = st.normalize_point(x), st.normalize_point(y)
+    candidates = []
+    shared = st._shared_edge(x, y)
+    if shared is not None:
+        candidates.append((abs(shared[1] - shared[2]), ()))
+    for vx, dx in _exits(st, x):
+        for vy, dy in _exits(st, y):
+            if vx not in trees:
+                trees[vx] = _path_dijkstra(st, vx)
+            dist, path = trees[vx][vy]
+            candidates.append((float(dx) + dist + float(dy), path))
+    return min(candidates)
+
+
+def _grid_graph(rng, n):
+    names = [f"{chr(ord('a') + i)}{j}" for i in range(n) for j in range(n)]
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if i + 1 < n:
+                edges.append((names[i * n + j], names[(i + 1) * n + j], rng.choice([0.5, 1.0])))
+            if j + 1 < n:
+                edges.append((names[i * n + j], names[i * n + j + 1], rng.choice([0.5, 1.0])))
+    return Spacetime("static-graph", vertices=names, edges=edges)
+
+
+def test_graph_routes_match_the_path_carrying_dijkstra():
+    # Lengths in {0.5, 1, 2} (random graphs) or {0.5, 1} (grids) make float
+    # sums exact and equal-length routes common, so the earlier tree is an
+    # oracle for distances and for the lexicographic tie-break.
+    graphs = [random_graph(rng_for(8100 + seed), n_vertices=n)
+              for seed, n in enumerate((4, 6, 9, 12, 12, 16))]
+    graphs += [_grid_graph(rng_for(8200 + n), n) for n in (3, 4, 5)]
+    for st in graphs:
+        pts = list(st.vertices)
+        for a, b in sorted(st.edges)[::2]:
+            pts += [(a, b, st.edge_length(a, b) / 4), (a, b, st.edge_length(a, b) / 2)]
+        trees = {}
+        for x in pts:
+            for y in pts:
+                dist, chain = _path_route(st, x, y, trees)
+                assert st.optical_distance(x, y) == dist, (x, y)
+                assert st.geodesic_track(x, y) == _track(st, x, chain, y), (x, y)
+
+
+_EXPONENTS = (0, 1, 2, 26, 52, 53, 60)
+_lengths = st_.one_of(
+    st_.builds(lambda m, e: m * 2.0 ** -e,
+               st_.sampled_from((1, 3, 5)), st_.sampled_from(_EXPONENTS)),
+    st_.sampled_from((1 + 2.0 ** -52, 1 - 2.0 ** -53, 2 + 2.0 ** -51, 0.5 + 2.0 ** -60)))
+
+
+@st_.composite
+def _small_graphs(draw):
+    n = draw(st_.integers(3, 5))
+    names = "ABCDE"[:n]
+    pairs = [(names[draw(st_.integers(0, i - 1))], names[i]) for i in range(1, n)]
+    others = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+              if (a, b) not in pairs]
+    pairs += draw(st_.lists(st_.sampled_from(others), unique=True, max_size=len(others)))
+    graph = Spacetime("static-graph", vertices=list(names),
+                      edges=[(a, b, draw(_lengths)) for a, b in pairs])
+    pts = list(names)
+    for a, b in draw(st_.lists(st_.sampled_from(sorted(graph.edges)), max_size=3)):
+        frac = draw(st_.sampled_from((0.125, 0.375, 0.5, 0.875)))
+        pts.append((a, b, graph.edge_length(a, b) * frac))
+    return graph, pts
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_graphs())
+def test_graph_routes_are_exact_for_mixed_dyadic_lengths(case):
+    st, pts = case
+    for x in pts:
+        for y in pts:
+            length, chain = _brute_route(st, x, y)
+            assert st.optical_distance(x, y) == float(length), (x, y, st.edges)
+            assert st.geodesic_track(x, y) == _track(st, x, chain, y), (x, y, st.edges)
+
+
+def test_geodesic_track_after_distance_runs_no_dijkstra(monkeypatch):
+    calls = []
+    dijkstra = Spacetime._dijkstra
+
+    def counted(self, source):
+        calls.append(source)
+        return dijkstra(self, source)
+
+    monkeypatch.setattr(Spacetime, "_dijkstra", counted)
+    st = _grid_graph(rng_for(8300), 5)
+    pts = ["a0", "e4", "c2", ("b2", "c2", st.edge_length("b2", "c2") / 2)]
+    for x in pts:
+        for y in pts:
+            st.optical_distance(x, y)
+            before = list(calls)
+            st.geodesic_track(x, y)
+            assert calls == before, (x, y)
+    assert sorted(calls) == ["a0", "b2", "c2", "e4"]
 
 
 def test_metric_properties_random_triples():
