@@ -8,11 +8,10 @@ with the same inputs: the only run-dependent value is the timestamp in
 the ``generated_at`` header field.
 
 Scenarios are validated against the packaged ``scenario.schema.json``.
-The schema is read, checked against its metaschema and compiled into a
-validator once per process, on the first scenario loaded; every document
-is then validated in full by that one validator.  Only a process that
-loads several scenarios saves anything: a single ``causalot`` run still
-pays the read, the check and the build once.
+The schema is read and compiled into a validator once per process, on the
+first scenario loaded; every document is then validated in full by that
+one validator.  The shipped schema is not checked against its metaschema
+at run time: the test suite checks it.
 
 Exit codes: 0 success, 1 input error, 2 verification failure.
 """
@@ -53,9 +52,7 @@ def _load_schema(name):
 @functools.cache
 def _scenario_validator():
     schema = _load_schema("scenario.schema.json")
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return validator_for(schema)(schema)
 
 
 class Scenario:
@@ -240,7 +237,7 @@ def _verb_check_coupling(sc: Scenario, args):
     atoms, cut = _decide(st, mu, nu)
     if cut is not None:
         return False, {"feasible": False, "violated_subset": cut.to_dict()}
-    omega = Coupling(st, atoms, causal=True)
+    omega = Coupling(st, atoms)
     return True, {"feasible": True, "coupling": _coupling_out(omega)}
 
 

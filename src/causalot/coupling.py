@@ -148,20 +148,24 @@ class _Instance:
         return float(Fraction(units, self._unit_den))
 
 
-def _max_flow(instance: _Instance):
+def _max_flow(instance: _Instance, flows=None):
     """Edmonds-Karp max flow on source -> left atoms -> right atoms -> sink
     with integer capacities; deterministic arc ordering by atom index.
 
     Returns (value, flows, reachable) where flows[i][j] is the flow pushed
     along the admissible arc i -> j and reachable is the set of left atoms
     reachable from the source in the final residual graph (a min-cut
-    witness when the flow is not saturating).
+    witness when the flow is not saturating).  ``flows``, when given, is a
+    feasible starting flow on admissible arcs and is augmented in place.
     """
     m = len(instance.supply)
     n = len(instance.demand)
-    flows = [[0] * n for _ in range(m)]
-    used_supply = [0] * m
-    used_demand = [0] * n
+    if flows is None:
+        flows = [[0] * n for _ in range(m)]
+        used_supply, used_demand = [0] * m, [0] * n
+    else:
+        used_supply = [sum(row) for row in flows]
+        used_demand = [sum(col) for col in zip(*flows)]
     while True:
         # BFS over the residual graph; nodes: source=-1, left i, right m+j
         parent = {}
@@ -214,6 +218,36 @@ def _max_flow(instance: _Instance):
                 flows[w][v - m] -= bottleneck
 
 
+def _transport_exact(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
+    """W1 by the primal-dual method (Ahuja, Magnanti and Orlin, *Network
+    Flows*, ch. 9) in integers, with duals from the row then column minima.
+    Each phase grows the flow on the tight arcs; while supply is unrouted,
+    the duals of the min-cut side move by the least slack across the cut.
+    Only arcs from unreached atoms, which carry no flow, stop being tight."""
+    inst = _Instance(st, mu, nu)
+    n = len(nu.atoms)
+    ints, cost_scale = _dyadic_ints([st.riemannian_distance(p, q)
+                                     for p, _ in mu.atoms for q, _ in nu.atoms])
+    cost = [ints[k:k + n] for k in range(0, len(ints), n)]
+    u = [min(row) for row in cost]
+    v = [min(c[j] - ui for c, ui in zip(cost, u)) for j in range(n)]
+    flows = None
+    while True:
+        inst.adjacency = [[ui + vj == cij for vj, cij in zip(v, c)] for c, ui in zip(cost, u)]
+        value, flows, reachable = _max_flow(inst, flows)
+        if value == inst.scale:
+            break
+        right = {j for i in reachable for j in range(n) if inst.adjacency[i][j]}
+        delta = min(cost[i][j] - u[i] - v[j]
+                    for i in reachable for j in range(n) if j not in right)
+        for i in reachable:
+            u[i] += delta
+        for j in right:
+            v[j] -= delta
+    total = sum(f * cij for row, c in zip(flows, cost) for f, cij in zip(row, c))
+    return total / (inst._unit_den * cost_scale)
+
+
 @dataclass
 class CutWitness:
     """A subset of the left support whose mass exceeds the mass of its
@@ -259,7 +293,7 @@ def find_causal_coupling(st, mu: SliceMeasure, nu: SliceMeasure):
     deterministic arc ordering so repeated runs reproduce it bit for bit.
     """
     atoms, _ = _decide(st, mu, nu)
-    return None if atoms is None else Coupling(st, atoms, causal=True)
+    return None if atoms is None else Coupling(st, atoms)
 
 
 def cut_witness(st, mu: SliceMeasure, nu: SliceMeasure):
@@ -311,7 +345,7 @@ def compose_couplings(st, first: Coupling, second: Coupling) -> Coupling:
             for j in fiber2:
                 (_, r), w2 = second.atoms[j]
                 atoms.append(((p, r), w1 * w2 / wy))
-    return Coupling(st, atoms, causal=first.causal and second.causal)
+    return Coupling(st, atoms)
 
 
 # -- evolutions -------------------------------------------------------------------

@@ -27,17 +27,15 @@ not the whole grown curve again.
 The 1-Wasserstein distance between slice measures takes one of two exact
 routes.  Between two Minkowski time slices the cost is a convex function
 of the spatial displacement, so the monotone coupling is optimal
-(McCann's condition) and W1 is a closed-form sum; everything else is a
-sparse linear program solved by HiGHS, and scipy is imported on the first
-such solve.
+(McCann's condition) and W1 is a closed-form sum; everything else is an
+exact primal-dual transport on the integer instance that also decides
+causal precedence (``coupling._Instance``).
 """
 
 from __future__ import annotations
 
 import math
 from itertools import accumulate
-
-import numpy as np
 
 from .errors import InputError, PreconditionError
 from .spacetime import GEOM_ATOL, _dyadic_ints
@@ -136,9 +134,9 @@ class CurveMeasure:
 
 class Coupling:
     """Joint measure on event pairs, whose marginals are read off its
-    atoms; when built as causal, every atom pair must be causally related."""
+    atoms; every atom pair must be causally related."""
 
-    def __init__(self, st, atoms, causal=True):
+    def __init__(self, st, atoms):
         event = st.canonical_event
         atoms = [((event(p), event(q)), float(w)) for (p, q), w in atoms]
         key = lambda pq: st.event_key(pq[0]) + st.event_key(pq[1])
@@ -146,14 +144,12 @@ class Coupling:
                                    and st.events_close(a[1], b[1], tol))
         self.spacetime = st
         self.atoms = _merge(atoms, key, close, GEOM_ATOL)
-        self.causal = bool(causal)
         total = math.fsum(w for _, w in self.atoms)
         if abs(total - 1.0) > MASS_ATOL:
             raise InputError(f"weights must sum to 1 within {MASS_ATOL}, got {total!r}")
-        if self.causal:
-            for (p, q), _ in self.atoms:
-                if not st.causally_precedes(p, q, st.causal_tol):
-                    raise InputError(f"atom pair ({p}, {q}) is not causally related")
+        for (p, q), _ in self.atoms:
+            if not st.causally_precedes(p, q, st.causal_tol):
+                raise InputError(f"atom pair ({p}, {q}) is not causally related")
 
     def marginal(self, side):
         st = self.spacetime
@@ -163,7 +159,7 @@ class Coupling:
         return len(self.atoms)
 
     def __repr__(self):
-        return f"Coupling({len(self.atoms)} atoms, causal={self.causal})"
+        return f"Coupling({len(self.atoms)} atoms)"
 
 
 def slice_measures_equal(m1: SliceMeasure, m2: SliceMeasure, tol=GEOM_ATOL, wtol=MASS_ATOL):
@@ -305,15 +301,22 @@ def transport_distance(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
     "Exact solutions to the transportation problem on the line", 1999;
     Villani, *Topics in Optimal Transportation*, 2.2) and is computed in
     O(m + n), exactly up to the rounding of each term.  Everything else
-    (graphs, tilted level sets, atoms off one common time) is solved as a
-    linear program over the finite bipartite support.  A measure against
-    itself (equal atoms, equal weights) is 0 without either route.
+    (graphs, tilted level sets, atoms off one common time) goes to the
+    exact primal-dual transport on ``coupling._Instance``, rounded once,
+    in phases of O(m n) each: faster than an LP solver up to about 16 atoms
+    per side, 6 to 15 times slower at 80 (``BENCH_transport_exact.json``);
+    the bundled scenarios, the benchmark and the tests pass at most 12.
+    The routes agree when the totals are equal; when they differ (by up to
+    2e-12), the instance scales nu to mu's total and the closed form lets
+    nu's last atom absorb the difference.  Equal atom lists give 0 without
+    either route.
     """
     if mu.atoms == nu.atoms:
         return 0.0
     if st.backend == st.MINKOWSKI and _one_time(mu) and _one_time(nu):
         return _transport_monotone(st, mu, nu)
-    return _transport_lp(st, mu, nu)
+    from .coupling import _transport_exact
+    return _transport_exact(st, mu, nu)
 
 
 def _one_time(ms: SliceMeasure) -> bool:
@@ -328,8 +331,8 @@ def _transport_monotone(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
     walk runs over the merged breakpoints of the two cumulative-weight
     sequences, kept as exact integers over a common power-of-two
     denominator, so every piece's mass is one correctly rounded quotient.
-    As in the LP, the last atom of nu takes whatever mass of mu is left,
-    which absorbs the (at most 2e-12) difference of the two totals.
+    The last atom of nu takes whatever mass of mu is left, which absorbs
+    the (at most 2e-12) difference of the two totals.
     """
     ints, scale = _dyadic_ints([w for _, w in mu.atoms + nu.atoms])
     levels = list(accumulate(ints))
@@ -348,36 +351,3 @@ def _transport_monotone(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
         i += cum_mu[i] == nxt
         j += cum_nu[j] == nxt
     return math.fsum(pieces)
-
-
-def _transport_lp(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
-    """W1 by linear programming over the bipartite support.
-
-    HiGHS decides the sign of a flow only to its primal feasibility
-    tolerance (1e-7), so masses below that may be misrouted.  scipy is
-    imported here, on the first call, so runs that never reach the LP do
-    not import it.
-    """
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    ps = mu.atoms
-    qs = nu.atoms
-    cost = np.array([[st.riemannian_distance(p, q) for q, _ in qs] for p, _ in ps])
-    if len(ps) == 1:
-        return float(np.dot(cost[0], [w for _, w in qs]))
-    if len(qs) == 1:
-        return float(np.dot(cost[:, 0], [w for _, w in ps]))
-    m, n = cost.shape
-    # Variable i*n + j has a 1 in row i (mu marginal) and, for j < n - 1, in
-    # row m + j (nu marginal; the last column constraint is redundant).
-    i, j = np.divmod(np.arange(m * n), n)
-    rows = np.column_stack([i, m + j]).ravel()
-    rows = rows[rows != m + n - 1]
-    indptr = np.concatenate([[0], np.cumsum(2 - (j == n - 1))])
-    a_eq = sparse.csc_array((np.ones(len(rows)), rows, indptr), shape=(m + n - 1, m * n))
-    b_eq = [w for _, w in ps] + [w for _, w in qs[:-1]]
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise PreconditionError(f"transport LP failed: {res.message}")
-    return max(float(res.fun), 0.0)

@@ -88,7 +88,7 @@ def _fold_slabs(st, tf, entries):
         atoms, cut = _decide(st, mu, nu)
         if cut is not None:
             raise NonCausalEvolutionError(s, t, cut)
-        piece = lift_coupling(st, tf, Coupling(st, atoms, causal=True), s, t)
+        piece = lift_coupling(st, tf, Coupling(st, atoms), s, t)
         if sigma is None:
             sigma = piece
         else:
@@ -198,7 +198,7 @@ def extract_coupling(sigma: CurveMeasure, s, t) -> Coupling:
             raise InputError(f"parameter {tau} outside domain {sigma.domain}")
     st_ = sigma.spacetime
     atoms = [((c.at(s), c.at(t)), w) for c, w in sigma.atoms]
-    return Coupling(st_, atoms, causal=True)
+    return Coupling(st_, atoms)
 
 
 def to_time_parametrized(st, tf, sigma: CurveMeasure) -> CurveMeasure:
@@ -216,9 +216,7 @@ def to_time_parametrized(st, tf, sigma: CurveMeasure) -> CurveMeasure:
             raise VerificationError(
                 f"atom {c!r} is not parametrized by the time function "
                 f"(value at 0 is {tf.value(st, c.at(0.0))}, at 1 is {tf.value(st, c.at(1.0))})")
-    out = CurveMeasure(st, sigma.atoms)
-    out.identity_time_function = tf
-    return out
+    return CurveMeasure(st, sigma.atoms)
 
 
 # -- observer invariance --------------------------------------------------------

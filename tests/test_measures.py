@@ -2,10 +2,13 @@ import math
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st_
+from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance as scipy_w1
 
+import causalot.coupling as C
 import causalot.measures as M
 from causalot import (CausalCurve, Coupling, CurveMeasure, Event, InputError,
                       Interval, PreconditionError,
@@ -15,8 +18,8 @@ from causalot import (CausalCurve, Coupling, CurveMeasure, Event, InputError,
                       curve_measures_equal, disintegrate, marginal_at,
                       pushforward_reparametrize, reparametrize,
                       slice_measures_equal, transport_distance)
-from genrand import (identity_parametrized_bundle, random_backend, random_slice_measure,
-                     random_time_function, rng_for)
+from genrand import (identity_parametrized_bundle, random_backend, random_graph,
+                     random_slice_measure, random_time_function, rng_for)
 
 T0 = canonical_time()
 
@@ -480,7 +483,8 @@ def test_transport_distance_against_1d_oracle():
 
 
 # The closed form (monotone coupling between two Minkowski time slices)
-# against the LP oracle, with the tolerance fixed before looking at results.
+# against the exact primal-dual route, and that route against HiGHS, with
+# the tolerance fixed before looking at results.
 W1_RTOL = 1e-12
 
 
@@ -504,11 +508,10 @@ def dusted_weight_lists(draw, n):
     atoms, so denominators reach 2**52.
 
     HiGHS decides signs only to its primal feasibility tolerance (1e-7 of
-    mass), so the LP is an exact oracle only while every gap between the
-    two sides' cumulative weights is far above that or so small that
-    misrouting it costs under 1e-12; here the gaps are at least 2**-13 or
-    at most 6 * 2**-50.  Gaps in between are checked against the 1-D
-    oracle below.
+    mass), so it is an exact oracle only while every gap between sums of
+    the two sides' weights is far above that or so small that misrouting
+    it costs under 1e-12; here the gaps are at least 2**-13 or at most
+    6 * 2**-50.  The exact route needs no such domain.
     """
     ws = draw(dyadic_weight_lists(n, max_bits=12))
     if n > 1 and draw(st_.booleans()):
@@ -541,10 +544,11 @@ def minkowski_slice_pairs(draw, dts=(0.0, 0.125, 1.0, 3.0, -0.5, -2.0),
 
 
 @settings(max_examples=300, deadline=None)
-@given(minkowski_slice_pairs())
+@given(minkowski_slice_pairs(weights=dyadic_weight_lists))
 def test_transport_closed_form_matches_lp(case):
+    # the full dyadic range, denominators up to 2**52
     st, mu, nu = case
-    assert _w1_close(transport_distance(st, mu, nu), M._transport_lp(st, mu, nu))
+    assert _w1_close(transport_distance(st, mu, nu), C._transport_exact(st, mu, nu))
 
 
 @settings(max_examples=300, deadline=None)
@@ -556,6 +560,79 @@ def test_transport_closed_form_matches_1d_oracle(case):
         [e.x for e, _ in mu.atoms], [e.x for e, _ in nu.atoms],
         [w for _, w in mu.atoms], [w for _, w in nu.atoms])
     assert _w1_close(transport_distance(st, mu, nu), want)
+
+
+def _highs_w1(st, mu, nu):
+    """W1 as a dense linear program solved by HiGHS: the oracle for pairs
+    that have no closed form."""
+    m, n = len(mu.atoms), len(nu.atoms)
+    cost = [st.riemannian_distance(p, q) for p, _ in mu.atoms for q, _ in nu.atoms]
+    # the last column constraint is implied by the others
+    a_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))[:-1]])
+    b_eq = [w for _, w in mu.atoms] + [w for _, w in nu.atoms[:-1]]
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return res.fun
+
+
+@st_.composite
+def graph_or_tilted_pairs(draw):
+    """Pairs the closed form does not take: on a random graph (vertices and
+    points inside edges) or on two level sets of a tilted time function."""
+    if draw(st_.booleans()):
+        st = random_graph(rng_for(draw(st_.integers(0, 999))), draw(st_.integers(3, 6)),
+                          far=False)
+        vertex = st_.sampled_from(list(st.vertices))
+        inside = st_.tuples(st_.sampled_from(list(st.edges)), st_.integers(1, 7)).map(
+            lambda e: (*e[0], st.edges[e[0]] * e[1] / 8))
+        point = st_.one_of(vertex, inside)
+        tau = draw(st_.integers(-8, 8)) / 4
+
+        def side(t):
+            xs = draw(st_.lists(point, min_size=1, max_size=12, unique=True))
+            return SliceMeasure(st, [(st.event(t, x), w)
+                                     for x, w in zip(xs, draw(dusted_weight_lists(len(xs))))])
+        return st, side(tau), side(tau + draw(st_.sampled_from([0.0, 0.5, 2.0])))
+    st = Spacetime("minkowski-1+1", alpha=draw(st_.sampled_from([1.0, 4.0, 0.75])))
+    tilt = TimeFunction(slope=draw(st_.sampled_from([0.5, -0.25, 0.75])))
+    grid = st_.integers(-32, 32).map(lambda k: k / 8)
+
+    def level(tau):
+        xs = draw(st_.lists(grid, min_size=1, max_size=12, unique=True))
+        return SliceMeasure(st, [(tilt.level_event(st, tau, x), w)
+                                 for x, w in zip(xs, draw(dusted_weight_lists(len(xs))))],
+                            time_function=tilt, tau=tau)
+    tau = draw(st_.integers(-8, 8)) / 4
+    return st, level(tau), level(tau + draw(st_.sampled_from([0.0, 0.5, 3.0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_or_tilted_pairs())
+def test_transport_exact_matches_highs(case):
+    st, mu, nu = case
+    assert _w1_close(C._transport_exact(st, mu, nu), _highs_w1(st, mu, nu))
+
+
+# Where HiGHS was not exact: it returned 0.1562499851 on the first pair
+# and called the second, feasible, infeasible.
+HIGHS_MISSES = {
+    "a": ([(-0.25, 1 - 2.0 ** -24), (-0.125, 2.0 ** -24)],
+          [(-0.25, 0.25), (-0.125, 0.25), (0.0, 0.5)],
+          0.15625 - 2.0 ** -27),
+    "b": ([(-0.875, 0.5), (-0.25, 2.0 ** -24), (0.75, 2.0 ** -24), (-0.625, 0.5 - 2.0 ** -23)],
+          [(0.875, 2.0 ** -40), (-0.375, 2.0 ** -24), (0.5, 2.0 ** -40),
+           (0.625, 1 - 2.0 ** -24 - 2.0 ** -39)],
+          1.3749998509882744),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(HIGHS_MISSES))
+def test_transport_exact_returns_the_closed_form_where_highs_missed(mink, pair):
+    left, right, want = HIGHS_MISSES[pair]
+    mu = SliceMeasure(mink, [(mink.event(0.0, x), w) for x, w in left])
+    nu = SliceMeasure(mink, [(mink.event(0.0, y), w) for y, w in right])
+    assert M._transport_monotone(mink, mu, nu) == want
+    assert C._transport_exact(mink, mu, nu) == want
 
 
 def test_transport_closed_form_cases():
@@ -572,7 +649,7 @@ def test_transport_closed_form_cases():
                 mu = SliceMeasure(st, [(st.event(1.0, x), w) for x, w in left])
                 nu = SliceMeasure(st, [(st.event(1.0 + dt, y), w) for y, w in right])
                 got = M._transport_monotone(st, mu, nu)
-                assert _w1_close(got, M._transport_lp(st, mu, nu))
+                assert _w1_close(got, C._transport_exact(st, mu, nu))
                 assert got == transport_distance(st, mu, nu)
 
 
@@ -584,7 +661,7 @@ def test_transport_closed_form_value(mink):
     assert transport_distance(mink, mu, nu) == want
 
 
-def _lp_only(monkeypatch):
+def _exact_only(monkeypatch):
     def refuse(*args):
         raise AssertionError("closed form used off two Minkowski time slices")
     monkeypatch.setattr(M, "_transport_monotone", refuse)
@@ -599,8 +676,8 @@ def test_transport_routes_tilted_pair_to_lp(monkeypatch):
                             time_function=tilt, tau=tau)
     mu = level(0.0, [(-1.0, 0.25), (0.5, 0.25), (2.0, 0.5)])
     nu = level(1.0, [(0.0, 0.5), (1.5, 0.5)])
-    want = M._transport_lp(st, mu, nu)
-    _lp_only(monkeypatch)
+    want = C._transport_exact(st, mu, nu)
+    _exact_only(monkeypatch)
     assert transport_distance(st, mu, nu) == want
 
 
@@ -608,8 +685,8 @@ def test_transport_routes_graph_pair_to_lp(chain_graph, monkeypatch):
     g = chain_graph
     mu = SliceMeasure(g, [(g.event(0, "A"), 0.5), (g.event(0, ("B", "C", 0.5)), 0.5)])
     nu = SliceMeasure(g, [(g.event(1, "B"), 0.25), (g.event(1, "C"), 0.75)])
-    want = M._transport_lp(g, mu, nu)
-    _lp_only(monkeypatch)
+    want = C._transport_exact(g, mu, nu)
+    _exact_only(monkeypatch)
     assert transport_distance(g, mu, nu) == want
 
 
@@ -617,19 +694,19 @@ def test_transport_routes_one_ulp_off_slice_to_lp(mink, monkeypatch):
     t = math.nextafter(1.0, 2.0)
     mu = SliceMeasure(mink, [(mink.event(0, 0.0), 0.5), (mink.event(0, 1.0), 0.5)])
     nu = SliceMeasure(mink, [(mink.event(1.0, 0.5), 0.5), (mink.event(t, 3.0), 0.5)])
-    want = M._transport_lp(mink, mu, nu)
-    _lp_only(monkeypatch)
+    want = C._transport_exact(mink, mu, nu)
+    _exact_only(monkeypatch)
     assert transport_distance(mink, mu, nu) == want
 
 
 def test_transport_routes_time_slices_to_closed_form(mink, monkeypatch):
     mu = SliceMeasure(mink, [(mink.event(0, 0.0), 0.5), (mink.event(0, 1.0), 0.5)])
     nu = SliceMeasure(mink, [(mink.event(2, 0.5), 0.5), (mink.event(2, 3.0), 0.5)])
-    want = M._transport_lp(mink, mu, nu)
+    want = C._transport_exact(mink, mu, nu)
 
     def refuse(*args):
-        raise AssertionError("LP used between two Minkowski time slices")
-    monkeypatch.setattr(M, "_transport_lp", refuse)
+        raise AssertionError("exact route used between two Minkowski time slices")
+    monkeypatch.setattr(C, "_transport_exact", refuse)
     assert _w1_close(transport_distance(mink, mu, nu), want)
 
 
@@ -645,7 +722,7 @@ def test_transport_of_a_measure_with_itself_is_zero_without_a_solve(chain_graph,
 
     def refuse(*args):
         raise AssertionError("W1 of a measure with itself reached a solver")
-    monkeypatch.setattr(M, "_transport_lp", refuse)
+    monkeypatch.setattr(C, "_transport_exact", refuse)
     monkeypatch.setattr(M, "_transport_monotone", refuse)
     for backend, mu, nu in pairs:
         assert mu is not nu
@@ -659,12 +736,12 @@ def test_transport_one_ulp_apart_still_reaches_the_lp(chain_graph, monkeypatch):
     mu = SliceMeasure(g, [(g.event(1, "A"), 0.5), (g.event(1, ("B", "C", 0.5)), 0.5)])
     nu = SliceMeasure(g, [(g.event(1, "A"), 0.5), (g.event(1, ("B", "C", off)), 0.5)])
     solves = []
-    lp = M._transport_lp
+    exact = C._transport_exact
 
     def counted(*args):
         solves.append(args)
-        return lp(*args)
-    monkeypatch.setattr(M, "_transport_lp", counted)
+        return exact(*args)
+    monkeypatch.setattr(C, "_transport_exact", counted)
     transport_distance(g, mu, nu)
     assert len(solves) == 1
 
