@@ -7,11 +7,18 @@ transport distances).  Reports are byte-identical across repeated runs
 with the same inputs: the only run-dependent value is the timestamp in
 the ``generated_at`` header field.
 
-Scenarios are validated against the packaged ``scenario.schema.json``.
-The schema is read and compiled into a validator once per process, on the
-first scenario loaded; every document is then validated in full by that
-one validator.  The shipped schema is not checked against its metaschema
-at run time: the test suite checks it.
+Scenarios are checked against the packaged ``scenario.schema.json``, the
+one source of truth for their shape.  On the first scenario loaded, the
+schema is compiled into a plain-Python predicate
+(``schemacheck.compile_schema``) that gives jsonschema's verdict on every
+document; a valid document is checked by that predicate alone and never
+imports jsonschema.  jsonschema explains a document the predicate
+rejects: one validator, built once per process, finds the ``best_match``
+error that becomes the input error.  Should jsonschema find no error, the
+document is accepted, so jsonschema stays the reference.  The shipped
+schema is not checked against its metaschema at run time: the test suite
+checks it.  Scenario files must be strict JSON (RFC 8259): the tokens
+``NaN``, ``Infinity`` and ``-Infinity`` are refused.
 
 Exit codes: 0 success, 1 input error, 2 verification failure.
 """
@@ -27,9 +34,6 @@ import sys
 from datetime import datetime, timezone
 from importlib import resources
 
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
-
 from .errors import CausalotError, InputError, VerificationError
 from .spacetime import GEOM_ATOL, Spacetime, causal_lipschitz_constant
 from .timefunc import TimeFunction, canonical_time, validate as validate_tf
@@ -37,6 +41,7 @@ from .curves import CausalCurve, Interval, bilipschitz_report, reparametrize, ve
 from .measures import (Coupling, CurveMeasure, SliceMeasure, marginal_at,
                        pushforward_reparametrize, transport_distance)
 from .coupling import Evolution, MeshSpec, _decide, check_evolution
+from .schemacheck import compile_schema
 from .synthesis import (NonCausalEvolutionError, SynthesisPlan,
                         observer_invariance_report, run_plan, to_time_parametrized)
 
@@ -50,9 +55,29 @@ def _load_schema(name):
 
 
 @functools.cache
+def _scenario_check():
+    return compile_schema(_load_schema("scenario.schema.json"))
+
+
+@functools.cache
 def _scenario_validator():
+    from jsonschema.validators import validator_for
+
     schema = _load_schema("scenario.schema.json")
     return validator_for(schema)(schema)
+
+
+def _check_schema(doc):
+    """Raise the schema violation of a scenario document, if it has one."""
+    if _scenario_check()(doc):
+        return
+    from jsonschema.exceptions import best_match
+
+    # best_match, as jsonschema.validate picks the error it raises
+    err = best_match(_scenario_validator().iter_errors(doc))
+    if err is not None:
+        raise InputError(f"scenario schema violation at "
+                         f"{'/'.join(str(p) for p in err.absolute_path)}: {err.message}")
 
 
 class Scenario:
@@ -60,11 +85,7 @@ class Scenario:
     computation runs."""
 
     def __init__(self, doc, name="<memory>"):
-        # best_match, as jsonschema.validate picks the error it raises
-        err = best_match(_scenario_validator().iter_errors(doc))
-        if err is not None:
-            raise InputError(f"scenario schema violation at "
-                             f"{'/'.join(str(p) for p in err.absolute_path)}: {err.message}")
+        _check_schema(doc)
         self.name = name
         self.doc = doc
         sec = doc["spacetime"]
@@ -152,13 +173,17 @@ class Scenario:
         return Evolution(st, entries, time_function=tf, mesh=mesh)
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_refuse_constant)
     except OSError as err:
         raise InputError(f"cannot read scenario {path}: {err}")
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # json.JSONDecodeError, or a refused constant
         raise InputError(f"scenario {path} is not valid JSON: {err}")
     return Scenario(doc, name=os.path.basename(path))
 

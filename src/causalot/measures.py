@@ -54,8 +54,8 @@ def _merge(items, key, close, tol):
     ``math.fsum`` of all its weights, which does not depend on their order.
     """
     items = list(items)
-    # the error names the first non-positive weight in sort order, as before
-    bad = [aw for aw in items if aw[1] <= 0]
+    # the error names the first non-positive or NaN weight in sort order
+    bad = [aw for aw in items if not aw[1] > 0]
     if bad:
         atom, w = min(bad, key=lambda aw: key(aw[0]))
         raise InputError(f"weights must be positive, got {w} at {atom!r}")

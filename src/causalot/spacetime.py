@@ -96,8 +96,8 @@ class Spacetime:
     backend : ``"minkowski-1+1"`` or ``"static-graph"``
     vertices, edges : graph data (ignored for Minkowski); edges are
         ``(a, b, length)`` triples with ``length > 0``.
-    alpha, u : positive global constants (lapse, conformal factor).
-    eps_caus : slack admitted in causality comparisons (default 0);
+    alpha, u : positive finite global constants (lapse, conformal factor).
+    eps_caus : finite slack admitted in causality comparisons (default 0);
         library checks use ``causal_tol``, which is at least ``GEOM_ATOL``.
     """
 
@@ -108,6 +108,9 @@ class Spacetime:
                  eps_caus=0.0):
         if backend not in (self.MINKOWSKI, self.GRAPH):
             raise InputError(f"unknown backend {backend!r}")
+        for name, value in (("alpha", alpha), ("u", u), ("eps_caus", eps_caus)):
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value!r}")
         if alpha <= 0 or u <= 0:
             raise InputError("alpha and u must be positive")
         if eps_caus < 0:

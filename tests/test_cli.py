@@ -3,6 +3,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -166,6 +168,8 @@ def test_malformed_scenario_exits_1(tmp_path):
     assert run(tmp_path, str(bad), "validate") == 1
     bad.write_text("not json")
     assert run(tmp_path, str(bad), "validate") == 1
+    bad.write_bytes(b'{"schema_version": "\xff"}')  # not UTF-8
+    assert run(tmp_path, str(bad), "validate") == 1
 
 
 def test_reports_byte_identical_modulo_timestamp(tmp_path):
@@ -302,29 +306,69 @@ def test_prebuilt_validator_reports_what_validate_reported(tmp_path):
         assert str(err.value) == want, what
 
 
-def test_one_scenario_validator_per_process(monkeypatch):
-    checks, builds = [], []
-    validator_for = causalot.cli.validator_for
-
-    class Counted:
-        def __init__(self, schema):
-            self.cls = validator_for(schema)
-
-        def check_schema(self, schema):
-            checks.append(schema)
-            self.cls.check_schema(schema)
-
-        def __call__(self, schema):
-            builds.append(schema)
-            return self.cls(schema)
-
-    monkeypatch.setattr(causalot.cli, "validator_for", Counted)
-    causalot.cli._scenario_validator.cache_clear()
+def test_one_scenario_validator_per_process():
+    # valid scenarios are checked by the predicate compiled once from the
+    # schema; only broken ones build a jsonschema validator, once, to
+    # explain the violation (each cache miss is one compile or one build)
+    check, validator = causalot.cli._scenario_check, causalot.cli._scenario_validator
+    check.cache_clear()
+    validator.cache_clear()
     try:
         for name in ("static_graph.json", "minkowski_branching.json",
                      "tilted_observer.json"):
             load_scenario(scenario(name))
+        assert check.cache_info().misses == 1
+        assert validator.cache_info().misses == 0
+        for doc in _broken_scenarios().values():
+            with pytest.raises(InputError, match="scenario schema violation"):
+                causalot.cli.Scenario(doc)
+        assert check.cache_info().misses == 1
+        assert validator.cache_info().misses == 1
     finally:
-        causalot.cli._scenario_validator.cache_clear()
-    assert len(checks) == 0
-    assert len(builds) == 1
+        check.cache_clear()
+        validator.cache_clear()
+
+
+def test_valid_scenarios_never_import_jsonschema():
+    code = """
+import glob, sys
+from causalot import InputError
+from causalot.cli import Scenario, load_scenario
+paths = sorted(glob.glob(sys.argv[1]))
+assert len(paths) == 3, paths
+for path in paths:
+    load_scenario(path)
+assert "jsonschema" not in sys.modules
+try:
+    Scenario({"schema_version": 1})
+except InputError:
+    pass
+else:
+    raise AssertionError("a scenario without a spacetime was accepted")
+assert "jsonschema" in sys.modules
+"""
+    src = os.path.join(ROOT, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code, os.path.join(SCENARIOS, "*.json")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name, literal, replacement, token", [
+    ("static_graph.json", '"alpha": 1.0', '"alpha": NaN', "NaN"),
+    ("static_graph.json", '[["A", 1.0]]', '[["A", NaN]]', "NaN"),
+    ("static_graph.json", '[["A", 1.0]]', '[["A", Infinity]]', "Infinity"),
+    ("minkowski_branching.json", '"tolerance": 0.0', '"tolerance": Infinity', "Infinity"),
+    ("minkowski_branching.json", '"tolerance": 0.0', '"tolerance": -Infinity', "-Infinity"),
+])
+def test_non_json_number_tokens_exit_1(tmp_path, capsys, name, literal, replacement, token):
+    # NaN and the infinities are not JSON (RFC 8259); json.load would read them
+    with open(scenario(name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert literal in text
+    path = tmp_path / name
+    path.write_text(text.replace(literal, replacement, 1))
+    assert run(tmp_path, str(path), "validate") == 1
+    assert capsys.readouterr().err == (f"error: scenario {path} is not valid JSON: "
+                                       f"{token} is not a JSON number\n")

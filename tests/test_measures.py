@@ -45,6 +45,13 @@ def test_slice_measure_merges_and_validates(mink):
         SliceMeasure(mink, [(mink.event(0, 1.0), 1.0)], time_function=T0, tau=5.0)
 
 
+@pytest.mark.parametrize("atoms", [[(0.0, math.nan)], [(0.0, 1.0), (1.0, math.nan)]])
+def test_nan_weight_is_refused(mink, atoms):
+    # NaN is neither positive nor a mass that sums to one
+    with pytest.raises(InputError, match="weights must be positive, got nan"):
+        SliceMeasure(mink, [(mink.event(0.0, x), w) for x, w in atoms])
+
+
 # -- merging atoms -------------------------------------------------------------------
 
 def _sorted_merge(items, key, close, tol):

@@ -33,6 +33,14 @@ def test_precedes_graph_shortest_path(edge_graph):
     assert edge_graph.causally_precedes(p, edge_graph.event(2.0, "B"))
 
 
+@pytest.mark.parametrize("constant, value", [("alpha", math.nan), ("alpha", math.inf),
+                                             ("u", math.inf), ("u", math.nan),
+                                             ("eps_caus", math.inf), ("eps_caus", math.nan)])
+def test_non_finite_constants_are_refused(constant, value):
+    with pytest.raises(InputError, match=f"{constant} must be finite, got {value!r}"):
+        Spacetime("minkowski-1+1", **{constant: value})
+
+
 def test_precedes_rejects_bad_points(mink, chain_graph):
     with pytest.raises(InputError):
         chain_graph.causally_precedes(chain_graph.event(0, "A"),
