@@ -18,7 +18,9 @@ error that becomes the input error.  Should jsonschema find no error, the
 document is accepted, so jsonschema stays the reference.  The shipped
 schema is not checked against its metaschema at run time: the test suite
 checks it.  Scenario files must be strict JSON (RFC 8259): the tokens
-``NaN``, ``Infinity`` and ``-Infinity`` are refused.
+``NaN``, ``Infinity`` and ``-Infinity`` are refused.  So are reports: one
+that would hold a non-finite number is an input error, raised before its
+file is opened.
 
 Exit codes: 0 success, 1 input error, 2 verification failure.
 """
@@ -428,10 +430,13 @@ def write_report(args, verb, scenario_name, ok, result):
         "status": "ok" if ok else "verification-failed",
         "result": result,
     }
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise InputError(f"the {verb} report would hold a non-finite number: {err}") from None
     path = os.path.join(_report_dir(args), f"report-{verb}.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 

@@ -117,11 +117,28 @@ class Evolution:
 # -- exact bipartite instances ---------------------------------------------------
 
 
+def _causal_adjacency(st, mu, nu):
+    """Rows of the causal relation: ``rows[i][j]`` is True when left atom i
+    causally precedes right atom j."""
+    # Same IEEE operations as Spacetime.causally_precedes, one outer
+    # comparison instead of m*n calls.
+    tp = np.array([e.t for e, _ in mu.atoms])
+    tq = np.array([e.t for e, _ in nu.atoms])
+    xs = [e.x for e, _ in mu.atoms]
+    ys = [e.x for e, _ in nu.atoms]
+    if st.backend == st.MINKOWSKI:
+        dist = np.abs(np.array(xs)[:, None] - np.array(ys)[None, :])
+    else:
+        dist = np.array(st._graph_distances(xs, ys))
+    return ((tq[None, :] - tp[:, None]) >= dist - st.causal_tol).tolist()
+
+
 class _Instance:
     """Exactly mass-balanced integer transport instance between two
-    supports, with the causal adjacency."""
+    supports, over the given adjacency rows: the causal relation for a
+    decision, the tight arcs of a phase for W1."""
 
-    def __init__(self, st, mu, nu):
+    def __init__(self, mu, nu, adjacency):
         m = len(mu.atoms)
         ints, scale = _dyadic_ints([w for _, w in mu.atoms + nu.atoms])
         mu_total, nu_total = sum(ints[:m]), sum(ints[m:])
@@ -132,17 +149,7 @@ class _Instance:
         self.scale = mu_total * nu_total
         # One capacity unit carries this much mu-mass.
         self._unit_den = scale * nu_total
-        # Same IEEE operations as Spacetime.causally_precedes, one outer
-        # comparison instead of m*n calls.
-        tp = np.array([e.t for e, _ in mu.atoms])
-        tq = np.array([e.t for e, _ in nu.atoms])
-        xs = [e.x for e, _ in mu.atoms]
-        ys = [e.x for e, _ in nu.atoms]
-        if st.backend == st.MINKOWSKI:
-            dist = np.abs(np.array(xs)[:, None] - np.array(ys)[None, :])
-        else:
-            dist = np.array(st._graph_distances(xs, ys))
-        self.adjacency = ((tq[None, :] - tp[:, None]) >= dist - st.causal_tol).tolist()
+        self.adjacency = adjacency
 
     def weight_from_units(self, units):
         return float(Fraction(units, self._unit_den))
@@ -224,7 +231,7 @@ def _transport_exact(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
     Each phase grows the flow on the tight arcs; while supply is unrouted,
     the duals of the min-cut side move by the least slack across the cut.
     Only arcs from unreached atoms, which carry no flow, stop being tight."""
-    inst = _Instance(st, mu, nu)
+    inst = _Instance(mu, nu, None)  # each phase sets its tight arcs
     n = len(nu.atoms)
     ints, cost_scale = _dyadic_ints([st.riemannian_distance(p, q)
                                      for p, _ in mu.atoms for q, _ in nu.atoms])
@@ -270,7 +277,7 @@ def _decide(st, mu: SliceMeasure, nu: SliceMeasure):
     it is not: the left atoms still reachable from the source in the final
     residual graph outweigh their causal future.
     """
-    inst = _Instance(st, mu, nu)
+    inst = _Instance(mu, nu, _causal_adjacency(st, mu, nu))
     value, flows, reachable = _max_flow(inst)
     if not _deficient(inst.scale - value, inst.scale):
         atoms = [((p, q), inst.weight_from_units(flows[i][j]))
@@ -311,7 +318,7 @@ def dominates_on_upsets(st, mu: SliceMeasure, nu: SliceMeasure) -> bool:
         raise InputError(
             f"support of size {m} exceeds the exhaustive cap {UPSET_SUPPORT_CAP}; "
             "use find_causal_coupling instead")
-    inst = _Instance(st, mu, nu)
+    inst = _Instance(mu, nu, _causal_adjacency(st, mu, nu))
     n = len(nu.atoms)
     future_masks = [0] * n
     for j in range(n):

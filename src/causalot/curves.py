@@ -4,7 +4,10 @@ A stored curve is piecewise geodesic: a finite list of breakpoints
 ``(parameter, event)`` with constant-optical-speed motion and linear
 coordinate time between consecutive breakpoints.  Constructors refine
 every leg at vertex crossings, so on the graph backend each stored
-segment stays on a single edge.  As a consequence the composition of any
+segment stays on a single edge.  One leg refiner (crossing times over
+the ``math.fsum`` of the segment lengths) serves every constructor, the
+causal geodesic and the coupling lift, so a leg gets the same events on
+every route.  As a consequence the composition of any
 time function of the family with a stored curve is piecewise linear with
 kinks only at breakpoints, and every reparametrization below is computed
 by exact piecewise-linear inversion rather than iteration.
@@ -314,32 +317,22 @@ def curves_close(c1: CausalCurve, c2: CausalCurve, tol=GEOM_ATOL):
 # -- canonical parametrization ----------------------------------------------
 
 
-def _as_raw(st, path):
-    if isinstance(path, CausalCurve):
-        return RawPath(st, path.raw_path())
-    return path
-
-
-def canonicalize_compact(st, tf: TimeFunction, path, a, b) -> CausalCurve:
-    """The unique parametrization of a compact path on [a, b] along which
-    ``tf`` increases at a constant pace.
-
-    The parameter t is mapped to the path point whose ``tf``-value equals
-    ``tf(p0) + (t - a)/(b - a) * (tf(pk) - tf(p0))``; the construction is
-    idempotent on already-affine curves.
-    """
-    path = _as_raw(st, path)
-    a, b = float(a), float(b)
-    if a >= b:
-        raise InputError(f"target interval needs a < b, got [{a}, {b}]")
-    if not validate_tf(st, tf):
-        raise InputError("time function is not valid on this spacetime")
-    chain = _materialize(st, path.events)
+def _increasing_chain(st, tf, events):
+    """The refined chain of a path and the values of ``tf`` along it,
+    which must strictly increase."""
+    chain = _materialize(st, events)
     values = [tf.value(st, e) for e in chain]
     for v, w in zip(values, values[1:]):
         if w <= v:
             raise PreconditionError(
                 "time function does not strictly increase along the path")
+    return chain, values
+
+
+def _compact_curve(st, tf, events, a, b):
+    """The body of ``canonicalize_compact`` for ``a < b`` and a valid ``tf``:
+    one refinement of the path's legs, one validated curve."""
+    chain, values = _increasing_chain(st, tf, events)
     if len(chain) < 2:
         raise PreconditionError("degenerate path: a single event cannot span [a, b]")
     span = values[-1] - values[0]
@@ -349,6 +342,22 @@ def canonicalize_compact(st, tf: TimeFunction, path, a, b) -> CausalCurve:
         pts.append((a + (b - a) * (v - values[0]) / span, e))
     pts.append((b, chain[-1]))
     return CausalCurve(st, Interval.compact(a, b), pts, pace=pace, time_function=tf)
+
+
+def canonicalize_compact(st, tf: TimeFunction, path: RawPath, a, b) -> CausalCurve:
+    """The unique parametrization of a compact path on [a, b] along which
+    ``tf`` increases at a constant pace.
+
+    The parameter t is mapped to the path point whose ``tf``-value equals
+    ``tf(p0) + (t - a)/(b - a) * (tf(pk) - tf(p0))``; the construction is
+    idempotent on already-affine curves.
+    """
+    a, b = float(a), float(b)
+    if a >= b:
+        raise InputError(f"target interval needs a < b, got [{a}, {b}]")
+    if not validate_tf(st, tf):
+        raise InputError("time function is not valid on this spacetime")
+    return _compact_curve(st, tf, path.events, a, b)
 
 
 def canonicalize_noncompact(st, tf: TimeFunction, path: RawPath, request: Interval,
@@ -383,12 +392,7 @@ def canonicalize_noncompact(st, tf: TimeFunction, path: RawPath, request: Interv
             f"{expected} interval, not {request}")
     if request.kind == Interval.COMPACT:
         return canonicalize_compact(st, tf, path, request.a, request.b)
-    chain = _materialize(st, path.events)
-    values = [tf.value(st, e) for e in chain]
-    for v, w in zip(values, values[1:]):
-        if w <= v:
-            raise PreconditionError(
-                "time function does not strictly increase along the path")
+    chain, values = _increasing_chain(st, tf, path.events)
     if request.kind == Interval.FUTURE:
         anchor_param, anchor_value = request.a, values[0]
     elif request.kind == Interval.PAST:

@@ -16,7 +16,9 @@ provided:
   it and cached, so a run pays one Dijkstra per source vertex it
   queries; after that a distance is an O(1) lookup, compared exactly and
   rounded to float once.  Vertex chains are built only for geodesics,
-  by a walk over the source's distances.
+  by a walk over the source's distances; :func:`causal_geodesic` refines
+  its leg at the vertex crossings with the leg refiner that every curve
+  constructor shares.
 
 The lapse ``alpha`` and the conformal factor ``u`` are global positive
 constants per scenario; they enter the auxiliary Riemannian product
@@ -486,11 +488,14 @@ def causal_geodesic(st, p, q):
     """Deterministic causal geodesic from p to q, time-affine in t.
 
     The spatial track is the deterministic shortest path (lexicographic
-    tie-break) traversed at constant optical speed; the coordinate time is
-    affine in the parameter, so the curve has unit pace w.r.t. the
-    canonical time function.  Identical inputs produce identical curves.
+    tie-break) traversed at constant optical speed, and each event's own
+    coordinate time is its parameter, so the curve has unit pace w.r.t.
+    the canonical time function.  The leg is refined at its vertex
+    crossings by the one leg refiner of :mod:`causalot.curves`, which
+    every curve constructor shares, so identical inputs give identical
+    events on every route.
     """
-    from .curves import CausalCurve, Interval
+    from .curves import CausalCurve, Interval, _materialize
     from .timefunc import canonical_time
 
     p = st.canonical_event(p)
@@ -498,28 +503,11 @@ def causal_geodesic(st, p, q):
     if not st.causally_precedes(p, q, st.causal_tol):
         raise PreconditionError(f"{p} does not causally precede {q}")
     if p == q:
-        return CausalCurve(st, Interval.compact(p.t, p.t), ((p.t, p),),
-                           pace=1.0, time_function=canonical_time())
-    if q.t <= p.t:
+        chain = (p,)
+    elif q.t <= p.t:
         raise PreconditionError(
             f"degenerate pair: distinct events {p}, {q} on one time slice")
-    track = st.geodesic_track(p.x, q.x)
-    total = 0.0
-    lengths = []
-    for i in range(len(track) - 1):
-        seg = st.segment_length(track[i], track[i + 1])
-        lengths.append(seg)
-        total += seg
-    dt = q.t - p.t
-    bps = [(p.t, p)]
-    if total == 0.0:
-        bps.append((q.t, st.event(q.t, p.x)))
     else:
-        run = 0.0
-        for i in range(1, len(track)):
-            run += lengths[i - 1]
-            t_i = q.t if i == len(track) - 1 else p.t + dt * (run / total)
-            bps.append((t_i, st.event(t_i, track[i])))
-        bps[-1] = (q.t, q)
-    return CausalCurve(st, Interval.compact(p.t, q.t), tuple(bps),
+        chain = _materialize(st, (p, q))
+    return CausalCurve(st, Interval.compact(p.t, q.t), [(e.t, e) for e in chain],
                        pace=1.0, time_function=canonical_time())

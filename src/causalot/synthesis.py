@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError, VerificationError
-from .spacetime import GEOM_ATOL, GRID_ATOL, causal_geodesic
-from .curves import Interval, canonicalize_compact, is_time_parametrized
+from .spacetime import GEOM_ATOL, GRID_ATOL
+from .timefunc import validate as validate_tf
+from .curves import Interval, _compact_curve, is_time_parametrized
 from .measures import (Coupling, CurveMeasure, concat_measures,
                        curve_measures_equal, marginal_at,
                        pushforward_reparametrize, slice_measures_equal)
@@ -51,10 +52,14 @@ def lift_coupling(st, tf, omega: Coupling, a, b) -> CurveMeasure:
     Every coupling atom (p, q, w) becomes the canonical parametrization of
     the deterministic causal geodesic from p to q, carrying the weight;
     the evaluation marginals of the result are the coupling's marginals.
+    Each curve is built and validated once, straight from the refined
+    chain of (p, q), and the time function is validated once per call.
     """
     a, b = float(a), float(b)
     if a >= b:
         raise InputError(f"lift needs a < b, got [{a}, {b}]")
+    if not validate_tf(st, tf):
+        raise InputError("time function is not valid on this spacetime")
     atoms = []
     for (p, q), w in omega.atoms:
         vp = tf.value(st, p)
@@ -65,8 +70,9 @@ def lift_coupling(st, tf, omega: Coupling, a, b) -> CurveMeasure:
             raise PreconditionError(f"right atom {q} not on the level set {b} (value {vq})")
         if not st.causally_precedes(p, q, st.causal_tol):
             raise PreconditionError(f"non-causal coupling atom ({p}, {q})")
-        curve = canonicalize_compact(st, tf, causal_geodesic(st, p, q), a, b)
-        atoms.append((curve, w))
+        if q.t <= p.t:  # a tilted time function can still increase here
+            raise PreconditionError(f"degenerate coupling atom ({p}, {q}): no time passes")
+        atoms.append((_compact_curve(st, tf, (p, q), a, b), w))
     return CurveMeasure(st, atoms)
 
 

@@ -11,6 +11,7 @@ member re-foliates the spacetime.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -38,6 +39,18 @@ class TimeFunction:
         self.name = name
         if self.offsets is not None and spacetime is None:
             raise InputError("vertex offsets need the spacetime they refer to")
+        if self.slope is not None and not math.isfinite(self.slope):
+            raise InputError(f"time function slope must be finite, got {self.slope!r}")
+        if self.offsets is not None:
+            for v, off in self.offsets.items():
+                if not math.isfinite(float(off)):
+                    raise InputError(f"offset of vertex {v!r} must be finite, got {off!r}")
+            for a, b in spacetime.edges:
+                if a in self.offsets and b in self.offsets and not math.isfinite(
+                        float(self.offsets[b]) - float(self.offsets[a])):
+                    raise InputError(
+                        f"offsets {self.offsets[a]!r} of {a!r} and {self.offsets[b]!r} "
+                        f"of {b!r} differ beyond the float range along edge ({a!r}, {b!r})")
 
     @property
     def is_canonical(self):

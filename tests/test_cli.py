@@ -372,3 +372,36 @@ def test_non_json_number_tokens_exit_1(tmp_path, capsys, name, literal, replacem
     assert run(tmp_path, str(path), "validate") == 1
     assert capsys.readouterr().err == (f"error: scenario {path} is not valid JSON: "
                                        f"{token} is not a JSON number\n")
+
+
+@pytest.mark.parametrize("name, literal, replacement, message", [
+    ("static_graph.json", '"C": 1.5', '"C": 1e999',
+     "offset of vertex 'C' must be finite, got inf"),
+    ("minkowski_branching.json", '"slope": 0.5', '"slope": 1e999',
+     "time function slope must be finite, got inf"),
+    # finite offsets whose difference along the edge A-B overflows
+    ("static_graph.json", '"A": 0.0, "B": 0.5', '"A": 1.5e308, "B": -1.5e308',
+     "offsets 1.5e+308 of 'A' and -1.5e+308 of 'B' differ beyond the float "
+     "range along edge ('A', 'B')"),
+])
+def test_non_finite_time_function_data_exit_1(tmp_path, capsys, name, literal,
+                                              replacement, message):
+    # 1e999 is valid JSON grammar, and json.load reads it as inf
+    with open(scenario(name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert literal in text
+    path = tmp_path / name
+    path.write_text(text.replace(literal, replacement, 1))
+    reports = tmp_path / "reports"
+    assert main([str(path), "validate", "--report-dir", str(reports)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not reports.exists() or os.listdir(reports) == []
+
+
+def test_report_with_a_non_finite_number_is_not_written(tmp_path):
+    args = causalot.cli.build_parser().parse_args(
+        ["scenario.json", "validate", "--report-dir", str(tmp_path)])
+    with pytest.raises(InputError, match="non-finite"):
+        causalot.cli.write_report(args, "validate", "scenario.json", True,
+                                  {"lipschitz": float("inf")})
+    assert os.listdir(tmp_path) == []

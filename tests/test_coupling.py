@@ -4,10 +4,11 @@ import pytest
 
 from causalot import (Evolution, InputError, MeshSpec, SliceMeasure, Spacetime,
                       canonical_time, check_evolution, compose_couplings,
-                      cut_witness, dominates_on_upsets, find_causal_coupling)
+                      cut_witness, dominates_on_upsets, find_causal_coupling,
+                      transport_distance)
 from genrand import (inject_superluminal, random_backend, random_causal_evolution,
                      random_slice_measure, rng_for)
-from causalot.coupling import _Instance
+from causalot.coupling import _causal_adjacency
 from causalot.spacetime import GEOM_ATOL
 
 T0 = canonical_time()
@@ -134,7 +135,7 @@ def test_minkowski_adjacency_matches_causally_precedes(eps_caus):
                              0.125) for x in xs])
                         want = [[st.causally_precedes(p, q, tol) for q, _ in nu.atoms]
                                 for p, _ in mu.atoms]
-                        assert _Instance(st, mu, nu).adjacency == want
+                        assert _causal_adjacency(st, mu, nu) == want
                         seen.update(want[i][i] for i in range(len(xs)))
     assert seen == {True, False}
 
@@ -162,7 +163,7 @@ def test_graph_adjacency_matches_causally_precedes(eps_caus, monkeypatch):
                 nu = SliceMeasure(st, [(st.event(nudge_t(dt + slack), y), 0.125) for y in xs])
                 monkeypatch.setattr(Spacetime, "causally_precedes",
                                     lambda *args: calls.append(args) or precedes(*args))
-                adjacency = _Instance(st, mu, nu).adjacency
+                adjacency = _causal_adjacency(st, mu, nu)
                 monkeypatch.setattr(Spacetime, "causally_precedes", precedes)
                 want = [[st.causally_precedes(p, q, tol) for q, _ in nu.atoms]
                         for p, _ in mu.atoms]
@@ -170,6 +171,24 @@ def test_graph_adjacency_matches_causally_precedes(eps_caus, monkeypatch):
                 seen.update(b for row in want for b in row)
     assert calls == []
     assert seen == {True, False}
+
+
+def test_transport_distance_computes_no_causal_adjacency(net_graph, monkeypatch):
+    # W1 builds its own tight arcs; the causal adjacency of the instance
+    # would be graph distances computed for nothing.
+    calls = []
+    distances = Spacetime._graph_distances
+    monkeypatch.setattr(Spacetime, "_graph_distances",
+                        lambda *args: calls.append(args) or distances(*args))
+    mu = two(net_graph, 0.0, "A", "B", 0.25)
+    nu = SliceMeasure(net_graph, [(net_graph.event(1.0, "C"), 0.5),
+                                  (net_graph.event(1.0, "D"), 0.375),
+                                  (net_graph.event(1.0, "Z"), 0.125)])
+    assert transport_distance(net_graph, mu, nu) > 0
+    assert calls == []
+    # a decision still reads the adjacency, once
+    assert find_causal_coupling(net_graph, mu, two(net_graph, 1.0, "C", "D")) is not None
+    assert len(calls) == 1
 
 
 def test_monotone_embedding(mink):

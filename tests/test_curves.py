@@ -3,12 +3,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st_
 
-from causalot import (CausalCurve, InputError, Interval, PreconditionError,
-                      RawPath, Spacetime, TimeFunction, bilipschitz_report,
-                      canonical_time, canonicalize_compact,
+from causalot import (CausalCurve, Coupling, InputError, Interval,
+                      PreconditionError, RawPath, Spacetime, TimeFunction,
+                      bilipschitz_report, canonical_time, canonicalize_compact,
                       canonicalize_noncompact, causal_geodesic, concat,
-                      curves_close, is_time_parametrized, reparametrize,
-                      verify_causal)
+                      curves_close, is_time_parametrized, lift_coupling,
+                      reparametrize, verify_causal)
 from genrand import (random_full_line_curve, random_graph, random_time_function,
                      rng_for)
 
@@ -60,6 +60,91 @@ def test_canonicalize_degenerate_rejected(mink):
         canonicalize_compact(mink, T0, RawPath(mink, [mink.event(0, 0.0)]), 1, 0)
     with pytest.raises(PreconditionError):
         canonicalize_compact(mink, T0, RawPath(mink, [mink.event(0, 0.0)]), 0, 1)
+
+
+# -- one leg, one chain ---------------------------------------------------------------
+
+
+def _bits(e):
+    x = e.x
+    if isinstance(x, float):
+        x = x.hex()
+    elif isinstance(x, tuple):
+        x = (x[0], x[1], x[2].hex())
+    return e.t.hex(), x
+
+
+def _leg_events(st, tf, p, q):
+    """Breakpoint events, bit for bit, of the four constructions of the leg
+    p -> q: the geodesic, from_breakpoints, canonicalize_compact and the
+    lift of a one-atom coupling."""
+    a, b = tf.value(st, p), tf.value(st, q)
+    curves = [
+        causal_geodesic(st, p, q),
+        CausalCurve.from_breakpoints(st, Interval.compact(p.t, q.t), [(p.t, p), (q.t, q)], T0),
+        canonicalize_compact(st, tf, RawPath(st, [p, q]), a, b),
+        lift_coupling(st, tf, Coupling(st, [((p, q), 1.0)]), a, b).atoms[0][0],
+    ]
+    return [[_bits(e) for _, e in c.breakpoints] for c in curves]
+
+
+def test_one_leg_one_chain_on_an_inexact_track():
+    # 0.1 + 0.2 + 0.3 rounds differently summed naively and by fsum
+    st = Spacetime("static-graph", vertices=["A", "B", "C", "D"],
+                   edges=[("A", "B", 0.1), ("B", "C", 0.2), ("C", "D", 0.3)])
+    geodesic, *others = _leg_events(st, T0, st.event(0.0, "A"), st.event(1.0, "D"))
+    assert [x for _, x in geodesic] == ["A", "B", "C", "D"]
+    assert geodesic[1][0] == "0x1.5555555555556p-3"
+    assert geodesic[2][0] == "0x1.0000000000001p-1"
+    assert all(events == geodesic for events in others)
+
+
+@st_.composite
+def _graph_legs(draw):
+    n = draw(st_.integers(3, 7))
+    names = [f"V{i}" for i in range(n)]
+    lengths = [draw(st_.integers(1, 30)) / draw(st_.sampled_from([3, 7, 10, 11]))
+               for _ in range(n)]
+    edges = [(names[i], names[i + 1], lengths[i]) for i in range(n - 1)]
+    if draw(st_.booleans()):  # ring
+        edges.append((names[-1], names[0], lengths[-1]))
+    st = Spacetime("static-graph", vertices=names, edges=edges)
+
+    def point(k):
+        a, b, length = edges[k]
+        return st.normalize_point((a, b, length * draw(st_.sampled_from([0.0, 0.3, 0.5, 1.0]))))
+
+    # the ends of the chain first: long tracks are where summation order shows
+    x = point(draw(st_.integers(0, n - 2)))
+    y = point(n - 2 - draw(st_.integers(0, n - 2)))
+    t0 = draw(st_.integers(-20, 20)) / 3
+    slack = draw(st_.sampled_from([0.0, 0.1, 1.0]))
+    p = st.event(t0, x)
+    q = st.event(t0 + st.optical_distance(x, y) * (1 + slack) + (1 / 3 if x == y else 0.0), y)
+    c = draw(st_.sampled_from([0.0, 0.45, -0.8]))
+    tf = TimeFunction(offsets={v: c * st.optical_distance(names[0], v) for v in names},
+                      spacetime=st)
+    return st, tf, p, q
+
+
+@settings(max_examples=80, deadline=None)
+@given(_graph_legs())
+def test_one_leg_one_chain_on_graphs(case):
+    st, tf, p, q = case
+    geodesic, *others = _leg_events(st, tf, p, q)
+    assert all(events == geodesic for events in others)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st_.integers(-30, 30), st_.integers(-30, 30), st_.integers(0, 30),
+       st_.sampled_from([3, 7, 10]), st_.floats(-0.9, 0.9))
+def test_one_leg_one_chain_on_tilted_minkowski(t0, x0, dx, den, slope):
+    st = Spacetime("minkowski-1+1")
+    p = st.event(t0 / den, x0 / den)
+    q = st.event(t0 / den + (dx + 1) / den, (x0 + dx) / den)
+    geodesic, *others = _leg_events(st, TimeFunction(slope=slope), p, q)
+    assert len(geodesic) == 2
+    assert all(events == geodesic for events in others)
 
 
 # -- canonicalize on noncompact intervals -------------------------------------------

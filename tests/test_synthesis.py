@@ -1,7 +1,8 @@
 import pytest
 
 from causalot import (Coupling, CurveMeasure, Evolution, InputError, Interval,
-                      MeshSpec, NonCausalEvolutionError, SliceMeasure, Spacetime,
+                      MeshSpec, NonCausalEvolutionError, PreconditionError,
+                      SliceMeasure, Spacetime,
                       SynthesisPlan, TimeFunction, canonical_time,
                       canonicalize_noncompact, causal_geodesic, check_evolution,
                       dyadic_times, extract_coupling,
@@ -60,6 +61,17 @@ def test_lift_rejects_off_level_atoms(mink):
     omega = Coupling(mink, [((mink.event(0, 0.0), mink.event(1, 0.0)), 1.0)])
     with pytest.raises(Exception, match="level"):
         lift_coupling(mink, T0, omega, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("tf, q, b", [
+    (T0, (0.0, 0.0), 1e-10),                       # one event
+    (T0, (0.0, 1e-10), 1e-10),                     # one time slice
+    (TimeFunction(slope=0.5), (0.0, 1e-9), 5e-10),  # one slice, yet tf increases
+])
+def test_lift_refuses_atoms_that_do_not_advance_in_time(mink, tf, q, b):
+    omega = Coupling(mink, [((mink.event(0, 0.0), mink.event(*q)), 1.0)])
+    with pytest.raises(PreconditionError, match="degenerate"):
+        lift_coupling(mink, tf, omega, 0.0, b)
 
 
 # -- compact synthesis ----------------------------------------------------------------

@@ -27,6 +27,19 @@ def test_validate_minkowski_slope(mink):
     assert not validate_time_function(mink, TimeFunction(slope=-1.5)).ok
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_slopes_and_offsets_refused(edge_graph, value):
+    with pytest.raises(InputError, match="slope must be finite"):
+        TimeFunction(slope=value)
+    with pytest.raises(InputError, match="offset of vertex 'B' must be finite"):
+        TimeFunction(offsets={"A": 0.0, "B": value}, spacetime=edge_graph)
+
+
+def test_offset_difference_beyond_the_float_range_refused(edge_graph):
+    with pytest.raises(InputError, match=r"along edge \('A', 'B'\)"):
+        TimeFunction(offsets={"A": -1e308, "B": 1e308}, spacetime=edge_graph)
+
+
 def test_validate_missing_vertex(edge_graph):
     with pytest.raises(InputError):
         validate_time_function(edge_graph, TimeFunction(offsets={"A": 0.0},
