@@ -447,49 +447,59 @@ def build_parser():
                     "globally hyperbolic backends.")
     parser.add_argument("scenario", help="path to the scenario JSON file")
     parser.add_argument("verb", choices=sorted(VERBS))
-    parser.add_argument("--report-dir", default=None,
+    parser.add_argument("--report-dir",
                         help="directory for report files (default: "
                              "$CAUSALOT_REPORT_DIR or the working directory)")
     parser.add_argument("--mu", help="left measure name (check-coupling)")
     parser.add_argument("--nu", help="right measure name (check-coupling)")
     parser.add_argument("--evolution", help="evolution name")
     parser.add_argument("--mode", choices=["consecutive", "all-pairs"],
-                        default=None, help="evolution check mode (default consecutive)")
-    parser.add_argument("--interval", default=None,
+                        help="evolution check mode (default consecutive)")
+    parser.add_argument("--interval",
                         choices=["compact", "future", "past", "line",
                                  "right-open", "left-open", "open"],
                         help="synthesis interval request (default compact)")
     parser.add_argument("--a", type=float, help="left endpoint for open intervals")
     parser.add_argument("--b", type=float, help="right endpoint for open intervals")
-    parser.add_argument("--mesh-depth", type=int, default=None,
+    parser.add_argument("--mesh-depth", type=int,
                         help="synthesize on the dyadic sub-mesh of this depth")
-    parser.add_argument("--horizon", type=int, default=None,
+    parser.add_argument("--horizon", type=int,
                         help="slab horizon for unbounded or open intervals (default 1)")
-    parser.add_argument("--to-it", "--to-IT", dest="to_it", action="store_true",
+    parser.add_argument("--to-it", "--to-IT", dest="to_it", action="store_true", default=None,
                         help="normalize the synthesized measure onto "
                              "identity-parametrized curves")
     parser.add_argument("--observer", help="second time function name")
-    parser.add_argument("--marginals-csv", default=None,
+    parser.add_argument("--marginals-csv",
                         help="also write mesh marginal distances as CSV")
     parser.add_argument("--curve", help="curve name (reparametrize)")
     parser.add_argument("--curves", help="comma-separated curve names (bounds-report)")
-    parser.add_argument("--source", default="T0", help="source time function")
-    parser.add_argument("--target", default="T0", help="target time function")
-    parser.add_argument("--t2", default="T0", help="comparison time function (bounds-report)")
-    parser.add_argument("--slack", type=float, default=0.0,
-                        help="extra tolerance for envelope checks")
+    parser.add_argument("--source", help="source time function (default T0)")
+    parser.add_argument("--target", help="target time function (default T0)")
+    parser.add_argument("--t2", help="comparison time function (bounds-report, default T0)")
+    parser.add_argument("--slack", type=float,
+                        help="extra tolerance for envelope checks (default 0)")
     return parser
 
 
-def _fill_defaults(args, sc: Scenario, parser):
-    """Scenario command sections provide defaults for flags left at their
-    parser defaults; explicit command-line flags win."""
+# What a flag holds when neither the command line nor the scenario's
+# commands section gives it; every other flag stays None.
+DEFAULTS = {"mode": "consecutive", "interval": "compact", "horizon": 1, "to_it": False,
+            "source": "T0", "target": "T0", "t2": "T0", "slack": 0.0}
+
+
+def _fill_defaults(args, sc: Scenario):
+    """Fill the flags absent from the command line (every flag parses to
+    None when absent) from the scenario's section for the verb, then from
+    DEFAULTS: explicit command-line flags win."""
     section = sc.commands.get(args.verb, {})
     for key, value in section.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise InputError(f"unknown parameter {key!r} in the {args.verb} command section")
-        if getattr(args, attr) == parser.get_default(attr):
+        if getattr(args, attr) is None:
+            setattr(args, attr, value)
+    for attr, value in DEFAULTS.items():
+        if getattr(args, attr) is None:
             setattr(args, attr, value)
     return args
 
@@ -499,13 +509,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         sc = load_scenario(args.scenario)
-        _fill_defaults(args, sc, parser)
-        if args.mode is None:
-            args.mode = "consecutive"
-        if args.interval is None:
-            args.interval = "compact"
-        if args.horizon is None:
-            args.horizon = 1
+        _fill_defaults(args, sc)
         ok, result = VERBS[args.verb](sc, args)
         path = write_report(args, args.verb, sc.name, ok, result)
     except (InputError, CausalotError) as err:

@@ -12,19 +12,23 @@ finite Strassen condition: feasibility holds iff no subset of the left
 support outweighs the causal future of itself on the right.
 Max-flow/min-cut makes the two routes provably agree; the test suite
 checks that on thousands of instances anyway.
+
+The arcs of the support graph are the causal relation, computed in plain
+Python by one of two routes chosen from the input: on a Minkowski pair
+whose right atoms share one time, a left atom's arcs are one run of right
+atoms, found by bisection; elsewhere every pair is compared.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InputError
-from .measures import Coupling, SliceMeasure, _fibers, slice_measures_equal
+from .measures import Coupling, SliceMeasure, _fibers, _one_time, slice_measures_equal
 from .spacetime import GEOM_ATOL, GRID_ATOL, _dyadic_ints
 from .timefunc import canonical_time
 
@@ -56,6 +60,12 @@ class MeshSpec:
     DYADIC = "dyadic"
     INTEGER = "integer"
     EXPLICIT = "explicit"
+
+    def __post_init__(self):
+        if self.kind == self.DYADIC:
+            for name in ("a", "b", "depth"):
+                if getattr(self, name) is None:
+                    raise InputError(f"a dyadic mesh needs {name!r}")
 
 
 def dyadic_times(a, b, depth):
@@ -119,18 +129,50 @@ class Evolution:
 
 def _causal_adjacency(st, mu, nu):
     """Rows of the causal relation: ``rows[i][j]`` is True when left atom i
-    causally precedes right atom j."""
-    # Same IEEE operations as Spacetime.causally_precedes, one outer
-    # comparison instead of m*n calls.
-    tp = np.array([e.t for e, _ in mu.atoms])
-    tq = np.array([e.t for e, _ in nu.atoms])
-    xs = [e.x for e, _ in mu.atoms]
-    ys = [e.x for e, _ in nu.atoms]
+    causally precedes right atom j, by the comparison of
+    :meth:`Spacetime.causally_precedes` at ``st.causal_tol``.
+
+    When the right support of a Minkowski pair lies on one time, each row
+    is one run of right atoms.  Those atoms are sorted by x, and IEEE
+    subtraction and ``abs`` are monotone, so ``abs(x - y)`` falls as y
+    rises to x and grows after it: the comparison holds on one contiguous
+    run.  A bisection on ``x -/+ (dt + tol)`` finds each end up to
+    rounding, and the comparison itself settles it, walking outwards
+    while it holds and inwards while it fails.  Other pairs (tilted or
+    mixed-time Minkowski supports, graphs) compare every pair densely
+    over the same IEEE operations.
+    """
+    tol = st.causal_tol
+    n = len(nu.atoms)
+    ys = [q.x for q, _ in nu.atoms]
+    if st.backend == st.MINKOWSKI and _one_time(nu):
+        t = nu.atoms[0][0].t
+        rows = []
+        for p, _ in mu.atoms:
+            dt, x = t - p.t, p.x
+            # left of mid the comparison goes False -> True, from mid True -> False;
+            # on finite values `<` is its negation
+            mid = bisect_left(ys, x)
+            lo = bisect_left(ys, x - dt - tol, 0, mid)
+            while lo > 0 and dt >= abs(x - ys[lo - 1]) - tol:
+                lo -= 1
+            while lo < mid and dt < abs(x - ys[lo]) - tol:
+                lo += 1
+            hi = bisect_right(ys, x + dt + tol, mid)
+            while hi < n and dt >= abs(x - ys[hi]) - tol:
+                hi += 1
+            while hi > mid and dt < abs(x - ys[hi - 1]) - tol:
+                hi -= 1
+            rows.append([False] * lo + [True] * (hi - lo) + [False] * (n - hi))
+        return rows
+    xs = [p.x for p, _ in mu.atoms]
     if st.backend == st.MINKOWSKI:
-        dist = np.abs(np.array(xs)[:, None] - np.array(ys)[None, :])
+        dist = [[abs(x - y) for y in ys] for x in xs]
     else:
-        dist = np.array(st._graph_distances(xs, ys))
-    return ((tq[None, :] - tp[:, None]) >= dist - st.causal_tol).tolist()
+        dist = st._graph_distances(xs, ys)
+    tq = [q.t for q, _ in nu.atoms]
+    return [[t - p.t >= d - tol for t, d in zip(tq, row)]
+            for (p, _), row in zip(mu.atoms, dist)]
 
 
 class _Instance:

@@ -405,3 +405,49 @@ def test_report_with_a_non_finite_number_is_not_written(tmp_path):
         causalot.cli.write_report(args, "validate", "scenario.json", True,
                                   {"lipschitz": float("inf")})
     assert os.listdir(tmp_path) == []
+
+
+def _scenario_copy(tmp_path, name, edit):
+    with open(scenario(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("flags, want", [
+    # explicit flags whose value equals the built-in default still win
+    (["--slack", "0.0", "--source", "T0", "--target", "T0", "--t2", "T0"],
+     {"slack": 0.0, "source": "T0", "target": "T0", "t2": "T0"}),
+    (["--slack", "0.25"], {"slack": 0.25, "source": "tilt", "target": "tilt", "t2": "tilt"}),
+    # absent flags take the section, then the built-in defaults
+    ([], {"slack": 0.5, "source": "tilt", "target": "tilt", "t2": "tilt",
+          "mode": "consecutive", "interval": "compact", "horizon": 1, "to_it": False}),
+])
+def test_command_line_flags_override_the_commands_section(tmp_path, monkeypatch, flags, want):
+    def edit(doc):
+        doc["commands"]["bounds-report"].update(
+            {"slack": 0.5, "source": "tilt", "target": "tilt", "t2": "tilt"})
+
+    path = _scenario_copy(tmp_path, "minkowski_branching.json", edit)
+    seen = {}
+
+    def verb(sc, args):
+        seen.update(vars(args))
+        return True, {}
+
+    monkeypatch.setitem(causalot.cli.VERBS, "bounds-report", verb)
+    assert run(tmp_path, path, "bounds-report", *flags) == 0
+    assert {key: seen[key] for key in want} == want
+
+
+@pytest.mark.parametrize("verb", ["validate", "synthesize"])
+@pytest.mark.parametrize("field", ["a", "b", "depth"])
+def test_dyadic_mesh_without_its_parameters_exits_1(tmp_path, capsys, verb, field):
+    path = _scenario_copy(tmp_path, "minkowski_branching.json",
+                          lambda doc: doc["evolutions"]["branching"]["mesh"].pop(field))
+    reports = tmp_path / "reports"
+    assert main([path, verb, "--report-dir", str(reports)]) == 1
+    assert capsys.readouterr().err == f"error: a dyadic mesh needs {field!r}\n"
+    assert not reports.exists() or os.listdir(reports) == []

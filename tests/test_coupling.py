@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st_
 
 from causalot import (Evolution, InputError, MeshSpec, SliceMeasure, Spacetime,
-                      canonical_time, check_evolution, compose_couplings,
+                      TimeFunction, canonical_time, check_evolution, compose_couplings,
                       cut_witness, dominates_on_upsets, find_causal_coupling,
                       transport_distance)
 from genrand import (inject_superluminal, random_backend, random_causal_evolution,
@@ -171,6 +173,81 @@ def test_graph_adjacency_matches_causally_precedes(eps_caus, monkeypatch):
                 seen.update(b for row in want for b in row)
     assert calls == []
     assert seen == {True, False}
+
+
+def _ulps(v, k):
+    """v moved |k| ulps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+def _support(st, events):
+    # The atoms in SliceMeasure's order (by event_key) but unmerged, so that
+    # repeated and ulp-close positions stay separate atoms.
+    return SimpleNamespace(atoms=tuple((e, 1.0) for e in sorted(events, key=st.event_key)))
+
+
+def _adjacency_matches(st, left, right):
+    mu, nu = _support(st, left), _support(st, right)
+    want = [[st.causally_precedes(p, q, st.causal_tol) for q, _ in nu.atoms]
+            for p, _ in mu.atoms]
+    return _causal_adjacency(st, mu, nu) == want
+
+
+_EPS_CAUS = st_.sampled_from([0.0, 1e-6, 0.25])
+_DTS = st_.sampled_from([0.0, 2.0 ** -40, 1.0, 7.3])
+_POSITIONS = st_.one_of(st_.sampled_from([0.0, -0.0, 1.0, -2.5]), st_.floats(-8.0, 8.0))
+
+
+@st_.composite
+def _boundary_events(draw, st, left, t=None):
+    """A right event on or next to the light cone of a left event p: at
+    p.x +/- dt or p.x +/- (dt + tol), moved up to three ulps either way.
+    It lies at time t when given, else a drawn dt after p, that time also
+    moved up to three ulps."""
+    p = draw(st_.sampled_from(left))
+    if t is None:
+        dt = draw(_DTS)
+        t = _ulps(p.t + dt, draw(st_.integers(-3, 3)))
+    else:
+        dt = t - p.t
+    slack = draw(st_.sampled_from([0.0, st.causal_tol]))
+    y = p.x + draw(st_.sampled_from([1.0, -1.0])) * (dt + slack)
+    return st.event(t, _ulps(y, draw(st_.integers(-3, 3))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st_.data(), _EPS_CAUS, _DTS, st_.sampled_from([0.0, 0.1, -3.7]))
+def test_one_time_adjacency_matches_causally_precedes(data, eps_caus, dt, s):
+    # The run route: right atoms on one time, so each row is one run.  Left
+    # atoms lie on one time too, or some of them 2**-40 or 0.5 earlier.
+    st = Spacetime("minkowski-1+1", eps_caus=eps_caus)
+    left = [st.event(s - ds, x) for ds, x in data.draw(st_.lists(
+        st_.tuples(st_.sampled_from([0.0, 0.0, 0.0, 2.0 ** -40, 0.5]), _POSITIONS),
+        min_size=1, max_size=8))]
+    right = data.draw(st_.lists(_boundary_events(st, left, s + dt), min_size=1, max_size=12))
+    # repeated positions, and both zeros
+    right += [st.event(s + dt, y) for y in data.draw(
+        st_.lists(st_.sampled_from([q.x for q in right] + [0.0, -0.0]), max_size=4))]
+    assert _adjacency_matches(st, left, right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st_.data(), _EPS_CAUS, st_.sampled_from([0.0, 0.5, -0.75]))
+def test_mixed_time_adjacency_matches_causally_precedes(data, eps_caus, slope):
+    # The dense route: left atoms on a tilted level set (slope 0 is a time
+    # slice) or at mixed times, right atoms on a second tilted level set
+    # and next to the light cones of left atoms.
+    st = Spacetime("minkowski-1+1", eps_caus=eps_caus)
+    tilt = TimeFunction(slope=slope)
+    left = [tilt.level_event(st, tau, x) for tau, x in data.draw(st_.lists(
+        st_.tuples(st_.sampled_from([0.0, 0.0, 0.5, -2.0]), _POSITIONS), min_size=1, max_size=8))]
+    right = [tilt.level_event(st, 1.0, x)
+             for x in data.draw(st_.lists(_POSITIONS, max_size=4))]
+    right += data.draw(st_.lists(_boundary_events(st, left), min_size=1, max_size=12))
+    assume(len({q.t for q in right}) > 1)
+    assert _adjacency_matches(st, left, right)
 
 
 def test_transport_distance_computes_no_causal_adjacency(net_graph, monkeypatch):
