@@ -39,7 +39,8 @@ from importlib import resources
 from .errors import CausalotError, InputError, VerificationError
 from .spacetime import GEOM_ATOL, Spacetime, causal_lipschitz_constant
 from .timefunc import TimeFunction, canonical_time, validate as validate_tf
-from .curves import CausalCurve, Interval, bilipschitz_report, reparametrize, verify_causal
+from .curves import (CausalCurve, Interval, bilipschitz_report, curves_close, reparametrize,
+                     verify_causal)
 from .measures import (Coupling, CurveMeasure, SliceMeasure, marginal_at,
                        pushforward_reparametrize, transport_distance)
 from .coupling import Evolution, MeshSpec, _decide, check_evolution
@@ -111,7 +112,8 @@ class Scenario:
             self.time_functions[name_] = tf
         self.measures = {}
         for name_, spec in doc.get("measures", {}).items():
-            self.measures[name_] = self._slice_measure(spec)
+            tf = self.time_function(spec.get("time_function", "T0"))
+            self.measures[name_] = self._slice_measure(spec, tf)
         self.curves = {}
         for name_, spec in doc.get("curves", {}).items():
             self.curves[name_] = self._curve(spec)
@@ -131,9 +133,8 @@ class Scenario:
             return tuple(raw)
         return raw
 
-    def _slice_measure(self, spec):
+    def _slice_measure(self, spec, tf):
         st = self.spacetime
-        tf = self.time_function(spec.get("time_function", "T0"))
         tau = spec["tau"]
         atoms = [(tf.level_event(st, tau, self._spatial(x)), w)
                  for x, w in spec["atoms"]]
@@ -166,12 +167,7 @@ class Scenario:
         mesh_spec = spec.get("mesh", {"kind": "explicit"})
         mesh = MeshSpec(mesh_spec["kind"], mesh_spec.get("a"), mesh_spec.get("b"),
                         mesh_spec.get("depth"))
-        entries = []
-        for sl in spec["slices"]:
-            tau = sl["tau"]
-            atoms = [(tf.level_event(st, tau, self._spatial(x)), w)
-                     for x, w in sl["atoms"]]
-            entries.append((tau, SliceMeasure(st, atoms, time_function=tf, tau=tau)))
+        entries = [(sl["tau"], self._slice_measure(sl, tf)) for sl in spec["slices"]]
         return Evolution(st, entries, time_function=tf, mesh=mesh)
 
 
@@ -365,7 +361,6 @@ def _verb_reparametrize(sc: Scenario, args):
         curve = _named(sc.curves, args.curve, "curve")
         moved = reparametrize(st, curve, tf1, tf2)
         back = reparametrize(st, moved, tf2, tf1)
-        from .curves import curves_close
         return True, {"curve": _curve_out(moved), "round_trip_ok": curves_close(back, curve)}
     raise InputError("reparametrize needs --curve")
 

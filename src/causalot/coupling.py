@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .measures import Coupling, SliceMeasure, _fibers, _one_time, slice_measures_equal
+from .measures import Coupling, SliceMeasure, _glued_pairs, _one_time, slice_measures_equal
 from .spacetime import GEOM_ATOL, GRID_ATOL, _dyadic_ints
 from .timefunc import canonical_time
 
@@ -111,7 +111,9 @@ class Evolution:
         times = self.times
         if mesh.kind == MeshSpec.DYADIC:
             want = dyadic_times(mesh.a, mesh.b, mesh.depth)
-            if len(times) != len(want) or any(abs(s - t) > GRID_ATOL for s, t in zip(times, want)):
+            # NaN times match nothing
+            if len(times) != len(want) or any(
+                    not abs(s - t) <= GRID_ATOL for s, t in zip(times, want)):
                 raise InputError(
                     f"times {list(times)} do not form the dyadic mesh of "
                     f"[{mesh.a}, {mesh.b}] at depth {mesh.depth}")
@@ -380,21 +382,15 @@ def compose_couplings(st, first: Coupling, second: Coupling) -> Coupling:
 
     The result transports mass from the left marginal of the first to the
     right marginal of the second by conditioning on the middle; causal
-    atoms compose by transitivity of the causal relation.
+    atoms compose by transitivity of the causal relation.  Each atom lies
+    in the fiber of the middle atom its middle event was merged into.
     """
-    mid = first.marginal(1)
-    if not slice_measures_equal(mid, second.marginal(0), wtol=1e-9):
+    mid, mid2 = first.marginal(1), second.marginal(0)
+    if not slice_measures_equal(mid, mid2, wtol=1e-9):
         raise InputError("middle marginals of the two couplings do not match")
-    fibers1 = _fibers(mid, [q for (_, q), _ in first.atoms])
-    fibers2 = _fibers(mid, [q for (q, _), _ in second.atoms])
-    atoms = []
-    for (_, wy), fiber1, fiber2 in zip(mid.atoms, fibers1, fibers2):
-        for i in fiber1:
-            (p, _), w1 = first.atoms[i]
-            for j in fiber2:
-                (_, r), w2 = second.atoms[j]
-                atoms.append(((p, r), w1 * w2 / wy))
-    return Coupling(st, atoms)
+    return Coupling(st, [((p, r), w1 * w2 / wy)
+                         for wy, _, ((p, _), w1), ((_, r), w2)
+                         in _glued_pairs(mid, mid2, first.atoms, second.atoms)])
 
 
 # -- evolutions -------------------------------------------------------------------

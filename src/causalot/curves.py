@@ -29,6 +29,13 @@ from .spacetime import Event, GEOM_ATOL, GRID_ATOL, Spacetime
 from .timefunc import TimeFunction, canonical_time, validate as validate_tf
 
 
+def _endpoint(v):
+    v = float(v)
+    if not math.isfinite(v):
+        raise InputError(f"interval endpoints must be finite, got {v}")
+    return v
+
+
 @dataclass(frozen=True)
 class Interval:
     """Parameter domain of a curve: compact, half-line, or the full line."""
@@ -45,17 +52,21 @@ class Interval:
     @classmethod
     def compact(cls, a, b):
         a, b = float(a), float(b)
-        if a > b:
+        # one chained comparison, which also fails on a NaN or infinite
+        # endpoint; _endpoint then names it
+        if not -math.inf < a <= b < math.inf:
+            _endpoint(a)
+            _endpoint(b)
             raise InputError(f"compact interval needs a <= b, got [{a}, {b}]")
         return cls(cls.COMPACT, a, b)
 
     @classmethod
     def future(cls, a):
-        return cls(cls.FUTURE, float(a), None)
+        return cls(cls.FUTURE, _endpoint(a), None)
 
     @classmethod
     def past(cls, b):
-        return cls(cls.PAST, None, float(b))
+        return cls(cls.PAST, None, _endpoint(b))
 
     @classmethod
     def line(cls):

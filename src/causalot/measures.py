@@ -7,20 +7,19 @@ throughout).  Disintegration is exact discrete conditioning, and the
 concatenation of two curve measures over a shared junction marginal is
 the finite sum of fiberwise product measures pushed through curve
 concatenation.  Conditioning, concatenation and the composition of
-couplings (:func:`causalot.coupling.compose_couplings`) group atoms by
-one fiber rule: the events within 1e-9 of each atom of the junction
-marginal.
+couplings (:func:`causalot.coupling.compose_couplings`) read one fiber
+rule, the merge's own: a junction atom's fiber is the inputs merged into
+it, which a slice measure keeps, so the fibers partition the inputs.
 
 Cost model, for N (atom, weight) pairs with D distinct atoms: a
 constructor passes events with a float time and a finite float point or
 a known vertex id through unchanged and normalizes the others
 (:meth:`causalot.spacetime.Spacetime.canonical_event`), groups exactly
 equal atoms in O(N), and sorts and merges only the D distinct ones, in
-O(D log D).  An evaluation pushforward evaluates each curve once,
-computes a time value once per distinct event, and its fibers over K
-junction atoms take D * K closeness tests; concatenation and
-disintegration reuse those evaluations.  A glued curve is validated
-only from its left piece's last breakpoint on
+O(D log D); only the member lists of merged distinct atoms are sorted.
+An evaluation pushforward evaluates each curve once and computes a time
+value once per distinct event, and its fibers cost no closeness test.  A
+glued curve is validated only from its left piece's last breakpoint on
 (:func:`causalot.curves.concat`), so each fold step checks the new slab,
 not the whole grown curve again.
 
@@ -52,6 +51,8 @@ def _merge(items, key, close, tol):
     curves by identity.  The sort and the merge of ``close`` neighbours then
     run over the distinct atoms, and each merged atom's weight is the
     ``math.fsum`` of all its weights, which does not depend on their order.
+    Returns ``(atoms, members)``: ``members[n]`` lists, in increasing order,
+    the indices of the pairs merged into ``atoms[n]``.
     """
     items = list(items)
     # the error names the first non-positive or NaN weight in sort order
@@ -60,15 +61,22 @@ def _merge(items, key, close, tol):
         atom, w = min(bad, key=lambda aw: key(aw[0]))
         raise InputError(f"weights must be positive, got {w} at {atom!r}")
     groups = {}
-    for atom, w in items:
-        groups.setdefault(atom, []).append(w)
-    out = []
-    for atom, ws in sorted(groups.items(), key=lambda aw: key(aw[0])):
-        if out and close(out[-1][0], atom, tol):
-            out[-1][1].extend(ws)
+    for i, (atom, _) in enumerate(items):
+        groups.setdefault(atom, []).append(i)
+    atoms, members, joined = [], [], set()
+    for atom, idx in sorted(groups.items(), key=lambda ai: key(ai[0])):
+        if atoms and close(atoms[-1], atom, tol):
+            members[-1].extend(idx)
+            joined.add(len(members) - 1)
         else:
-            out.append((atom, ws))
-    return tuple((atom, math.fsum(ws)) for atom, ws in out)
+            atoms.append(atom)
+            members.append(idx)
+    for n in joined:
+        members[n].sort()
+    # a single weight is its own fsum
+    weights = [math.fsum([items[i][1] for i in idx]) if len(idx) > 1 else items[idx[0]][1]
+               for idx in members]
+    return tuple(zip(atoms, weights)), members
 
 
 class SliceMeasure:
@@ -78,7 +86,7 @@ class SliceMeasure:
     def __init__(self, st, atoms, time_function=None, tau=None):
         st_atoms = [(st.canonical_event(e), float(w)) for e, w in atoms]
         self.spacetime = st
-        self.atoms = _merge(st_atoms, st.event_key, st.events_close, GEOM_ATOL)
+        self.atoms, self._members = _merge(st_atoms, st.event_key, st.events_close, GEOM_ATOL)
         self.time_function = time_function
         self.tau = None if tau is None else float(tau)
         total = math.fsum(w for _, w in self.atoms)
@@ -120,7 +128,7 @@ class CurveMeasure:
         self.spacetime = st
         self.domain = domain
         self.atoms = _merge(atoms, lambda c: c.sort_key(),
-                            lambda c1, c2, tol: curves_close(c1, c2, tol), GEOM_ATOL)
+                            lambda c1, c2, tol: curves_close(c1, c2, tol), GEOM_ATOL)[0]
         total = math.fsum(w for _, w in self.atoms)
         if abs(total - 1.0) > MASS_ATOL:
             raise InputError(f"weights must sum to 1 within {MASS_ATOL}, got {total!r}")
@@ -143,7 +151,7 @@ class Coupling:
         close = lambda a, b, tol: (st.events_close(a[0], b[0], tol)
                                    and st.events_close(a[1], b[1], tol))
         self.spacetime = st
-        self.atoms = _merge(atoms, key, close, GEOM_ATOL)
+        self.atoms = _merge(atoms, key, close, GEOM_ATOL)[0]
         total = math.fsum(w for _, w in self.atoms)
         if abs(total - 1.0) > MASS_ATOL:
             raise InputError(f"weights must sum to 1 within {MASS_ATOL}, got {total!r}")
@@ -182,13 +190,6 @@ def curve_measures_equal(s1: CurveMeasure, s2: CurveMeasure, tol=GEOM_ATOL, wtol
 
 def marginal_at(sigma: CurveMeasure, t) -> SliceMeasure:
     """Pushforward of a curve measure under evaluation at parameter t."""
-    return _pushforward(sigma, t)[0]
-
-
-def _pushforward(sigma: CurveMeasure, t):
-    """The evaluation pushforward at t and the evaluated events, as
-    ``(SliceMeasure, events)`` with ``events[i]`` the value of the i-th
-    curve of sigma; each curve is evaluated once."""
     t = float(t)
     if not sigma.domain.contains(t, GEOM_ATOL):
         raise InputError(f"parameter {t} outside common domain {sigma.domain}")
@@ -208,21 +209,19 @@ def _pushforward(sigma: CurveMeasure, t):
         values = [tf.value(st, e) for e in dict.fromkeys(events)]
         if max(values) - min(values) <= GEOM_ATOL:
             tau = values[0]
-    ms = SliceMeasure(st, [(e, w) for e, (_, w) in zip(events, sigma.atoms)],
-                      time_function=tf if tau is not None else None, tau=tau)
-    return ms, events
+    return SliceMeasure(st, [(e, w) for e, (_, w) in zip(events, sigma.atoms)],
+                        time_function=tf if tau is not None else None, tau=tau)
 
 
-def _fibers(base: SliceMeasure, events):
-    """For each atom x of base, the indices of the events within GEOM_ATOL
-    of x, in increasing order: the fibers that conditioning and gluing group
-    by.  Closeness is tested once per distinct event."""
-    close = base.spacetime.events_close
-    where = {}
-    for i, e in enumerate(events):
-        where.setdefault(e, []).append(i)
-    return [sorted(i for e, idx in where.items() if close(e, x, GEOM_ATOL) for i in idx)
-            for x, _ in base.atoms]
+def _glued_pairs(left: SliceMeasure, right: SliceMeasure, atoms1, atoms2):
+    """The pairs glued over two junction measures that agree atom by atom:
+    ``(wx, wy, a1, a2)`` for each atom pair, of weights wx and wy, and each
+    a1 of atoms1 and a2 of atoms2 in its fibers (the merges' members)."""
+    for (_, wx), (_, wy), fiber1, fiber2 in zip(left.atoms, right.atoms,
+                                                left._members, right._members):
+        for i in fiber1:
+            for j in fiber2:
+                yield wx, wy, atoms1[i], atoms2[j]
 
 
 def disintegrate(sigma: CurveMeasure, at):
@@ -230,14 +229,14 @@ def disintegrate(sigma: CurveMeasure, at):
 
     Returns ``(base, conditionals)`` where ``base`` is the evaluation
     marginal and ``conditionals`` lists, for each base atom x, the
-    renormalized restriction of sigma to the curves passing through x.
-    The mixture of the conditionals against the base reproduces sigma
-    exactly.
+    renormalized restriction of sigma to the curves whose values the
+    marginal merged into x.  These fibers partition the curves, so the
+    mixture of the conditionals against the base reproduces sigma exactly.
     """
-    base, events = _pushforward(sigma, at)
+    base = marginal_at(sigma, at)
     st = sigma.spacetime
     conditionals = []
-    for (x, wx), fiber in zip(base.atoms, _fibers(base, events)):
+    for (x, wx), fiber in zip(base.atoms, base._members):
         atoms = [(sigma.atoms[i][0], sigma.atoms[i][1] / wx) for i in fiber]
         conditionals.append((x, CurveMeasure(st, atoms)))
     return base, conditionals
@@ -248,9 +247,9 @@ def concat_measures(s1: CurveMeasure, s2: CurveMeasure) -> CurveMeasure:
 
     Requires the evaluation marginals at the junction to agree; the result
     mixes, fiber by fiber, the product of the two conditional measures
-    pushed through curve concatenation.  Its evaluation marginal equals
-    s1's strictly before the junction, the shared marginal at it, and s2's
-    strictly after.
+    pushed through curve concatenation, each curve in the fiber its value
+    was merged into.  Its evaluation marginal equals s1's strictly before
+    the junction, the shared marginal at it, and s2's strictly after.
     """
     st = s1.spacetime
     if s1.domain.kind not in (Interval.COMPACT, Interval.PAST):
@@ -260,23 +259,14 @@ def concat_measures(s1: CurveMeasure, s2: CurveMeasure) -> CurveMeasure:
     b, a = s1.domain.b, s2.domain.a
     if abs(b - a) > GEOM_ATOL:
         raise InputError(f"domains do not meet: {s1.domain} then {s2.domain}")
-    nu1, events1 = _pushforward(s1, b)
-    nu2, events2 = _pushforward(s2, a)
+    nu1, nu2 = marginal_at(s1, b), marginal_at(s2, a)
     if not slice_measures_equal(nu1, nu2):
         detail = [(e, w) for e, w in nu1.atoms], [(e, w) for e, w in nu2.atoms]
         raise PreconditionError(
             f"junction marginals differ at {b}: {detail[0]} vs {detail[1]}")
-    # The junction marginals agree atom by atom, so their fibers pair by position.
-    fibers1 = _fibers(nu1, events1)
-    fibers2 = _fibers(nu2, events2)
-    atoms = []
-    for (_, wx), (_, wy), fiber1, fiber2 in zip(nu1.atoms, nu2.atoms, fibers1, fibers2):
-        for i in fiber1:
-            c1, w1 = s1.atoms[i]
-            for j in fiber2:
-                c2, w2 = s2.atoms[j]
-                atoms.append((concat(c1, c2), wx * (w1 / wx) * (w2 / wy)))
-    return CurveMeasure(st, atoms)
+    return CurveMeasure(st, [(concat(c1, c2), wx * (w1 / wx) * (w2 / wy))
+                             for wx, wy, (c1, w1), (c2, w2)
+                             in _glued_pairs(nu1, nu2, s1.atoms, s2.atoms)])
 
 
 def pushforward_reparametrize(sigma: CurveMeasure, tf1, tf2) -> CurveMeasure:

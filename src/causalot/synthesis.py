@@ -318,7 +318,9 @@ class SynthesisPlan:
 
 
 def _match_times(actual, wanted, what):
-    if len(actual) != len(wanted) or any(abs(s - t) > GRID_ATOL for s, t in zip(actual, wanted)):
+    # NaN times match nothing
+    if len(actual) != len(wanted) or any(
+            not abs(s - t) <= GRID_ATOL for s, t in zip(actual, wanted)):
         raise InputError(f"evolution times {list(actual)} do not match the {what} "
                          f"mesh {list(wanted)}")
 

@@ -451,3 +451,18 @@ def test_dyadic_mesh_without_its_parameters_exits_1(tmp_path, capsys, verb, fiel
     assert main([path, verb, "--report-dir", str(reports)]) == 1
     assert capsys.readouterr().err == f"error: a dyadic mesh needs {field!r}\n"
     assert not reports.exists() or os.listdir(reports) == []
+
+
+@pytest.mark.parametrize("a, b", [("nan", "1"), ("0", "nan"), ("-inf", "1")])
+def test_non_finite_interval_endpoint_exits_1(tmp_path, capsys, a, b):
+    # a NaN endpoint used to pass every comparison and synthesize on the
+    # dyadic mesh instead of the right-open one
+    reports = tmp_path / "reports"
+    code = main([scenario("minkowski_branching.json"), "synthesize", "--evolution", "branching",
+                 "--interval", "right-open", f"--a={a}", f"--b={b}", "--horizon", "8",
+                 "--report-dir", str(reports)])
+    assert code == 1
+    bad = a if a != "0" else b
+    assert capsys.readouterr().err == \
+        f"error: interval endpoints must be finite, got {float(bad)}\n"
+    assert not reports.exists() or os.listdir(reports) == []

@@ -177,6 +177,15 @@ def test_noncompact_kind_mismatch(chain_graph):
     assert c.domain == Interval.future(0.0)
 
 
+@pytest.mark.parametrize("build", [lambda v: Interval.compact(v, 1.0),
+                                   lambda v: Interval.compact(0.0, v),
+                                   Interval.future, Interval.past])
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_interval_endpoints_must_be_finite(build, v):
+    with pytest.raises(InputError, match=f"interval endpoints must be finite, got {v}"):
+        build(v)
+
+
 # -- reparametrize -------------------------------------------------------------------
 
 def test_reparametrize_identity(mink):

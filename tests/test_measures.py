@@ -18,6 +18,7 @@ from causalot import (CausalCurve, Coupling, CurveMeasure, Event, InputError,
                       curve_measures_equal, disintegrate, marginal_at,
                       pushforward_reparametrize, reparametrize,
                       slice_measures_equal, transport_distance)
+from causalot.spacetime import GEOM_ATOL
 from genrand import (identity_parametrized_bundle, random_backend, random_graph,
                      random_slice_measure, random_time_function, rng_for)
 
@@ -56,33 +57,45 @@ def test_nan_weight_is_refused(mink, atoms):
 
 def _sorted_merge(items, key, close, tol):
     """Reference: the merge that sorts every pair by key and merges each atom
-    into the previous one when they are close, without grouping first."""
+    into the previous one when they are close, without grouping first; the
+    members of an atom are the input indices its sweep merged into it."""
     out = []
-    for atom, w in sorted(items, key=lambda aw: key(aw[0])):
+    for i, (atom, w) in sorted(enumerate(items), key=lambda iaw: key(iaw[1][0])):
         if w <= 0:
             raise InputError(f"weights must be positive, got {w} at {atom!r}")
         if out and close(out[-1][0], atom, tol):
             out[-1][1].append(w)
+            out[-1][2].append(i)
         else:
-            out.append([atom, [w]])
-    return tuple((atom, math.fsum(ws)) for atom, ws in out)
+            out.append([atom, [w], [i]])
+    return (tuple((atom, math.fsum(ws)) for atom, ws, _ in out),
+            [sorted(idx) for _, _, idx in out])
 
 
-def _outcome(build):
-    """The atoms of ``build()`` (curves by identity, weights bit for bit), or
-    its error text."""
+def _outcome(build, merge=None):
+    """The atoms of ``build()`` (curves by identity, weights bit for bit),
+    each with the input indices its merge reports, or its error text."""
+    merge = merge or M._merge
+    merged = []
+
+    def recording(*args):
+        merged.append(merge(*args))
+        return merged[-1]
+
     try:
-        atoms = build().atoms
+        with mock.patch.object(M, "_merge", recording):
+            build()
     except InputError as err:
         return "error", str(err)
-    return [(id(a) if isinstance(a, CausalCurve) else repr(a), w.hex()) for a, w in atoms]
+    (atoms, members), = merged
+    return [(id(a) if isinstance(a, CausalCurve) else repr(a), w.hex(), list(idx))
+            for (a, w), idx in zip(atoms, members)]
 
 
 def _reference(build):
     """``_outcome(build)`` with the sorted merge and one ``st.event`` per raw event."""
-    with mock.patch.object(M, "_merge", _sorted_merge), \
-            mock.patch.object(Spacetime, "canonical_event", lambda st, e: st.event(e.t, e.x)):
-        return _outcome(build)
+    with mock.patch.object(Spacetime, "canonical_event", lambda st, e: st.event(e.t, e.x)):
+        return _outcome(build, _sorted_merge)
 
 
 def _weights(draw, n):
@@ -219,14 +232,16 @@ def test_merge_differs_from_the_sorted_merge_only_on_tied_unequal_atoms():
     assert st.event_key(p) == st.event_key(q)
     build = lambda: SliceMeasure(st, [(p, 0.25), (q, 0.25), (p, 0.5)])
     assert build().atoms == ((p, 0.75), (q, 0.25))
-    assert _reference(build) == [(repr(p), 0.25.hex()), (repr(q), 0.25.hex()),
-                                 (repr(p), 0.5.hex())]
+    assert build()._members == [[0, 2], [1]]
+    assert _reference(build) == [(repr(p), 0.25.hex(), [0]), (repr(q), 0.25.hex(), [1]),
+                                 (repr(p), 0.5.hex(), [2])]
     # The same holds for one curve object around a curve with its breakpoints
     # but another pace.
     c = causal_geodesic(MERGE_MINK, MERGE_MINK.event(0, 0.0), MERGE_MINK.event(1, 0.5))
     bare = CausalCurve(MERGE_MINK, c.domain, c.breakpoints)
     build = lambda: CurveMeasure(MERGE_MINK, [(c, 0.25), (bare, 0.25), (c, 0.5)])
     assert build().atoms == ((c, 0.75), (bare, 0.25))
+    assert _outcome(build) == [(id(c), 0.75.hex(), [0, 2]), (id(bare), 0.25.hex(), [1])]
     assert len(_reference(build)) == 3
 
 
@@ -391,6 +406,73 @@ def test_concat_matches_disintegration_oracle():
         glued_fibers += len(got) > len(s1)
     # the seed exercises fibers that carry several curves on both sides
     assert glued_fibers >= 5
+
+
+# -- fibers ------------------------------------------------------------------------------
+
+def _glued_pair(st, starts, junction, ends, weights):
+    """Geodesic curve measures on [0, 1] and [1, 2], and the matching
+    couplings, whose i-th atoms run from starts[i] through junction[i] at
+    t = 1 to ends[i]."""
+    ev = st.event
+    legs = list(zip(starts, junction, ends, weights))
+    s1 = CurveMeasure(st, [(geod(st, 0, a, 1, x), w) for a, x, _, w in legs])
+    s2 = CurveMeasure(st, [(geod(st, 1, x, 2, b), w) for _, x, b, w in legs])
+    c1 = Coupling(st, [((ev(0, a), ev(1, x)), w) for a, x, _, w in legs])
+    c2 = Coupling(st, [((ev(1, x), ev(2, b)), w) for _, x, b, w in legs])
+    return s1, s2, c1, c2
+
+
+def test_an_event_close_to_two_junction_atoms_lies_in_one_fiber(mink):
+    # The junction events 0 and 1.5e-9 are two atoms, and 0.75e-9 lies
+    # within GEOM_ATOL of both; the merge puts it with 0, and so must every
+    # fiber, or the glued weights sum past 1.
+    s1, s2, c1, c2 = _glued_pair(mink, (-0.5, 0.0, 0.5), (0.0, 0.75e-9, 1.5e-9),
+                                 (-0.5, 0.0, 0.5), (0.25, 0.25, 0.5))
+    base, conds = disintegrate(s1, 1.0)
+    assert [(x.x, wx) for x, wx in base.atoms] == [(0.0, 0.5), (1.5e-9, 0.5)]
+    assert [[(c.at(0.0).x, w) for c, w in cond.atoms] for _, cond in conds] == [
+        [(-0.5, 0.5), (0.0, 0.5)], [(0.5, 1.0)]]
+    glued = concat_measures(s1, s2)
+    assert sorted((c.at(0.0).x, c.at(2.0).x, w) for c, w in glued.atoms) == [
+        (-0.5, -0.5, 0.125), (-0.5, 0.0, 0.125), (0.0, -0.5, 0.125), (0.0, 0.0, 0.125),
+        (0.5, 0.5, 0.5)]
+    composed = C.compose_couplings(mink, c1, c2)
+    assert [((p.x, r.x), w) for (p, r), w in composed.atoms] == [
+        ((-0.5, -0.5), 0.125), ((-0.5, 0.0), 0.125), ((0.0, -0.5), 0.125),
+        ((0.0, 0.0), 0.125), ((0.5, 0.5), 0.5)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st_.data())
+def test_fibers_partition_junction_events_jittered_within_tolerance(data):
+    st = MERGE_MINK
+    n = data.draw(st_.integers(1, 8))
+    centres = data.draw(st_.lists(st_.sampled_from((0.0, 0.25, 0.5)), min_size=n, max_size=n))
+    jitter = data.draw(st_.lists(st_.floats(-GEOM_ATOL, GEOM_ATOL), min_size=n, max_size=n))
+    ks = data.draw(st_.lists(st_.integers(1, 8), min_size=n, max_size=n))
+    # distinct ends keep the curves apart, so only junction events merge
+    starts = [0.1 * i - 0.3 for i in range(n)]
+    junction = [c + j for c, j in zip(centres, jitter)]
+    ends = data.draw(st_.permutations(starts))
+    s1, s2, c1, c2 = _glued_pair(st, starts, junction, ends, [k / sum(ks) for k in ks])
+    base, conds = disintegrate(s1, 1.0)
+    # the fibers partition the curve indices, and each fiber's weights
+    # sum to its atom's weight
+    assert sorted(i for fiber in base._members for i in fiber) == list(range(len(s1)))
+    for (_, wx), fiber in zip(base.atoms, base._members):
+        assert math.fsum(s1.atoms[i][1] for i in fiber) == wx
+    assert Counter(id(c) for _, cond in conds for c, _ in cond.atoms) == \
+        Counter(id(c) for c, _ in s1.atoms)
+    # the mixture of the conditionals reproduces sigma
+    rebuilt = [(c, wx * w) for (_, wx), (_, cond) in zip(base.atoms, conds)
+               for c, w in cond.atoms]
+    assert curve_measures_equal(CurveMeasure(st, rebuilt), s1)
+    # gluing keeps the junction marginal
+    assert slice_measures_equal(marginal_at(concat_measures(s1, s2), 1.0), base)
+    composed = C.compose_couplings(st, c1, c2)
+    assert slice_measures_equal(composed.marginal(0), c1.marginal(0))
+    assert slice_measures_equal(composed.marginal(1), c2.marginal(1))
 
 
 def test_pushforwards_evaluate_each_curve_once(monkeypatch):

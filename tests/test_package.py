@@ -1,4 +1,7 @@
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 
@@ -30,3 +33,14 @@ def test_cli_import_leaves_scipy_out():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "False False\n"
+
+
+def test_readme_library_example_runs():
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue() == "SliceMeasure(1 atoms, tau=1.5)\nCoupling(1 atoms)\n"

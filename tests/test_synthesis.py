@@ -307,6 +307,17 @@ def test_plan_right_open_geometric(mink):
         assert slice_measures_equal(marginal_at(sigma, t), mu)
 
 
+def test_nan_mesh_times_match_nothing(mink):
+    from causalot.synthesis import _match_times
+    with pytest.raises(InputError, match="do not match the right-open mesh"):
+        _match_times([0.5], [float("nan")], "right-open")
+    entries = [(t, delta(mink, t, 0.0)) for t in (0.0, 0.5, 1.0)]
+    assert Evolution(mink, entries, T0, MeshSpec("dyadic", 0.0, 1.0, 1)).validate_mesh() is None
+    evo = Evolution(mink, entries, T0, MeshSpec("dyadic", float("nan"), 1.0, 1))
+    with pytest.raises(InputError, match="do not form the dyadic mesh"):
+        evo.validate_mesh()
+
+
 def test_plan_left_open_geometric(mink):
     wanted = [1.0 - t for t in geometric_times(0.0, 1.0, 3)][::-1]
     entries = [(t, delta(mink, t, 0.0)) for t in wanted]
