@@ -435,8 +435,17 @@ def write_report(args, verb, scenario_name, ok, result):
     return path
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a malformed command line, which is this CLI's
+    code for a failed verification; here it is an input error, exit 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="causalot",
         description="Causal couplings and curve-measure synthesis on "
                     "globally hyperbolic backends.")

@@ -7,11 +7,15 @@ graph, carried out in exact integer arithmetic (every 64-bit float is a
 dyadic rational, so the instance scales to integers without loss).  One
 solve decides a pair: a saturating flow is the coupling, and otherwise
 the left atoms reachable in the final residual graph are a min-cut
-subset that outweighs its causal future.  The independent oracle is the
-finite Strassen condition: feasibility holds iff no subset of the left
-support outweighs the causal future of itself on the right.
-Max-flow/min-cut makes the two routes provably agree; the test suite
-checks that on thousands of instances anyway.
+subset that outweighs its causal future.  Edmonds-Karp's first
+augmenting paths are direct arcs taken in index order, so one greedy
+pass over the rows pushes them all, and a BFS runs only after it; the
+flow, the coupling and the cut are the ones the BFS alone would give
+(``_max_flow`` states why).  The independent oracle is the finite
+Strassen condition: feasibility holds iff no subset of the left support
+outweighs the causal future of itself on the right.  Max-flow/min-cut
+makes the two routes provably agree; the test suite checks that on
+thousands of instances anyway.
 
 The arcs of the support graph are the causal relation, computed in plain
 Python by one of two routes chosen from the input: on a Minkowski pair
@@ -25,7 +29,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import compress
 
 from .errors import InputError
 from .measures import Coupling, SliceMeasure, _glued_pairs, _one_time, slice_measures_equal
@@ -196,7 +200,7 @@ class _Instance:
         self.adjacency = adjacency
 
     def weight_from_units(self, units):
-        return float(Fraction(units, self._unit_den))
+        return units / self._unit_den  # int / int rounds once, correctly
 
 
 def _max_flow(instance: _Instance, flows=None):
@@ -208,31 +212,63 @@ def _max_flow(instance: _Instance, flows=None):
     reachable from the source in the final residual graph (a min-cut
     witness when the flow is not saturating).  ``flows``, when given, is a
     feasible starting flow on admissible arcs and is augmented in place.
+
+    The augmenting paths found first are direct arcs, and one greedy pass
+    pushes them all before the first BFS.  Each BFS queues the left atoms
+    with free supply in index order and pops all of them before any right
+    atom, scanning each one's arcs in index order.  So while some free
+    left atom has a free right neighbour, the path it returns is the arc
+    from the lowest such left atom to that atom's lowest free neighbour
+    (every right atom an earlier pop reached is full), and the bottleneck
+    is the smaller of the two residuals.  Used supply and demand only
+    grow, so no atom regains a free neighbour, and these augmentations are
+    exactly the pass below: for i ascending, for j ascending over the arcs
+    of row i, push ``min(free supply, free demand)``.  The result is the
+    one the BFS alone would reach, from any starting flow.
     """
-    m = len(instance.supply)
-    n = len(instance.demand)
+    supply, demand = instance.supply, instance.demand
+    m = len(supply)
+    n = len(demand)
+    arcs = [list(compress(range(n), row)) for row in instance.adjacency]
     if flows is None:
         flows = [[0] * n for _ in range(m)]
         used_supply, used_demand = [0] * m, [0] * n
     else:
         used_supply = [sum(row) for row in flows]
         used_demand = [sum(col) for col in zip(*flows)]
+    for i in range(m):
+        free = supply[i] - used_supply[i]
+        if free <= 0:
+            continue
+        row = flows[i]
+        for j in arcs[i]:
+            push = demand[j] - used_demand[j]
+            if push <= 0:
+                continue
+            if push > free:
+                push = free
+            row[j] += push
+            used_demand[j] += push
+            free -= push
+            if not free:
+                break
+        used_supply[i] = supply[i] - free
     while True:
         # BFS over the residual graph; nodes: source=-1, left i, right m+j
         parent = {}
         queue = deque()
         for i in range(m):
-            if instance.supply[i] - used_supply[i] > 0:
+            if supply[i] - used_supply[i] > 0:
                 parent[i] = -1
                 queue.append(i)
         found = None
         while queue and found is None:
             v = queue.popleft()
             if v < m:
-                for j in range(n):
-                    if instance.adjacency[v][j] and (m + j) not in parent:
+                for j in arcs[v]:
+                    if (m + j) not in parent:
                         parent[m + j] = v
-                        if instance.demand[j] - used_demand[j] > 0:
+                        if demand[j] - used_demand[j] > 0:
                             found = m + j
                             break
                         queue.append(m + j)
@@ -253,9 +289,9 @@ def _max_flow(instance: _Instance, flows=None):
             path.append(v)
             v = parent[v]
         path.reverse()
-        bottleneck = instance.supply[path[0]] - used_supply[path[0]]
+        bottleneck = supply[path[0]] - used_supply[path[0]]
         j_final = path[-1] - m
-        bottleneck = min(bottleneck, instance.demand[j_final] - used_demand[j_final])
+        bottleneck = min(bottleneck, demand[j_final] - used_demand[j_final])
         for k in range(1, len(path) - 1):
             if path[k] >= m and path[k + 1] < m:
                 bottleneck = min(bottleneck, flows[path[k + 1]][path[k] - m])
@@ -323,13 +359,13 @@ def _decide(st, mu: SliceMeasure, nu: SliceMeasure):
     """
     inst = _Instance(mu, nu, _causal_adjacency(st, mu, nu))
     value, flows, reachable = _max_flow(inst)
+    columns = range(len(nu.atoms))
     if not _deficient(inst.scale - value, inst.scale):
-        atoms = [((p, q), inst.weight_from_units(flows[i][j]))
-                 for i, (p, _) in enumerate(mu.atoms)
-                 for j, (q, _) in enumerate(nu.atoms) if flows[i][j] > 0]
+        atoms = [((p, nu.atoms[j][0]), inst.weight_from_units(row[j]))
+                 for (p, _), row in zip(mu.atoms, flows) for j in compress(columns, row)]
         return atoms, None
     left = sorted(reachable)
-    future = sorted({j for i in left for j in range(len(nu.atoms)) if inst.adjacency[i][j]})
+    future = sorted({j for i in left for j in compress(columns, inst.adjacency[i])})
     return None, CutWitness(tuple(mu.atoms[i][0] for i in left),
                             math.fsum(mu.atoms[i][1] for i in left),
                             math.fsum(nu.atoms[j][1] for j in future))

@@ -453,6 +453,21 @@ def test_dyadic_mesh_without_its_parameters_exits_1(tmp_path, capsys, verb, fiel
     assert not reports.exists() or os.listdir(reports) == []
 
 
+@pytest.mark.parametrize("flag", [["--horizon", "x"], ["--a", "-inf"]])
+def test_malformed_flag_exits_1(tmp_path, capsys, flag):
+    # argparse exits 2, the code of a failed verification, on a malformed
+    # command line; it is an input error.  "-inf" after "--a" reads as an
+    # option, not as a value.
+    reports = tmp_path / "reports"
+    with pytest.raises(SystemExit) as exit_:
+        main([scenario("minkowski_branching.json"), "synthesize", *flag,
+              "--report-dir", str(reports)])
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: causalot ") and "causalot: error: " in err
+    assert not reports.exists()
+
+
 @pytest.mark.parametrize("a, b", [("nan", "1"), ("0", "nan"), ("-inf", "1")])
 def test_non_finite_interval_endpoint_exits_1(tmp_path, capsys, a, b):
     # a NaN endpoint used to pass every comparison and synthesize on the

@@ -1,4 +1,7 @@
+import copy
 import math
+from collections import deque
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -9,8 +12,9 @@ from causalot import (Evolution, InputError, MeshSpec, SliceMeasure, Spacetime,
                       cut_witness, dominates_on_upsets, find_causal_coupling,
                       transport_distance)
 from genrand import (inject_superluminal, random_backend, random_causal_evolution,
-                     random_slice_measure, rng_for)
-from causalot.coupling import _causal_adjacency
+                     random_graph, random_slice_measure, rng_for)
+from causalot import coupling
+from causalot.coupling import _Instance, _causal_adjacency, _max_flow
 from causalot.spacetime import GEOM_ATOL
 
 T0 = canonical_time()
@@ -266,6 +270,275 @@ def test_transport_distance_computes_no_causal_adjacency(net_graph, monkeypatch)
     # a decision still reads the adjacency, once
     assert find_causal_coupling(net_graph, mu, two(net_graph, 1.0, "C", "D")) is not None
     assert len(calls) == 1
+
+
+
+# -- max flow against plain Edmonds-Karp ----------------------------------------------
+
+def _oracle_max_flow(instance, flows=None):
+    """Edmonds-Karp with a BFS for every augmenting path: ``_max_flow``
+    as it was before the greedy pass, kept as the oracle for it."""
+    m = len(instance.supply)
+    n = len(instance.demand)
+    if flows is None:
+        flows = [[0] * n for _ in range(m)]
+        used_supply, used_demand = [0] * m, [0] * n
+    else:
+        used_supply = [sum(row) for row in flows]
+        used_demand = [sum(col) for col in zip(*flows)]
+    while True:
+        parent = {}
+        queue = deque()
+        for i in range(m):
+            if instance.supply[i] - used_supply[i] > 0:
+                parent[i] = -1
+                queue.append(i)
+        found = None
+        while queue and found is None:
+            v = queue.popleft()
+            if v < m:
+                for j in range(n):
+                    if instance.adjacency[v][j] and (m + j) not in parent:
+                        parent[m + j] = v
+                        if instance.demand[j] - used_demand[j] > 0:
+                            found = m + j
+                            break
+                        queue.append(m + j)
+            else:
+                j = v - m
+                for i in range(m):
+                    if flows[i][j] > 0 and i not in parent:
+                        parent[i] = v
+                        queue.append(i)
+        if found is None:
+            reachable = {v for v in parent if v < m}
+            value = sum(sum(row) for row in flows)
+            return value, flows, reachable
+        path = []
+        v = found
+        while v != -1:
+            path.append(v)
+            v = parent[v]
+        path.reverse()
+        bottleneck = instance.supply[path[0]] - used_supply[path[0]]
+        j_final = path[-1] - m
+        bottleneck = min(bottleneck, instance.demand[j_final] - used_demand[j_final])
+        for k in range(1, len(path) - 1):
+            if path[k] >= m and path[k + 1] < m:
+                bottleneck = min(bottleneck, flows[path[k + 1]][path[k] - m])
+        used_supply[path[0]] += bottleneck
+        used_demand[j_final] += bottleneck
+        for k in range(len(path) - 1):
+            v, w = path[k], path[k + 1]
+            if v < m <= w:
+                flows[v][w - m] += bottleneck
+            elif w < m <= v:
+                flows[w][v - m] -= bottleneck
+
+
+def _same_as_oracle(inst, flows=None):
+    """``_max_flow`` and the oracle, each from its own copy of ``flows``,
+    return the same (value, flows, reachable); returns that result."""
+    got = _max_flow(inst, copy.deepcopy(flows))
+    assert got == _oracle_max_flow(inst, copy.deepcopy(flows))
+    return got
+
+
+def _oracle_decide(st, mu, nu):
+    """``coupling._decide`` as it was before the greedy pass, on the oracle."""
+    inst = _Instance(mu, nu, _causal_adjacency(st, mu, nu))
+    value, flows, reachable = _oracle_max_flow(inst)
+    if not coupling._deficient(inst.scale - value, inst.scale):
+        atoms = [((p, q), float(Fraction(flows[i][j], inst._unit_den)))
+                 for i, (p, _) in enumerate(mu.atoms)
+                 for j, (q, _) in enumerate(nu.atoms) if flows[i][j] > 0]
+        return atoms, None
+    left = sorted(reachable)
+    future = sorted({j for i in left for j in range(len(nu.atoms)) if inst.adjacency[i][j]})
+    return None, coupling.CutWitness(tuple(mu.atoms[i][0] for i in left),
+                                     math.fsum(mu.atoms[i][1] for i in left),
+                                     math.fsum(nu.atoms[j][1] for j in future))
+
+
+# Weights with power-of-two denominators up to 2**1074: halves, thirds
+# rounded to floats, the smallest normal and subnormal numbers.
+_WEIGHTS = st_.one_of(
+    st_.sampled_from([0.5, 0.25, 1 / 3, 2.0 ** -600, 2.0 ** -1022, 5e-324, 3 * 5e-324]),
+    st_.integers(1, 64).map(lambda k: k / 64),
+    st_.floats(2.0 ** -30, 1.0))
+_GRID = st_.integers(-16, 16).map(lambda k: k / 8)
+
+
+def _weighted(st, atoms):
+    # A support in SliceMeasure's order, unmerged and unnormalized: the
+    # instance balances the two totals itself.
+    return SimpleNamespace(atoms=tuple(sorted(atoms, key=lambda a: st.event_key(a[0]))))
+
+
+@st_.composite
+def _flow_pair(draw, kind):
+    """A spacetime and two weighted supports on it: one-time or tilted
+    Minkowski slices, mixed times, or a random graph."""
+    if kind == "graph":
+        st = random_graph(rng_for(draw(st_.integers(0, 2 ** 16))), far=False)
+        sites = st_.sampled_from(sorted(st.vertices))
+        left = [st.event(0.0, v) for v in draw(st_.lists(sites, min_size=1, max_size=7))]
+        dt = draw(st_.sampled_from([0.5, 1.0, 2.0]))
+        right = [st.event(dt, v) for v in draw(st_.lists(sites, min_size=1, max_size=7))]
+    else:
+        st = Spacetime("minkowski-1+1")
+        tilt = TimeFunction(slope=draw(st_.sampled_from([0.5, -0.75]))) \
+            if kind == "tilted" else T0
+        taus = [0.0] if kind != "mixed-time" else [0.0, 0.25, -0.5]
+        left = [tilt.level_event(st, draw(st_.sampled_from(taus)), x)
+                for x in draw(st_.lists(_GRID, min_size=1, max_size=8))]
+        right = [tilt.level_event(st, 1.0 + draw(st_.sampled_from(taus)), x)
+                 for x in draw(st_.lists(_GRID, min_size=1, max_size=8))]
+    return (st, _weighted(st, [(e, draw(_WEIGHTS)) for e in left]),
+            _weighted(st, [(e, draw(_WEIGHTS)) for e in right]))
+
+
+@st_.composite
+def _partial_flow(draw, inst):
+    """A feasible flow on the instance's arcs, as a primal-dual phase of
+    W1 hands to ``_max_flow``: each arc in a drawn order takes none, all,
+    half or a third of what its two ends still have free."""
+    m, n = len(inst.supply), len(inst.demand)
+    free_supply, free_demand = list(inst.supply), list(inst.demand)
+    flows = [[0] * n for _ in range(m)]
+    arcs = [(i, j) for i in range(m) for j in range(n) if inst.adjacency[i][j]]
+    for i, j in draw(st_.permutations(arcs)):
+        cap = min(free_supply[i], free_demand[j])
+        push = draw(st_.sampled_from([0, cap, cap // 2, cap // 3]))
+        flows[i][j] += push
+        free_supply[i] -= push
+        free_demand[j] -= push
+    return flows
+
+
+_KINDS = st_.sampled_from(["one-time", "tilted", "mixed-time", "graph"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st_.data(), _KINDS)
+def test_max_flow_matches_plain_edmonds_karp(data, kind):
+    # The greedy pass pushes exactly the direct-arc augmentations the BFS
+    # would find first, so value, flows and the min-cut side are the BFS's,
+    # from a zero flow and from a partial one.
+    st, mu, nu = data.draw(_flow_pair(kind))
+    inst = _Instance(mu, nu, _causal_adjacency(st, mu, nu))
+    _same_as_oracle(inst)
+    _same_as_oracle(inst, data.draw(_partial_flow(inst)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st_.data())
+def test_max_flow_matches_plain_edmonds_karp_on_bipartite_graphs(data):
+    # Arbitrary arcs and integer capacities, so that after the pass the BFS
+    # must often route through reverse arcs.
+    m, n = data.draw(st_.integers(1, 7)), data.draw(st_.integers(1, 7))
+    adjacency = data.draw(st_.lists(st_.lists(st_.booleans(), min_size=n, max_size=n),
+                                    min_size=m, max_size=m))
+    supply = data.draw(st_.lists(st_.integers(1, 6), min_size=m, max_size=m))
+    demand = data.draw(st_.lists(st_.integers(1, 6), min_size=n, max_size=n))
+    inst = SimpleNamespace(supply=supply, demand=demand, adjacency=adjacency)
+    _same_as_oracle(inst)
+    _same_as_oracle(inst, data.draw(_partial_flow(inst)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_max_flow_reroutes_after_the_greedy_pass(k):
+    # Left i < k reaches right i and i + 1, left k only right 0.  The pass
+    # sends each left i < k to right i, which leaves left k one augmenting
+    # path of 2k + 1 arcs: k -> 0 -> left 0 -> 1 -> ... -> right k.
+    adjacency = [[j in (i, i + 1) for j in range(k + 1)] for i in range(k)]
+    adjacency.append([j == 0 for j in range(k + 1)])
+    inst = SimpleNamespace(supply=[1] * (k + 1), demand=[1] * (k + 1), adjacency=adjacency)
+    value, flows, reachable = _same_as_oracle(inst)
+    assert value == k + 1
+    assert flows == [[int(j == i + 1) for j in range(k + 1)] for i in range(k)] + \
+        [[int(j == 0) for j in range(k + 1)]]
+    assert reachable == set()
+    # two units on left k, which reaches only right 0: after the reroute,
+    # left k alone is the cut
+    inst.supply[k] = inst.demand[k] = 2
+    value, _, reachable = _same_as_oracle(inst)
+    assert value == k + 1 and reachable == {k}
+
+
+def test_the_greedy_pass_leaves_one_bfs_on_worldline_pairs(monkeypatch):
+    # Right atoms are the left ones moved inside their light cones, ordered
+    # as the left ones: the pass saturates every atom, and the only BFS is
+    # the one that proves the flow maximal.
+    rounds = []
+    monkeypatch.setattr(coupling, "deque", lambda: rounds.append(1) or deque())
+    st = Spacetime("minkowski-1+1")
+    mu = SliceMeasure(st, [(st.event(0.0, x / 4), 1 / 16) for x in range(16)])
+    nu = SliceMeasure(st, [(st.event(1.0, x / 4 + 1 / 8), 1 / 16) for x in range(16)])
+    plan = find_causal_coupling(st, mu, nu)
+    assert [(p.x, q.x - p.x, w) for (p, q), w in plan.atoms] == \
+        [(x / 4, 1 / 8, 1 / 16) for x in range(16)]
+    assert len(rounds) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st_.data(), st_.sampled_from([0.5, 2.0 ** -52, 2.0 ** -1022, 5e-324]))
+def test_max_flow_is_exact_on_tiny_power_of_two_weights(data, tiny):
+    # Weights with denominators up to 2**1074 next to 0.5, on a pair whose
+    # identity plan is causal: the flow saturates exactly, and each left
+    # atom's mass comes back as its input float.
+    st = Spacetime("minkowski-1+1")
+    n = data.draw(st_.integers(1, 8))
+    xs = data.draw(st_.lists(st_.integers(-64, 64), min_size=n, max_size=n, unique=True))
+    moves = data.draw(st_.lists(st_.integers(-8, 8), min_size=n, max_size=n))
+    ws = data.draw(st_.lists(st_.one_of(st_.just(tiny), _WEIGHTS), min_size=n, max_size=n))
+    mu = _weighted(st, [(st.event(0.0, x / 8), w) for x, w in zip(xs, ws)])
+    nu = _weighted(st, [(st.event(1.0, x / 8 + d / 8), w) for x, d, w in zip(xs, moves, ws)])
+    inst = _Instance(mu, nu, _causal_adjacency(st, mu, nu))
+    value, flows, reachable = _same_as_oracle(inst)
+    assert value == inst.scale and reachable == set()
+    assert [sum(row) for row in flows] == inst.supply
+    assert [sum(col) for col in zip(*flows)] == inst.demand
+    assert [inst.weight_from_units(sum(row)) for row in flows] == [w for _, w in mu.atoms]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st_.data(), _KINDS)
+def test_decisions_match_plain_edmonds_karp(data, kind):
+    # Coupling atoms (in order, weights as floats) and cut witnesses are
+    # the ones read from the oracle's flow by a full m x n scan.
+    st, mu, nu = data.draw(_flow_pair(kind))
+    assert coupling._decide(st, mu, nu) == _oracle_decide(st, mu, nu)
+
+
+def test_w1_matches_plain_edmonds_karp(monkeypatch):
+    # The primal-dual W1 (graph and tilted pairs) restarts the max flow
+    # from its last flow in every phase; its distances are bit-identical
+    # to the oracle's.
+    rng = rng_for(1501)
+    pairs = []
+    for _ in range(120):
+        st = random_backend(rng, far=False)
+        tf = TimeFunction(slope=rng.choice([0.5, -0.25])) \
+            if st.backend == st.MINKOWSKI and rng.random() < 0.5 else T0
+        pairs.append((st, random_slice_measure(rng, st, 0.0, max_atoms=6, tf=tf),
+                       random_slice_measure(rng, st, rng.choice([0.5, 1.0, 2.0]),
+                                            max_atoms=6, tf=tf)))
+    got = [transport_distance(*pair).hex() for pair in pairs]
+    monkeypatch.setattr(coupling, "_max_flow", _oracle_max_flow)
+    assert got == [transport_distance(*pair).hex() for pair in pairs]
+
+
+def test_a_subnormal_atom_is_coupled_exactly(mink):
+    # 0.5 + 0.5 + 2**-1074 sums to 1 in floats; the instance keeps the
+    # subnormal atom as one unit in 2**1074 and couples it exactly.
+    mu = SliceMeasure(mink, [(mink.event(0.0, 10.0 * k), w)
+                             for k, w in enumerate([0.5, 0.5, 5e-324])])
+    nu = SliceMeasure(mink, [(mink.event(1.0, 10.0 * k + 0.5), w)
+                             for k, w in enumerate([0.5, 0.5, 5e-324])])
+    plan = find_causal_coupling(mink, mu, nu)
+    assert [(p.x, q.x, w) for (p, q), w in plan.atoms] == \
+        [(0.0, 0.5, 0.5), (10.0, 10.5, 0.5), (20.0, 20.5, 5e-324)]
 
 
 def test_monotone_embedding(mink):
