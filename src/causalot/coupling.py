@@ -26,7 +26,7 @@ atoms, found by bisection; elsewhere every pair is compared.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
@@ -146,7 +146,10 @@ def _causal_adjacency(st, mu, nu):
     rounding, and the comparison itself settles it, walking outwards
     while it holds and inwards while it fails.  Other pairs (tilted or
     mixed-time Minkowski supports, graphs) compare every pair densely
-    over the same IEEE operations.
+    over the same IEEE operations; on a graph, the distance searches stop
+    once no farther vertex can pass a row's comparison at the latest
+    right time, and the entries beyond read inf
+    (:meth:`Spacetime._graph_distances`).
     """
     tol = st.causal_tol
     n = len(nu.atoms)
@@ -172,11 +175,12 @@ def _causal_adjacency(st, mu, nu):
             rows.append([False] * lo + [True] * (hi - lo) + [False] * (n - hi))
         return rows
     xs = [p.x for p, _ in mu.atoms]
+    tq = [q.t for q, _ in nu.atoms]
     if st.backend == st.MINKOWSKI:
         dist = [[abs(x - y) for y in ys] for x in xs]
     else:
-        dist = st._graph_distances(xs, ys)
-    tq = [q.t for q, _ in nu.atoms]
+        t_max = max(tq)
+        dist = st._graph_distances(xs, ys, [t_max - p.t for p, _ in mu.atoms], tol)
     return [[t - p.t >= d - tol for t, d in zip(tq, row)]
             for (p, _), row in zip(mu.atoms, dist)]
 
@@ -224,18 +228,25 @@ def _max_flow(instance: _Instance, flows=None):
     grow, so no atom regains a free neighbour, and these augmentations are
     exactly the pass below: for i ascending, for j ascending over the arcs
     of row i, push ``min(free supply, free demand)``.  The result is the
-    one the BFS alone would reach, from any starting flow.
+    one the BFS alone would reach, from any starting flow.  The BFS steps
+    back from right atom j only over ``carriers[j]``, the rows that carry
+    flow into j, kept in ascending order at every push, so it visits the
+    rows in the order a scan of the whole column would.
     """
     supply, demand = instance.supply, instance.demand
     m = len(supply)
     n = len(demand)
     arcs = [list(compress(range(n), row)) for row in instance.adjacency]
+    carriers = [[] for _ in range(n)]
     if flows is None:
         flows = [[0] * n for _ in range(m)]
         used_supply, used_demand = [0] * m, [0] * n
     else:
         used_supply = [sum(row) for row in flows]
         used_demand = [sum(col) for col in zip(*flows)]
+        for i, row in enumerate(flows):
+            for j in compress(range(n), row):
+                carriers[j].append(i)
     for i in range(m):
         free = supply[i] - used_supply[i]
         if free <= 0:
@@ -247,6 +258,8 @@ def _max_flow(instance: _Instance, flows=None):
                 continue
             if push > free:
                 push = free
+            if not row[j]:
+                insort(carriers[j], i)
             row[j] += push
             used_demand[j] += push
             free -= push
@@ -273,9 +286,8 @@ def _max_flow(instance: _Instance, flows=None):
                             break
                         queue.append(m + j)
             else:
-                j = v - m
-                for i in range(m):
-                    if flows[i][j] > 0 and i not in parent:
+                for i in carriers[v - m]:
+                    if i not in parent:
                         parent[i] = v
                         queue.append(i)
         if found is None:
@@ -300,9 +312,13 @@ def _max_flow(instance: _Instance, flows=None):
         for k in range(len(path) - 1):
             v, w = path[k], path[k + 1]
             if v < m <= w:
+                if not flows[v][w - m]:
+                    insort(carriers[w - m], v)
                 flows[v][w - m] += bottleneck
             elif w < m <= v:
                 flows[w][v - m] -= bottleneck
+                if not flows[w][v - m]:
+                    carriers[v - m].remove(w)
 
 
 def _transport_exact(st, mu: SliceMeasure, nu: SliceMeasure) -> float:

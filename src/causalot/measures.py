@@ -322,7 +322,9 @@ def _transport_monotone(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
     sequences, kept as exact integers over a common power-of-two
     denominator, so every piece's mass is one correctly rounded quotient.
     The last atom of nu takes whatever mass of mu is left, which absorbs
-    the (at most 2e-12) difference of the two totals.
+    the (at most 2e-12) difference of the two totals.  A piece's cost is
+    :meth:`Spacetime.riemannian_distance`'s own expression, evaluated on
+    the atoms' canonical events without checking them again.
     """
     ints, scale = _dyadic_ints([w for _, w in mu.atoms + nu.atoms])
     levels = list(accumulate(ints))
@@ -330,12 +332,14 @@ def _transport_monotone(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
     total = levels[m - 1]
     cum_mu = levels[:m]
     cum_nu = [level - total for level in levels[m:-1]] + [total]
+    root = math.sqrt(st.u * st.alpha)
     pieces = []
     level = i = j = 0
     while i < m:
         nxt = min(cum_mu[i], cum_nu[j])
         if nxt > level:
-            cost = st.riemannian_distance(mu.atoms[i][0], nu.atoms[j][0])
+            p, q = mu.atoms[i][0], nu.atoms[j][0]
+            cost = root * math.hypot(q.t - p.t, abs(p.x - q.x))
             pieces.append((nxt - level) / scale * cost)
             level = nxt
         i += cum_mu[i] == nxt

@@ -11,14 +11,15 @@ provided:
   positive edge lengths, optical distance is shortest-path length
   (edge-interior points included).  Construction checks connectivity in
   O(V + E) and writes the edge lengths as exact integers over their
-  common power-of-two denominator.  The distances from a vertex are
-  computed by one integer Dijkstra on the first query that leaves from
-  it and cached, so a run pays one Dijkstra per source vertex it
-  queries; after that a distance is an O(1) lookup, compared exactly and
-  rounded to float once.  Vertex chains are built only for geodesics,
-  by a walk over the source's distances; :func:`causal_geodesic` refines
-  its leg at the vertex crossings with the leg refiner that every curve
-  constructor shares.
+  common power-of-two denominator.  Each source vertex a run queries
+  keeps one integer Dijkstra, resumed only as far as a query needs: to
+  its target vertex, or, for a causal adjacency row, until no unsettled
+  vertex can be causally related.  A settled distance is exact, the same
+  whatever order queries come in, and is rounded to float once.  Vertex
+  chains are built only for geodesics, by a walk over the source's
+  settled distances; :func:`causal_geodesic` refines its leg at the
+  vertex crossings with the leg refiner that every curve constructor
+  shares.
 
 The lapse ``alpha`` and the conformal factor ``u`` are global positive
 constants per scenario; they enter the auxiliary Riemannian product
@@ -87,11 +88,11 @@ class Event:
 class Spacetime:
     """Immutable backend bundling the spatial factor and the constants.
 
-    On the graph backend, the exact integer distances from a source vertex
-    are computed by one Dijkstra on first use and cached; a distance is
-    then an O(1) lookup, and only :meth:`geodesic_track` builds a vertex
-    chain, from the source's distances alone.  The cache is internal, and
-    every distance and track is the same whatever order queries come in.
+    On the graph backend, each queried source vertex keeps one resumable
+    Dijkstra (see ``_tree``), searched only as far as a query needs; only
+    :meth:`geodesic_track` builds a vertex chain, from the source's
+    settled distances alone.  The searches are internal, and every
+    distance and track is the same whatever order queries come in.
 
     Parameters
     ----------
@@ -173,27 +174,42 @@ class Spacetime:
             raise InputError("graph is not connected")
         self._trees = {}
 
-    def _tree(self, source):
-        # Exact distances from vertex id ``source``, computed on first use.
-        tree = self._trees.get(source)
-        if tree is None:
-            tree = self._trees[source] = self._dijkstra(source)
-        return tree
+    def _tree(self, source, until):
+        """Distances from vertex id ``source`` as exact integers over
+        self._scale, listed by vertex index; ``None`` where not yet settled.
 
-    def _dijkstra(self, source):
-        # Distances from vertex id ``source`` as exact integers over
-        # self._scale, listed by vertex index.
-        done = [None] * len(self.vertices)
-        heap = [(0, self._index[source])]
-        while heap:
+        The one Dijkstra from ``source`` keeps its settled list and its
+        heap in ``self._trees`` and resumes where the last query left it,
+        until ``until(done, key)`` holds for the settled list and the
+        heap's smallest key, or the heap is empty.  A settled distance is
+        final (the settled-set invariant: every unsettled vertex lies at
+        least the smallest key away), so it is the full search's, whatever
+        the order of the queries; a full search is the same search run to
+        the end.  Queries stop when their target vertex is settled, or, for
+        a causal adjacency row, when the smallest key already fails the
+        row's comparison (see ``_graph_distances``).
+        """
+        search = self._trees.get(source)
+        if search is None:
+            search = self._trees[source] = ([None] * len(self.vertices),
+                                            [(0, self._index[source])])
+        done, heap = search
+        adj = self._adj
+        while heap and not until(done, heap[0][0]):
             dist, i = heappop(heap)
             if done[i] is not None:
                 continue
             done[i] = dist
-            for j, length in self._adj[i]:
+            for j, length in adj[i]:
                 if done[j] is None:
                     heappush(heap, (dist + length, j))
         return done
+
+    def _vertex_distance(self, source, target):
+        # Exact distance between vertex ids over self._scale; the search
+        # from source stops once target is settled.
+        end = self._index[target]
+        return self._tree(source, lambda done, key: done[end] is not None)[end]
 
     def edge_length(self, a, b):
         key = (a, b) if a < b else (b, a)
@@ -302,11 +318,43 @@ class Spacetime:
         den = max(self._den(x), self._den(y))
         return _to_float(self._graph_distance(x, y, den), den)
 
-    def _graph_distances(self, xs, ys):
-        """``optical_distance(x, y)`` for canonical graph points, one row
-        per x."""
+    def _graph_distances(self, xs, ys, gaps, tol):
+        """The causal adjacency's bounded query on canonical graph points:
+        row k holds ``optical_distance(xs[k], y)``, or ``inf`` where row
+        k's comparison ``t - p.t >= d - tol`` cannot hold for any right
+        time t; ``gaps[k]`` is that row's largest ``t - p.t``.
+
+        The searches of x's exits are resumed only until the heap's
+        smallest key, taken as the route length through that exit and
+        rounded with ``_to_float``, fails ``gaps[k] >= d - tol``.  Every
+        unsettled vertex lies at least that key away, the offsets onto y
+        are nonnegative, and ``_to_float``, float subtraction and ``>=``
+        are monotone, so no route through an unsettled vertex passes the
+        comparison at any t of the row; the row's verdicts are the full
+        search's.  The direct move along a shared edge is always counted.
+        """
         den = max(self._den(x) for x in xs + ys)
-        return [[_to_float(self._graph_distance(x, y, den), den) for y in ys] for x in xs]
+        f = den // self._scale
+        exits_y = [[(self._index[vy], oy) for vy, oy in self._exits(y, den)] for y in ys]
+        rows = []
+        for x, gap in zip(xs, gaps):
+            ex = self._exits(x, den)
+            trees = [(ox, self._tree(vx, lambda done, key:
+                                     gap < _to_float(ox + key * f, den) - tol))
+                     for vx, ox in ex]
+            row = []
+            for y, ey in zip(ys, exits_y):
+                best = math.inf
+                for ox, dist in trees:
+                    for vy, oy in ey:
+                        d = dist[vy]
+                        if d is not None and ox + d * f + oy < best:
+                            best = ox + d * f + oy
+                if len(ex) == len(ey) == 2 and x[:2] == y[:2]:
+                    best = min(best, abs(ex[0][1] - ey[0][1]))
+                row.append(_to_float(best, den))
+            rows.append(row)
+        return rows
 
     def _den(self, x):
         # A power-of-two denominator over which the exits of canonical
@@ -329,10 +377,10 @@ class Spacetime:
         over den: the shortest of the routes through the exits of x and y,
         or the direct move when both lie inside one edge."""
         if isinstance(x, str) and isinstance(y, str):
-            return self._tree(x)[self._index[y]] * (den // self._scale)
+            return self._vertex_distance(x, y) * (den // self._scale)
         ex, ey = self._exits(x, den), self._exits(y, den)
         f = den // self._scale
-        best = min(ox + self._tree(vx)[self._index[vy]] * f + oy
+        best = min(ox + self._vertex_distance(vx, vy) * f + oy
                    for vx, ox in ex for vy, oy in ey)
         if len(ex) == len(ey) == 2 and x[:2] == y[:2]:
             best = min(best, abs(ex[0][1] - ey[0][1]))
@@ -343,8 +391,8 @@ class Spacetime:
 
         Ties are broken by the lexicographically smallest vertex sequence;
         the empty chain (direct move along a shared edge) wins every tie.
-        Every length is compared exactly, and only the trees of x's exit
-        vertices are read.
+        Every length is compared exactly, and only the searches of x's exit
+        vertices are read, each settled as far as y's exits.
         """
         den = max(self._den(x), self._den(y))
         best = self._graph_distance(x, y, den)
@@ -354,21 +402,24 @@ class Spacetime:
         f = den // self._scale
         return min(self._lex_path(vx, vy)
                    for vx, ox in self._exits(x, den) for vy, oy in self._exits(y, den)
-                   if ox + self._tree(vx)[self._index[vy]] * f + oy == best)
+                   if ox + self._vertex_distance(vx, vy) * f + oy == best)
 
     def _lex_path(self, source, target):
         # Lexicographically smallest shortest vertex sequence from source to
         # target.  Shortest routes are the paths of tight edges,
         # dist[u] + len(u, w) == dist[w]; the walk steps from source to the
-        # smallest tight neighbour that still reaches target.
-        dist = self._tree(source)
+        # smallest tight neighbour that still reaches target.  The search
+        # stops once target is settled; an unsettled u is not tight, since
+        # dist[u] >= the last key popped >= dist[target] >= dist[w] and
+        # every length is at least 1.
         end = self._index[target]
+        dist = self._tree(source, lambda done, key: done[end] is not None)
         reaches = {end}
         stack = [end]
         while stack:
             w = stack.pop()
             for u, length in self._adj[w]:
-                if u not in reaches and dist[u] + length == dist[w]:
+                if u not in reaches and dist[u] is not None and dist[u] + length == dist[w]:
                     reaches.add(u)
                     stack.append(u)
         path = [self._index[source]]

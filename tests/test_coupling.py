@@ -151,7 +151,7 @@ def test_graph_adjacency_matches_causally_precedes(eps_caus, monkeypatch):
     # Right atoms sit at times equal to left-right distances (the null
     # boundary), plus the tolerance, then one ulp either side; lengths and
     # offsets carry large power-of-two denominators.  The adjacency reads
-    # the distance trees directly and must give the per-pair booleans.
+    # the distance searches directly and must give the per-pair booleans.
     st = Spacetime("static-graph", vertices=["A", "B", "C", "D"],
                    edges=[("A", "B", 1.0), ("B", "C", 2.0 ** -53), ("C", "D", 1 + 2.0 ** -52),
                           ("A", "D", 0.75), ("A", "C", 1 + 2.0 ** -52)],

@@ -2,12 +2,14 @@ import math
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st_
 
 from causalot import (InputError, PreconditionError, Spacetime, causal_geodesic,
                       causal_lipschitz_constant, verify_causal)
+from causalot.coupling import _causal_adjacency
 from genrand import dyadic, random_graph, rng_for
 
 
@@ -73,28 +75,38 @@ def test_disconnected_graph_rejected():
             Spacetime("static-graph", vertices=vertices, edges=edges)
 
 
-def test_graph_build_runs_no_dijkstra_and_lookups_are_lazy(monkeypatch):
-    calls = []
-    dijkstra = Spacetime._dijkstra
+def _settled(st):
+    # The state of every search: settled distances and heap, per source.
+    return {v: (list(done), sorted(heap)) for v, (done, heap) in st._trees.items()}
 
-    def counted(self, source):
-        calls.append(source)
-        return dijkstra(self, source)
 
-    monkeypatch.setattr(Spacetime, "_dijkstra", counted)
+def _exhausted(st):
+    # st with the search from every vertex run to the end
+    for v in st.vertices:
+        st._tree(v, lambda done, key: False)
+    assert all(None not in done and not heap for done, heap in st._trees.values())
+    return st
+
+
+def test_graph_build_runs_no_dijkstra_and_lookups_are_lazy():
     names = [f"v{i:03d}" for i in range(400)]
     edges = [(names[i], names[(i + 1) % 400], 1.0) for i in range(400)]
     edges += [(names[i], names[(i + 133) % 400], 4.0) for i in range(0, 400, 7)]
     st = Spacetime("static-graph", vertices=names, edges=edges)
-    assert calls == []
+    assert st._trees == {}
+    assert st.optical_distance("v000", "v002") == 2.0
+    # a near target settles only v000, its ring neighbours and v002
+    assert list(st._trees) == ["v000"]
+    assert sum(d is not None for d in st._trees["v000"][0]) == 4
     d = st.optical_distance("v000", "v200")
-    assert calls == ["v000"]
+    state = _settled(st)
     assert st.optical_distance("v000", "v200") == d
-    assert calls == ["v000"]
+    assert st.optical_distance("v000", "v002") == 2.0
+    assert _settled(st) == state
 
 
 def _assert_query_order_free(st_forward, st_reversed, st_eager):
-    st_eager._trees = {v: st_eager._dijkstra(v) for v in st_eager.vertices}
+    _exhausted(st_eager)
     pts = list(st_eager.vertices)
     for a, b in sorted(st_eager.edges):
         pts += [(a, b, st_eager.edge_length(a, b) / 4), (a, b, st_eager.edge_length(a, b) / 2)]
@@ -334,24 +346,79 @@ def test_graph_routes_are_exact_for_mixed_dyadic_lengths(case):
             assert st.geodesic_track(x, y) == _track(st, x, chain, y), (x, y, st.edges)
 
 
-def test_geodesic_track_after_distance_runs_no_dijkstra(monkeypatch):
-    calls = []
-    dijkstra = Spacetime._dijkstra
+@st_.composite
+def _graphs_with_points(draw):
+    # _small_graphs, or a 3x3 to 5x5 grid with up to three edge-interior points
+    if draw(st_.booleans()):
+        return draw(_small_graphs())
+    graph = _grid_graph(rng_for(draw(st_.integers(0, 999))), draw(st_.integers(3, 5)))
+    pts = list(graph.vertices)
+    for a, b in draw(st_.lists(st_.sampled_from(sorted(graph.edges)), max_size=3)):
+        pts.append((a, b, graph.edge_length(a, b) * draw(st_.sampled_from((0.25, 0.5)))))
+    return graph, pts
 
-    def counted(self, source):
-        calls.append(source)
-        return dijkstra(self, source)
 
-    monkeypatch.setattr(Spacetime, "_dijkstra", counted)
+def _same_graph(st, eps_caus):
+    return Spacetime("static-graph", vertices=st.vertices, eps_caus=eps_caus,
+                     edges=[(a, b, length) for (a, b), length in st.edges.items()])
+
+
+@st_.composite
+def _adjacency_query(draw, ref, pts):
+    # Left events at a few times; each right event lies a drawn gap after a
+    # left one: at the exact null boundary d or at the comparison's edge
+    # d - causal_tol, each moved one ulp either way, or at d + causal_tol,
+    # with d the exhausted spacetime's distance.
+    left = [ref.event(draw(st_.sampled_from((0.0, -0.5, -2.0))), x)
+            for x in draw(st_.lists(st_.sampled_from(pts), min_size=1, max_size=4))]
+    right = []
+    for _ in range(draw(st_.integers(1, 4))):
+        p, y = draw(st_.sampled_from(left)), draw(st_.sampled_from(pts))
+        d = ref.optical_distance(p.x, y)
+        edge = draw(st_.sampled_from((d, d - ref.causal_tol)))
+        gap = draw(st_.sampled_from((edge, math.nextafter(edge, -math.inf),
+                                     math.nextafter(edge, math.inf), d + ref.causal_tol)))
+        right.append(ref.event(p.t + gap, y))
+    return ("adjacency", SimpleNamespace(atoms=[(e, 1.0) for e in left]),
+            SimpleNamespace(atoms=[(e, 1.0) for e in right]))
+
+
+def _answer(st, query):
+    kind, x, y = query
+    if kind == "adjacency":
+        return _causal_adjacency(st, x, y)
+    if kind == "distance":
+        return st.optical_distance(x, y)
+    return st.geodesic_track(x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st_.data(), _graphs_with_points(), st_.sampled_from([0.0, 1e-6, 0.25]))
+def test_interleaved_queries_match_exhausted_searches(data, case, eps_caus):
+    # Adjacency rows stop their searches early, distances and geodesics at
+    # their targets; in any interleaving on one spacetime each answer is
+    # that of a spacetime whose searches all ran to the end.
+    graph, pts = case
+    st, ref = _same_graph(graph, eps_caus), _exhausted(_same_graph(graph, eps_caus))
+    pairs = st_.tuples(st_.sampled_from(pts), st_.sampled_from(pts))
+    queries = data.draw(st_.lists(st_.one_of(
+        _adjacency_query(ref, pts),
+        pairs.map(lambda xy: ("distance",) + xy),
+        pairs.map(lambda xy: ("track",) + xy)), min_size=1, max_size=12))
+    for query in queries:
+        assert _answer(st, query) == _answer(ref, query), query
+
+
+def test_geodesic_track_after_distance_runs_no_dijkstra():
     st = _grid_graph(rng_for(8300), 5)
     pts = ["a0", "e4", "c2", ("b2", "c2", st.edge_length("b2", "c2") / 2)]
     for x in pts:
         for y in pts:
             st.optical_distance(x, y)
-            before = list(calls)
+            state = _settled(st)
             st.geodesic_track(x, y)
-            assert calls == before, (x, y)
-    assert sorted(calls) == ["a0", "b2", "c2", "e4"]
+            assert _settled(st) == state, (x, y)
+    assert sorted(st._trees) == ["a0", "b2", "c2", "e4"]
 
 
 def test_metric_properties_random_triples():
