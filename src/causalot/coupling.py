@@ -20,7 +20,11 @@ thousands of instances anyway.
 The arcs of the support graph are the causal relation, computed in plain
 Python by one of two routes chosen from the input: on a Minkowski pair
 whose right atoms share one time, a left atom's arcs are one run of right
-atoms, found by bisection; elsewhere every pair is compared.
+atoms, found by bisection; elsewhere every pair is compared.  The support
+graph has one representation, ascending index rows: ``rows[i]`` lists the
+right atoms that left atom i reaches, a ``range`` on the run route.  Max
+flow, the cut witness, the Strassen check and W1's tight arcs all read
+the rows as they are.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
 
 from .errors import InputError
 from .measures import Coupling, SliceMeasure, _glued_pairs, _one_time, slice_measures_equal
@@ -66,6 +69,9 @@ class MeshSpec:
     EXPLICIT = "explicit"
 
     def __post_init__(self):
+        if self.kind not in (self.DYADIC, self.INTEGER, self.EXPLICIT):
+            raise InputError(f"unknown mesh kind {self.kind!r}: "
+                             "expected 'dyadic', 'integer' or 'explicit'")
         if self.kind == self.DYADIC:
             for name in ("a", "b", "depth"):
                 if getattr(self, name) is None:
@@ -78,6 +84,13 @@ def dyadic_times(a, b, depth):
     return [a + (b - a) * i / n for i in range(n + 1)]
 
 
+def _times_match(actual, wanted):
+    """True when two time lists have one length and agree entrywise within
+    ``GRID_ATOL``; NaN times match nothing."""
+    return len(actual) == len(wanted) and all(
+        abs(s - t) <= GRID_ATOL for s, t in zip(actual, wanted))
+
+
 class Evolution:
     """A time-indexed family of slice measures on the level sets of one
     time function, with strictly increasing times."""
@@ -86,6 +99,9 @@ class Evolution:
         entries = tuple((float(t), mu) for t, mu in entries)
         if not entries:
             raise InputError("an evolution needs at least one slice")
+        for t, _ in entries:
+            if not math.isfinite(t):
+                raise InputError(f"slice time {t} is not finite")
         for (s, _), (t, _) in zip(entries, entries[1:]):
             if t <= s:
                 raise InputError(f"slice times must strictly increase: {s} then {t}")
@@ -114,16 +130,13 @@ class Evolution:
         mesh = self.mesh
         times = self.times
         if mesh.kind == MeshSpec.DYADIC:
-            want = dyadic_times(mesh.a, mesh.b, mesh.depth)
-            # NaN times match nothing
-            if len(times) != len(want) or any(
-                    not abs(s - t) <= GRID_ATOL for s, t in zip(times, want)):
+            if not _times_match(times, dyadic_times(mesh.a, mesh.b, mesh.depth)):
                 raise InputError(
                     f"times {list(times)} do not form the dyadic mesh of "
                     f"[{mesh.a}, {mesh.b}] at depth {mesh.depth}")
         elif mesh.kind == MeshSpec.INTEGER:
             for s, t in zip(times, times[1:]):
-                if abs((t - s) - 1.0) > GRID_ATOL:
+                if not abs((t - s) - 1.0) <= GRID_ATOL:
                     raise InputError(f"integer grid needs unit steps, got {s} then {t}")
 
     def __len__(self):
@@ -134,19 +147,21 @@ class Evolution:
 
 
 def _causal_adjacency(st, mu, nu):
-    """Rows of the causal relation: ``rows[i][j]`` is True when left atom i
-    causally precedes right atom j, by the comparison of
-    :meth:`Spacetime.causally_precedes` at ``st.causal_tol``.
+    """Rows of the causal relation: ``rows[i]`` holds, in ascending order,
+    the indices j of the right atoms that left atom i causally precedes,
+    by the comparison of :meth:`Spacetime.causally_precedes` at
+    ``st.causal_tol``.
 
     When the right support of a Minkowski pair lies on one time, each row
-    is one run of right atoms.  Those atoms are sorted by x, and IEEE
-    subtraction and ``abs`` are monotone, so ``abs(x - y)`` falls as y
-    rises to x and grows after it: the comparison holds on one contiguous
-    run.  A bisection on ``x -/+ (dt + tol)`` finds each end up to
-    rounding, and the comparison itself settles it, walking outwards
-    while it holds and inwards while it fails.  Other pairs (tilted or
-    mixed-time Minkowski supports, graphs) compare every pair densely
-    over the same IEEE operations; on a graph, the distance searches stop
+    is one run of right atoms, returned as ``range(lo, hi)``.  Those atoms
+    are sorted by x, and IEEE subtraction and ``abs`` are monotone, so
+    ``abs(x - y)`` falls as y rises to x and grows after it: the
+    comparison holds on one contiguous run.  A bisection on
+    ``x -/+ (dt + tol)`` finds each end up to rounding, and the comparison
+    itself settles it, walking outwards while it holds and inwards while
+    it fails.  Other pairs (tilted or mixed-time Minkowski supports,
+    graphs) compare every pair over the same IEEE operations and list the
+    indices that pass; on a graph, the distance searches stop
     once no farther vertex can pass a row's comparison at the latest
     right time, and the entries beyond read inf
     (:meth:`Spacetime._graph_distances`).
@@ -172,7 +187,7 @@ def _causal_adjacency(st, mu, nu):
                 hi += 1
             while hi > mid and dt < abs(x - ys[hi - 1]) - tol:
                 hi -= 1
-            rows.append([False] * lo + [True] * (hi - lo) + [False] * (n - hi))
+            rows.append(range(lo, hi))
         return rows
     xs = [p.x for p, _ in mu.atoms]
     tq = [q.t for q, _ in nu.atoms]
@@ -181,14 +196,16 @@ def _causal_adjacency(st, mu, nu):
     else:
         t_max = max(tq)
         dist = st._graph_distances(xs, ys, [t_max - p.t for p, _ in mu.atoms], tol)
-    return [[t - p.t >= d - tol for t, d in zip(tq, row)]
+    return [[j for j, (t, d) in enumerate(zip(tq, row)) if t - p.t >= d - tol]
             for (p, _), row in zip(mu.atoms, dist)]
 
 
 class _Instance:
     """Exactly mass-balanced integer transport instance between two
-    supports, over the given adjacency rows: the causal relation for a
-    decision, the tight arcs of a phase for W1."""
+    supports, over the given adjacency: ascending index rows, ``rows[i]``
+    the right atoms with an arc from left atom i.  They are the causal
+    relation of :func:`_causal_adjacency` for a decision, the tight arcs
+    of a phase for W1."""
 
     def __init__(self, mu, nu, adjacency):
         m = len(mu.atoms)
@@ -211,11 +228,13 @@ def _max_flow(instance: _Instance, flows=None):
     """Edmonds-Karp max flow on source -> left atoms -> right atoms -> sink
     with integer capacities; deterministic arc ordering by atom index.
 
-    Returns (value, flows, reachable) where flows[i][j] is the flow pushed
-    along the admissible arc i -> j and reachable is the set of left atoms
-    reachable from the source in the final residual graph (a min-cut
-    witness when the flow is not saturating).  ``flows``, when given, is a
-    feasible starting flow on admissible arcs and is augmented in place.
+    The arcs are the instance's index rows, scanned as they are.  Returns
+    (value, flows, reachable) where flows[i][j] is the flow pushed along
+    the admissible arc i -> j (a dense m x n integer matrix, zero off the
+    arcs) and reachable is the set of left atoms reachable from the
+    source in the final residual graph (a min-cut witness when the flow
+    is not saturating).  ``flows``, when given, is a feasible starting
+    flow on admissible arcs and is augmented in place.
 
     The augmenting paths found first are direct arcs, and one greedy pass
     pushes them all before the first BFS.  Each BFS queues the left atoms
@@ -236,7 +255,7 @@ def _max_flow(instance: _Instance, flows=None):
     supply, demand = instance.supply, instance.demand
     m = len(supply)
     n = len(demand)
-    arcs = [list(compress(range(n), row)) for row in instance.adjacency]
+    arcs = instance.adjacency
     carriers = [[] for _ in range(n)]
     if flows is None:
         flows = [[0] * n for _ in range(m)]
@@ -245,8 +264,9 @@ def _max_flow(instance: _Instance, flows=None):
         used_supply = [sum(row) for row in flows]
         used_demand = [sum(col) for col in zip(*flows)]
         for i, row in enumerate(flows):
-            for j in compress(range(n), row):
-                carriers[j].append(i)
+            for j in arcs[i]:
+                if row[j]:
+                    carriers[j].append(i)
     for i in range(m):
         free = supply[i] - used_supply[i]
         if free <= 0:
@@ -336,11 +356,12 @@ def _transport_exact(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
     v = [min(c[j] - ui for c, ui in zip(cost, u)) for j in range(n)]
     flows = None
     while True:
-        inst.adjacency = [[ui + vj == cij for vj, cij in zip(v, c)] for c, ui in zip(cost, u)]
+        inst.adjacency = [[j for j, (vj, cij) in enumerate(zip(v, c)) if ui + vj == cij]
+                          for c, ui in zip(cost, u)]
         value, flows, reachable = _max_flow(inst, flows)
         if value == inst.scale:
             break
-        right = {j for i in reachable for j in range(n) if inst.adjacency[i][j]}
+        right = {j for i in reachable for j in inst.adjacency[i]}
         delta = min(cost[i][j] - u[i] - v[j]
                     for i in reachable for j in range(n) if j not in right)
         for i in reachable:
@@ -375,13 +396,13 @@ def _decide(st, mu: SliceMeasure, nu: SliceMeasure):
     """
     inst = _Instance(mu, nu, _causal_adjacency(st, mu, nu))
     value, flows, reachable = _max_flow(inst)
-    columns = range(len(nu.atoms))
     if not _deficient(inst.scale - value, inst.scale):
         atoms = [((p, nu.atoms[j][0]), inst.weight_from_units(row[j]))
-                 for (p, _), row in zip(mu.atoms, flows) for j in compress(columns, row)]
+                 for (p, _), arcs, row in zip(mu.atoms, inst.adjacency, flows)
+                 for j in arcs if row[j]]
         return atoms, None
     left = sorted(reachable)
-    future = sorted({j for i in left for j in compress(columns, inst.adjacency[i])})
+    future = sorted({j for i in left for j in inst.adjacency[i]})
     return None, CutWitness(tuple(mu.atoms[i][0] for i in left),
                             math.fsum(mu.atoms[i][1] for i in left),
                             math.fsum(nu.atoms[j][1] for j in future))
@@ -417,10 +438,9 @@ def dominates_on_upsets(st, mu: SliceMeasure, nu: SliceMeasure) -> bool:
     inst = _Instance(mu, nu, _causal_adjacency(st, mu, nu))
     n = len(nu.atoms)
     future_masks = [0] * n
-    for j in range(n):
-        for i in range(m):
-            if inst.adjacency[i][j]:
-                future_masks[j] |= 1 << i
+    for i, row in enumerate(inst.adjacency):
+        for j in row:
+            future_masks[j] |= 1 << i
     for mask in range(1, 1 << m):
         mu_mass = sum(inst.supply[i] for i in range(m) if mask & (1 << i))
         nu_mass = sum(inst.demand[j] for j in range(n) if future_masks[j] & mask)
@@ -485,10 +505,17 @@ class EvolutionReport:
 def check_evolution(st, evo: Evolution, mode="consecutive") -> EvolutionReport:
     """Decide whether an evolution is causal.
 
-    ``consecutive`` checks each neighbouring pair of slices, which
-    suffices because witness couplings compose through the shared
-    marginal; ``all-pairs`` checks every ordered pair.  The report carries
-    a min-cut witness for the first failing pair.
+    ``consecutive`` checks each neighbouring pair of slices; ``all-pairs``
+    checks every ordered pair.  The report carries a min-cut witness for
+    the first failing pair.
+
+    Consecutive pairs would suffice for the exact causal relation, which
+    is transitive, since witness couplings compose through the shared
+    marginal.  But pairs are compared at ``st.causal_tol``, and a relation
+    with slack is not transitive.  At the tolerance edge, consecutive mode
+    can accept an evolution that all-pairs mode refuses, whose glued
+    curves then join a non-causal pair of slices; Dirac slices at
+    ``(k, k * (1 + 0.9e-9))``, k = 0, 1, 2, with ``eps_caus = 0`` are one.
     """
     if mode not in ("consecutive", "all-pairs"):
         raise InputError(f"unknown mode {mode!r}")

@@ -93,10 +93,12 @@ class SliceMeasure:
         if abs(total - 1.0) > MASS_ATOL:
             raise InputError(f"weights must sum to 1 within {MASS_ATOL}, got {total!r}")
         if self.tau is not None:
+            if not math.isfinite(self.tau):
+                raise InputError(f"level-set time tau={self.tau} is not finite")
             tf = time_function or canonical_time()
             for e, _ in self.atoms:
                 v = tf.value(st, e)
-                if abs(v - self.tau) > GEOM_ATOL:
+                if not abs(v - self.tau) <= GEOM_ATOL:
                     raise InputError(
                         f"atom {e} has time value {v}, not on the level set {self.tau}")
 

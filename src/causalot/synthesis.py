@@ -29,7 +29,7 @@ from .curves import Interval, _compact_curve, is_time_parametrized
 from .measures import (Coupling, CurveMeasure, concat_measures,
                        curve_measures_equal, marginal_at,
                        pushforward_reparametrize, slice_measures_equal)
-from .coupling import Evolution, MeshSpec, _decide, check_evolution
+from .coupling import Evolution, MeshSpec, _decide, _times_match, check_evolution
 
 
 class NonCausalEvolutionError(PreconditionError):
@@ -318,9 +318,7 @@ class SynthesisPlan:
 
 
 def _match_times(actual, wanted, what):
-    # NaN times match nothing
-    if len(actual) != len(wanted) or any(
-            not abs(s - t) <= GRID_ATOL for s, t in zip(actual, wanted)):
+    if not _times_match(actual, wanted):
         raise InputError(f"evolution times {list(actual)} do not match the {what} "
                          f"mesh {list(wanted)}")
 

@@ -118,12 +118,22 @@ NUDGES = (lambda v: v, lambda v: math.nextafter(v, math.inf),
           lambda v: math.nextafter(v, -math.inf))
 
 
+def _index_rows(matrix):
+    """A boolean matrix as the support graph's ascending index rows."""
+    return [[j for j, arc in enumerate(row) if arc] for row in matrix]
+
+
+def _listed(rows):
+    # run-route rows are ranges
+    return [list(row) for row in rows]
+
+
 @pytest.mark.parametrize("eps_caus", [0.0, 1e-6, 0.25])
 def test_minkowski_adjacency_matches_causally_precedes(eps_caus):
     # Right atoms sit on the null boundary |dx| = dt (and on dt + tol), then
-    # one ulp either side of it in x and in t; the vectorised adjacency must
-    # give the same booleans as the per-pair loop at the spacetime's causal
-    # tolerance.
+    # one ulp either side of it in x and in t; the adjacency's index rows
+    # must list the pairs the per-pair loop accepts at the spacetime's
+    # causal tolerance.
     st = Spacetime("minkowski-1+1", eps_caus=eps_caus)
     tol = st.causal_tol
     assert tol == max(eps_caus, GEOM_ATOL)
@@ -141,7 +151,7 @@ def test_minkowski_adjacency_matches_causally_precedes(eps_caus):
                              0.125) for x in xs])
                         want = [[st.causally_precedes(p, q, tol) for q, _ in nu.atoms]
                                 for p, _ in mu.atoms]
-                        assert _causal_adjacency(st, mu, nu) == want
+                        assert _listed(_causal_adjacency(st, mu, nu)) == _index_rows(want)
                         seen.update(want[i][i] for i in range(len(xs)))
     assert seen == {True, False}
 
@@ -151,7 +161,7 @@ def test_graph_adjacency_matches_causally_precedes(eps_caus, monkeypatch):
     # Right atoms sit at times equal to left-right distances (the null
     # boundary), plus the tolerance, then one ulp either side; lengths and
     # offsets carry large power-of-two denominators.  The adjacency reads
-    # the distance searches directly and must give the per-pair booleans.
+    # the distance searches directly and must list the per-pair arcs.
     st = Spacetime("static-graph", vertices=["A", "B", "C", "D"],
                    edges=[("A", "B", 1.0), ("B", "C", 2.0 ** -53), ("C", "D", 1 + 2.0 ** -52),
                           ("A", "D", 0.75), ("A", "C", 1 + 2.0 ** -52)],
@@ -173,7 +183,7 @@ def test_graph_adjacency_matches_causally_precedes(eps_caus, monkeypatch):
                 monkeypatch.setattr(Spacetime, "causally_precedes", precedes)
                 want = [[st.causally_precedes(p, q, tol) for q, _ in nu.atoms]
                         for p, _ in mu.atoms]
-                assert adjacency == want
+                assert _listed(adjacency) == _index_rows(want)
                 seen.update(b for row in want for b in row)
     assert calls == []
     assert seen == {True, False}
@@ -196,7 +206,7 @@ def _adjacency_matches(st, left, right):
     mu, nu = _support(st, left), _support(st, right)
     want = [[st.causally_precedes(p, q, st.causal_tol) for q, _ in nu.atoms]
             for p, _ in mu.atoms]
-    return _causal_adjacency(st, mu, nu) == want
+    return _listed(_causal_adjacency(st, mu, nu)) == _index_rows(want)
 
 
 _EPS_CAUS = st_.sampled_from([0.0, 1e-6, 0.25])
@@ -297,8 +307,8 @@ def _oracle_max_flow(instance, flows=None):
         while queue and found is None:
             v = queue.popleft()
             if v < m:
-                for j in range(n):
-                    if instance.adjacency[v][j] and (m + j) not in parent:
+                for j in instance.adjacency[v]:
+                    if (m + j) not in parent:
                         parent[m + j] = v
                         if instance.demand[j] - used_demand[j] > 0:
                             found = m + j
@@ -354,7 +364,7 @@ def _oracle_decide(st, mu, nu):
                  for j, (q, _) in enumerate(nu.atoms) if flows[i][j] > 0]
         return atoms, None
     left = sorted(reachable)
-    future = sorted({j for i in left for j in range(len(nu.atoms)) if inst.adjacency[i][j]})
+    future = sorted({j for i in left for j in inst.adjacency[i]})
     return None, coupling.CutWitness(tuple(mu.atoms[i][0] for i in left),
                                      math.fsum(mu.atoms[i][1] for i in left),
                                      math.fsum(nu.atoms[j][1] for j in future))
@@ -406,7 +416,7 @@ def _partial_flow(draw, inst):
     m, n = len(inst.supply), len(inst.demand)
     free_supply, free_demand = list(inst.supply), list(inst.demand)
     flows = [[0] * n for _ in range(m)]
-    arcs = [(i, j) for i in range(m) for j in range(n) if inst.adjacency[i][j]]
+    arcs = [(i, j) for i, row in enumerate(inst.adjacency) for j in row]
     for i, j in draw(st_.permutations(arcs)):
         cap = min(free_supply[i], free_demand[j])
         push = draw(st_.sampled_from([0, cap, cap // 2, cap // 3]))
@@ -441,7 +451,7 @@ def test_max_flow_matches_plain_edmonds_karp_on_bipartite_graphs(data):
                                     min_size=m, max_size=m))
     supply = data.draw(st_.lists(st_.integers(1, 6), min_size=m, max_size=m))
     demand = data.draw(st_.lists(st_.integers(1, 6), min_size=n, max_size=n))
-    inst = SimpleNamespace(supply=supply, demand=demand, adjacency=adjacency)
+    inst = SimpleNamespace(supply=supply, demand=demand, adjacency=_index_rows(adjacency))
     _same_as_oracle(inst)
     _same_as_oracle(inst, data.draw(_partial_flow(inst)))
 
@@ -453,7 +463,8 @@ def test_max_flow_reroutes_after_the_greedy_pass(k):
     # path of 2k + 1 arcs: k -> 0 -> left 0 -> 1 -> ... -> right k.
     adjacency = [[j in (i, i + 1) for j in range(k + 1)] for i in range(k)]
     adjacency.append([j == 0 for j in range(k + 1)])
-    inst = SimpleNamespace(supply=[1] * (k + 1), demand=[1] * (k + 1), adjacency=adjacency)
+    inst = SimpleNamespace(supply=[1] * (k + 1), demand=[1] * (k + 1),
+                           adjacency=_index_rows(adjacency))
     value, flows, reachable = _same_as_oracle(inst)
     assert value == k + 1
     assert flows == [[int(j == i + 1) for j in range(k + 1)] for i in range(k)] + \
@@ -606,6 +617,33 @@ def test_consecutive_implies_all_pairs():
         evo, _, _ = random_causal_evolution(rng, st, times, mesh=MeshSpec("integer"))
         assert check_evolution(st, evo, "consecutive").causal
         assert check_evolution(st, evo, "all-pairs").causal
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_slice_time_is_refused(mink, bad):
+    # NaN compares False both ways, so neither the order check nor the unit
+    # step check would see it; it is refused by name
+    entries = [(0.0, delta(mink, 0, 0.0)), (bad, delta(mink, 1, 0.0)),
+               (2.0, delta(mink, 2, 0.0))]
+    with pytest.raises(InputError, match=f"slice time {bad} is not finite"):
+        Evolution(mink, entries, T0, MeshSpec("integer"))
+
+
+def test_integer_mesh_needs_unit_steps(mink):
+    entries = [(t, delta(mink, t, 0.0)) for t in (0.0, 1.0, 2.5)]
+    evo = Evolution(mink, entries, T0, MeshSpec("integer"))
+    with pytest.raises(InputError, match="integer grid needs unit steps, got 1.0 then 2.5"):
+        evo.validate_mesh()
+    # a NaN smuggled past the constructor fails the step check too
+    evo.entries = ((0.0, entries[0][1]), (math.nan, entries[1][1]))
+    with pytest.raises(InputError, match="unit steps"):
+        evo.validate_mesh()
+
+
+@pytest.mark.parametrize("kind", ["bogus", "Dyadic", ""])
+def test_unknown_mesh_kind_is_refused(kind):
+    with pytest.raises(InputError, match=f"unknown mesh kind {kind!r}"):
+        MeshSpec(kind)
 
 
 def test_slice_tag_violation_names_atom(mink):

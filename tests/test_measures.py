@@ -46,6 +46,13 @@ def test_slice_measure_merges_and_validates(mink):
         SliceMeasure(mink, [(mink.event(0, 1.0), 1.0)], time_function=T0, tau=5.0)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_non_finite_level_set_time_is_refused(mink, tau):
+    # |v - NaN| > tol is False, so the level-set test alone would accept it
+    with pytest.raises(InputError, match=f"tau={tau} is not finite"):
+        SliceMeasure(mink, [(mink.event(0, 1.0), 1.0)], time_function=T0, tau=tau)
+
+
 @pytest.mark.parametrize("atoms", [[(0.0, math.nan)], [(0.0, 1.0), (1.0, math.nan)]])
 def test_nan_weight_is_refused(mink, atoms):
     # NaN is neither positive nor a mass that sums to one

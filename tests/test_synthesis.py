@@ -318,6 +318,27 @@ def test_nan_mesh_times_match_nothing(mink):
         evo.validate_mesh()
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: causality compared with slack is not "
+                          "transitive, so consecutive mode accepts what all-pairs refuses")
+def test_consecutive_causality_composes_at_the_tolerance_edge():
+    # Dirac slices at (k, k * (1 + 0.9e-9)): each unit step is superluminal
+    # by 0.9e-9, inside GEOM_ATOL, but the two steps together by 1.8e-9.
+    # Consecutive mode, all-pairs mode and the synthesized curves must agree.
+    st = Spacetime("minkowski-1+1", eps_caus=0.0)
+    evo = Evolution(st, [(float(k), delta(st, k, k * (1 + 0.9e-9))) for k in range(3)],
+                    T0, MeshSpec("integer"))
+    causal = check_evolution(st, evo).causal
+    assert check_evolution(st, evo, "all-pairs").causal == causal
+    if causal:
+        sigma = synthesize_slabs(st, T0, evo, 2, "forward")
+        for s, t in [(0.0, 1.0), (1.0, 2.0), (0.0, 2.0)]:
+            extract_coupling(sigma, s, t)
+    else:
+        with pytest.raises(NonCausalEvolutionError):
+            synthesize_slabs(st, T0, evo, 2, "forward")
+
+
 def test_plan_left_open_geometric(mink):
     wanted = [1.0 - t for t in geometric_times(0.0, 1.0, 3)][::-1]
     entries = [(t, delta(mink, t, 0.0)) for t in wanted]
