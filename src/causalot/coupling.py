@@ -76,6 +76,10 @@ class MeshSpec:
             for name in ("a", "b", "depth"):
                 if getattr(self, name) is None:
                     raise InputError(f"a dyadic mesh needs {name!r}")
+            depth = self.depth
+            if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
+                raise InputError(
+                    f"a dyadic mesh needs a non-negative integer depth, got {depth!r}")
 
 
 def dyadic_times(a, b, depth):
@@ -130,7 +134,10 @@ class Evolution:
         mesh = self.mesh
         times = self.times
         if mesh.kind == MeshSpec.DYADIC:
-            if not _times_match(times, dyadic_times(mesh.a, mesh.b, mesh.depth)):
+            # the count first: a deep declared mesh is refused without
+            # building its 2**depth + 1 times
+            if len(times) != (1 << mesh.depth) + 1 or not _times_match(
+                    times, dyadic_times(mesh.a, mesh.b, mesh.depth)):
                 raise InputError(
                     f"times {list(times)} do not form the dyadic mesh of "
                     f"[{mesh.a}, {mesh.b}] at depth {mesh.depth}")
@@ -460,9 +467,12 @@ def compose_couplings(st, first: Coupling, second: Coupling) -> Coupling:
     mid, mid2 = first.marginal(1), second.marginal(0)
     if not slice_measures_equal(mid, mid2, wtol=1e-9):
         raise InputError("middle marginals of the two couplings do not match")
-    return Coupling(st, [((p, r), w1 * w2 / wy)
-                         for wy, _, ((p, _), w1), ((_, r), w2)
-                         in _glued_pairs(mid, mid2, first.atoms, second.atoms)])
+    atoms = []
+    for wy, _, i, j in _glued_pairs(mid, mid2):
+        (p, _), w1 = first.atoms[i]
+        (_, r), w2 = second.atoms[j]
+        atoms.append(((p, r), w1 * w2 / wy))
+    return Coupling(st, atoms)
 
 
 # -- evolutions -------------------------------------------------------------------

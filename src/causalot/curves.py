@@ -149,31 +149,40 @@ class CausalCurve:
     """
 
     def __init__(self, st, domain, breakpoints, pace=None, time_function=None,
-                 _valid_from=0):
+                 _pieces=None):
         self.spacetime = st
         self.domain = domain
-        self.breakpoints = tuple((float(tau), e) for tau, e in breakpoints)
         self.pace = None if pace is None else float(pace)
         self.time_function = time_function
-        self._params = tuple(tau for tau, _ in self.breakpoints)
-        self._validate(_valid_from)
+        if _pieces is None:
+            self.breakpoints = tuple((float(tau), e) for tau, e in breakpoints)
+            self._params = tuple(tau for tau, _ in self.breakpoints)
+        else:  # concat's breakpoints, joined from the pieces' own
+            self.breakpoints = breakpoints
+            self._params = _pieces[0]._params + _pieces[1]._params[1:]
+        self._key = None
+        self._validate(_pieces)
 
     # -- construction and validation ----------------------------------------
 
-    def _validate(self, start):
+    def _validate(self, pieces):
         """Check the breakpoints, the domain and the time-affinity.
 
-        The checks on consecutive breakpoints and on affinity run from
-        breakpoint ``start`` on; the caller guarantees that those before it
-        passed them already, against the same first breakpoint, pace and
-        time function (``concat`` passes the last breakpoint of its left
-        piece).
+        ``pieces`` is None, or the pair of curves that ``concat`` joins into
+        this one.  The consecutive-breakpoint checks then run on the
+        junction pair alone, because every other pair is a pair of one piece
+        and passed them when that piece was built.  Affinity is checked from
+        the junction on against this curve's own first breakpoint and pace,
+        on the time values the pieces cached (``_values``, one per
+        breakpoint, kept by every time-affine curve).
         """
         st = self.spacetime
         if not self.breakpoints:
             raise InputError("a curve needs at least one breakpoint")
+        start = 0 if pieces is None else len(pieces[0].breakpoints) - 1
         tail = self.breakpoints[start:]
-        for (s, p), (t, q) in zip(tail, tail[1:]):
+        pairs = tail if pieces is None else tail[:2]
+        for (s, p), (t, q) in zip(pairs, pairs[1:]):
             if t <= s:
                 raise InputError(f"breakpoint parameters must increase: {s} then {t}")
             if q.t <= p.t:
@@ -195,14 +204,22 @@ class CausalCurve:
             if self.pace <= 0:
                 raise InputError(f"pace must be positive, got {self.pace}")
             tf = self.time_function or canonical_time()
-            v0 = tf.value(st, self.breakpoints[0][1])
+            if pieces is None:
+                values = tuple(tf.value(st, e) for _, e in self.breakpoints)
+            else:
+                c1, c2 = pieces
+                right = c2._values if c2.time_function is c1.time_function else tuple(
+                    tf.value(st, e) for _, e in c2.breakpoints)
+                values = c1._values + right[1:]
+            v0 = values[0]
             t0 = self._params[0]
-            for tau, e in tail:
+            for (tau, e), v in zip(tail, values[start:]):
                 expected = v0 + self.pace * (tau - t0)
-                if abs(tf.value(st, e) - expected) > GEOM_ATOL:
+                if abs(v - expected) > GEOM_ATOL:
                     raise InputError(
                         f"breakpoint {e} at parameter {tau} violates time-affinity "
-                        f"(value {tf.value(st, e)}, expected {expected})")
+                        f"(value {v}, expected {expected})")
+            self._values = values
 
     @classmethod
     def from_breakpoints(cls, st, domain, breakpoints, time_function=None):
@@ -294,13 +311,20 @@ class CausalCurve:
     def with_domain(self, domain):
         """Rewrap the same breakpoints over a different interval kind (the
         window convention supplies the values beyond the breakpoints)."""
-        return CausalCurve(self.spacetime, domain, self.breakpoints,
-                           pace=self.pace, time_function=self.time_function)
+        out = CausalCurve(self.spacetime, domain, self.breakpoints,
+                          pace=self.pace, time_function=self.time_function)
+        if self._key is not None:
+            out._key = (domain.kind,) + self._key[1:]
+        return out
 
     def sort_key(self):
-        st = self.spacetime
-        return (self.domain.kind, len(self.breakpoints),
-                tuple((tau,) + st.event_key(e) for tau, e in self.breakpoints))
+        """The merge order of curves: domain kind, breakpoint count, then
+        the breakpoints' (parameter, event key) tuples; computed once."""
+        if self._key is None:
+            st = self.spacetime
+            self._key = (self.domain.kind, len(self.breakpoints),
+                         tuple((tau,) + st.event_key(e) for tau, e in self.breakpoints))
+        return self._key
 
     def __repr__(self):
         lo, hi = self.window
@@ -316,7 +340,7 @@ def curves_close(c1: CausalCurve, c2: CausalCurve, tol=GEOM_ATOL):
         return False
     st = c1.spacetime
     for (s, p), (t, q) in zip(c1.breakpoints, c2.breakpoints):
-        if abs(s - t) > tol or not st.events_close(p, q, tol):
+        if abs(s - t) > tol or (p is not q and not st.events_close(p, q, tol)):
             return False
     if (c1.pace is None) != (c2.pace is None):
         return False
@@ -456,9 +480,9 @@ def concat(c1: CausalCurve, c2: CausalCurve) -> CausalCurve:
 
     The result restricts exactly to the two inputs; it is time-affine only
     when both pieces share the time function and the pace, and is stored
-    as non-affine otherwise.  It is validated from c1's last breakpoint on:
-    it keeps c1's first breakpoint, pace and time function, so c1's own
-    construction already ran the checks before that.
+    as non-affine otherwise.  Its validation checks what the pieces' own
+    did not: the junction pair, and affinity from the junction on against
+    c1's first breakpoint and pace (see ``CausalCurve._validate``).
     """
     st = c1.spacetime
     if c1.domain.kind not in (Interval.COMPACT, Interval.PAST):
@@ -473,7 +497,7 @@ def concat(c1: CausalCurve, c2: CausalCurve) -> CausalCurve:
     e2 = c2.breakpoints[0][1]
     if not st.events_close(e1, e2):
         raise InputError(f"endpoint mismatch at junction: {e1} vs {e2}")
-    pts = list(c1.breakpoints) + list(c2.breakpoints[1:])
+    pts = c1.breakpoints + c2.breakpoints[1:]
     left_open = c1.domain.kind == Interval.PAST
     right_open = c2.domain.kind == Interval.FUTURE
     if left_open and right_open:
@@ -492,8 +516,10 @@ def concat(c1: CausalCurve, c2: CausalCurve) -> CausalCurve:
         if tf1.same_as(tf2):
             pace = c1.pace
             tf = c1.time_function
-    return CausalCurve(st, domain, pts, pace=pace, time_function=tf,
-                       _valid_from=len(c1.breakpoints) - 1)
+    out = CausalCurve(st, domain, pts, pace=pace, time_function=tf, _pieces=(c1, c2))
+    # the pieces' keys share their breakpoint tuples with the glued key
+    out._key = (domain.kind, len(pts), c1.sort_key()[2] + c2.sort_key()[2][1:])
+    return out
 
 
 # -- verification ---------------------------------------------------------------

@@ -17,11 +17,20 @@ a known vertex id through unchanged and normalizes the others
 (:meth:`causalot.spacetime.Spacetime.canonical_event`), groups exactly
 equal atoms in O(N), and sorts and merges only the D distinct ones, in
 O(D log D); only the member lists of merged distinct atoms are sorted.
-An evaluation pushforward evaluates each curve once and computes a time
-value once per distinct event, and its fibers cost no closeness test.  A
-glued curve is validated only from its left piece's last breakpoint on
-(:func:`causalot.curves.concat`), so each fold step checks the new slab,
-not the whole grown curve again.
+A curve measure built by a coupling lift, by :func:`concat_measures` or
+by synthesis's rewrap onto a half-line keeps its slab factors
+(``_Factors``, built on first use): per slab window, the L curves lifted
+there and, per atom, the one it runs through.  An evaluation pushforward at a time in a
+window with L < N evaluates those L curves once each and groups the N
+atoms by integer index, so it costs O(N) dictionary steps plus L
+evaluations, where the plain path (any other measure or time) evaluates
+each of the N curves.  Both compute a time value once per distinct
+event, and their fibers cost no closeness test.  A glued curve
+checks only what its pieces did not (:func:`causalot.curves.concat`):
+the junction pair, and affinity from the junction on, against its own
+anchor, on time values the pieces cached; its sort key joins the pieces'
+keys.  So each fold step checks the new slab, not the whole grown curve
+again.
 
 The 1-Wasserstein distance between slice measures takes one of two exact
 routes.  Between two Minkowski time slices the cost is a convex function
@@ -34,6 +43,7 @@ causal precedence (``coupling._Instance``).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import accumulate
 
 from .errors import InputError, PreconditionError
@@ -42,6 +52,16 @@ from .curves import Interval, concat, curves_close, reparametrize
 from .timefunc import canonical_time
 
 MASS_ATOL = 1e-12
+
+# The most curves one concat_measures may build.  A glued curve holds its
+# breakpoints, their time values and its sort key: 1.1 to 1.5 KB at 9 to 13
+# breakpoints (tracemalloc, two-sided synthesis on the benchmark's
+# generator), where 23,266 curves take about 1 s.  So the cap holds one
+# glue near 150 MB and a few seconds.  The largest glue of the bundled
+# scenarios, the tests and the benchmark builds 1,581 curves; that
+# generator asks for 88,000 at a horizon of 7 slabs per side and 335,000
+# at 8, which is refused.
+MAX_GLUED_CURVES = 100_000
 
 
 def _merge(items, key, close, tol):
@@ -55,14 +75,21 @@ def _merge(items, key, close, tol):
     the indices of the pairs merged into ``atoms[n]``.
     """
     items = list(items)
+    groups = {}
+    for i, (atom, _) in enumerate(items):
+        groups.setdefault(atom, []).append(i)
+    return _merge_groups(items, groups, key, close, tol)
+
+
+def _merge_groups(items, groups, key, close, tol):
+    """``_merge`` of pairs already grouped: ``groups`` maps each distinct
+    atom, in the order of its first pair, to the increasing indices of the
+    pairs equal to it, as ``_merge`` groups them."""
     # the error names the first non-positive or NaN weight in sort order
     bad = [aw for aw in items if not aw[1] > 0]
     if bad:
         atom, w = min(bad, key=lambda aw: key(aw[0]))
         raise InputError(f"weights must be positive, got {w} at {atom!r}")
-    groups = {}
-    for i, (atom, _) in enumerate(items):
-        groups.setdefault(atom, []).append(i)
     atoms, members, joined = [], [], set()
     for atom, idx in sorted(groups.items(), key=lambda ai: key(ai[0])):
         if atoms and close(atoms[-1], atom, tol):
@@ -83,10 +110,17 @@ class SliceMeasure:
     """Probability measure on events, optionally tagged as living on a
     level set of a time function."""
 
-    def __init__(self, st, atoms, time_function=None, tau=None):
-        st_atoms = [(st.canonical_event(e), float(w)) for e, w in atoms]
+    def __init__(self, st, atoms, time_function=None, tau=None, _groups=None):
+        # ``_groups``, from a pushforward through a factor view, groups
+        # atoms that are canonical events already (see ``_merge_groups``)
         self.spacetime = st
-        self.atoms, self._members = _merge(st_atoms, st.event_key, st.events_close, GEOM_ATOL)
+        if _groups is None:
+            st_atoms = [(st.canonical_event(e), float(w)) for e, w in atoms]
+            self.atoms, self._members = _merge(st_atoms, st.event_key, st.events_close,
+                                               GEOM_ATOL)
+        else:
+            self.atoms, self._members = _merge_groups(atoms, _groups, st.event_key,
+                                                      st.events_close, GEOM_ATOL)
         self.time_function = time_function
         self.tau = None if tau is None else float(tau)
         total = math.fsum(w for _, w in self.atoms)
@@ -115,6 +149,73 @@ class SliceMeasure:
         return f"SliceMeasure({len(self.atoms)} atoms, tau={self.tau})"
 
 
+class _Factors:
+    """The slab factors of a glued curve measure: the view of the measures
+    that :func:`causalot.synthesis.lift_coupling`, :func:`concat_measures`
+    and ``synthesis._rewrap`` build (``CurveMeasure._factors``).
+
+    ``windows[k]`` is the k-th slab's parameter window ``(a_k, b_k)``, in
+    increasing order, each window's end the next one's start;
+    ``lifted[k]`` holds the curves lifted on that slab, each with its first
+    and last breakpoint at ``a_k`` and ``b_k``; and ``columns[k][n]`` is the
+    index in ``lifted[k]`` of the lifted curve that atom n runs through on
+    the window.  On its window, atom n has exactly the breakpoints of
+    ``lifted[k][columns[k][n]]``.
+    """
+
+    __slots__ = ("windows", "lifted", "columns", "_ends")
+
+    def __init__(self, windows, lifted, columns):
+        self.windows, self.lifted, self.columns = windows, lifted, columns
+        self._ends = [b for _, b in windows]
+
+    def window(self, t, n):
+        """Index of the window holding t (at a junction, the left one), if
+        it lifted fewer curves than the n atoms; None otherwise, where
+        evaluating the atoms themselves costs no more."""
+        k = bisect_left(self._ends, t)
+        if k < len(self.windows) and self.windows[k][0] <= t and len(self.lifted[k]) < n:
+            return k
+        return None
+
+    def fibers(self, k):
+        """The atoms by the curve they run through on window k:
+        ``{lifted index: increasing atom indices}``, in first-seen order."""
+        out = {}
+        for n, i in enumerate(self.columns[k]):
+            out.setdefault(i, []).append(n)
+        return out
+
+    def pick(self, rows):
+        """The view of the atoms ``rows`` name, in that order."""
+        return _Factors(self.windows, self.lifted,
+                        tuple(list(map(column.__getitem__, rows)) for column in self.columns))
+
+
+def _rows(sigma, items):
+    """For each atom of sigma, built from the (curve, weight) ``items``,
+    the index of the item whose curve it holds.  A merge keeps the first
+    curve in key order as its atom, which is not always its first input."""
+    index = {id(c): i for i, (c, _) in enumerate(items)}
+    return [index[id(c)] for c, _ in sigma.atoms]
+
+
+def _regroup(fibers, value):
+    """Join the index lists of ``fibers`` whose ``value(key)`` is exactly
+    equal, in first-seen order, each joined list sorted: the grouping that
+    ``_merge`` computes for pairs of those values."""
+    groups, joined = {}, set()
+    for key, idx in fibers.items():
+        v = value(key)
+        group = groups.setdefault(v, idx)
+        if group is not idx:
+            group.extend(idx)
+            joined.add(v)
+    for v in joined:
+        groups[v].sort()
+    return groups
+
+
 class CurveMeasure:
     """Probability measure on curves sharing one parameter domain."""
 
@@ -134,6 +235,42 @@ class CurveMeasure:
         total = math.fsum(w for _, w in self.atoms)
         if abs(total - 1.0) > MASS_ATOL:
             raise InputError(f"weights must sum to 1 within {MASS_ATOL}, got {total!r}")
+        # set by the builders of glued measures: how to build the factor
+        # view, and the fewest curves any of its windows lifted
+        self._build = None
+        self._fewest = math.inf
+        self._view = None
+        self._affine = False  # not computed yet (see _affine_in)
+
+    @property
+    def _factors(self):
+        """The factor view (see ``_Factors``), built on first use by the
+        builder a glued measure was given, or None.  Pushforwards ask for it
+        only when ``_fewest`` is below the atom count, so a measure whose
+        every window lifted as many curves as it has atoms never builds it."""
+        if self._build is not None:
+            build, self._build = self._build, None
+            self._view = build(self)
+        return self._view
+
+    @property
+    def _affine_in(self):
+        """The time function every atom is affine in, the first atom's
+        (canonical time when it names none), or None when some atom is not;
+        computed once."""
+        if self._affine is False:
+            tf = self.atoms[0][0].time_function or canonical_time()
+            same = {}  # a curve's time function (None: canonical) -> same_as(tf)
+
+            def same_tf(tfc):
+                if tfc not in same:
+                    same[tfc] = (tfc or canonical_time()).same_as(tf)
+                return same[tfc]
+
+            affine = all(c.pace is not None and same_tf(c.time_function)
+                         for c, _ in self.atoms)
+            self._affine = tf if affine else None
+        return self._affine
 
     def __len__(self):
         return len(self.atoms)
@@ -146,14 +283,18 @@ class Coupling:
     """Joint measure on event pairs, whose marginals are read off its
     atoms; every atom pair must be causally related."""
 
-    def __init__(self, st, atoms):
-        event = st.canonical_event
-        atoms = [((event(p), event(q)), float(w)) for (p, q), w in atoms]
+    def __init__(self, st, atoms, _groups=None):
+        # ``_groups`` as in SliceMeasure: pairs of canonical events, grouped
         key = lambda pq: st.event_key(pq[0]) + st.event_key(pq[1])
         close = lambda a, b, tol: (st.events_close(a[0], b[0], tol)
                                    and st.events_close(a[1], b[1], tol))
         self.spacetime = st
-        self.atoms = _merge(atoms, key, close, GEOM_ATOL)[0]
+        if _groups is None:
+            event = st.canonical_event
+            atoms = [((event(p), event(q)), float(w)) for (p, q), w in atoms]
+            self.atoms = _merge(atoms, key, close, GEOM_ATOL)[0]
+        else:
+            self.atoms = _merge_groups(atoms, _groups, key, close, GEOM_ATOL)[0]
         total = math.fsum(w for _, w in self.atoms)
         if abs(total - 1.0) > MASS_ATOL:
             raise InputError(f"weights must sum to 1 within {MASS_ATOL}, got {total!r}")
@@ -191,39 +332,61 @@ def curve_measures_equal(s1: CurveMeasure, s2: CurveMeasure, tol=GEOM_ATOL, wtol
 
 
 def marginal_at(sigma: CurveMeasure, t) -> SliceMeasure:
-    """Pushforward of a curve measure under evaluation at parameter t."""
+    """Pushforward of a curve measure under evaluation at parameter t.
+
+    On a window of its factor view (see ``_Factors``) that lifted fewer
+    curves than it has atoms, a glued measure evaluates each lifted curve
+    of the window once and groups its atoms by lifted curve, then by
+    exactly equal event, before the merge's sorted close-merge; each
+    weight is the ``math.fsum`` of the same members, so the result is the
+    plain pushforward's, bit for bit.  The events are too: inside window k
+    a glued curve's breakpoints are the lifted curve's own, so
+    ``CausalCurve.at`` runs the same arithmetic on them, and at a
+    junction, ``bisect_left`` finds the left piece's last breakpoint, the
+    left window's lifted curve's last event.  Canonicalization, the mass
+    check and the level-set check still run on every distinct event, and
+    ``tau`` is the time value of the first atom's event.
+    """
     t = float(t)
     if not sigma.domain.contains(t, GEOM_ATOL):
         raise InputError(f"parameter {t} outside common domain {sigma.domain}")
     st = sigma.spacetime
-    events = [c.at(t) for c, _ in sigma.atoms]
-    tf = sigma.atoms[0][0].time_function or canonical_time()
-    same = {}  # a curve's time function (None: canonical) -> same_as(tf)
-
-    def same_tf(tfc):
-        if tfc not in same:
-            same[tfc] = (tfc or canonical_time()).same_as(tf)
-        return same[tfc]
-
+    n = len(sigma.atoms)
+    view = sigma._factors if sigma._fewest < n else None
+    k = None if view is None else view.window(t, n)
+    if k is None:
+        events = [c.at(t) for c, _ in sigma.atoms]
+    else:
+        lifted = view.lifted[k]
+        fibers = view.fibers(k)
+        raw = {i: lifted[i].at(t) for i in fibers}
+        events = raw.values()
+    tf = sigma._affine_in
     tau = None
-    if all(c.pace is not None and same_tf(c.time_function) for c, _ in sigma.atoms):
+    if tf is not None:
         # one value per distinct event, in first-seen order
         values = [tf.value(st, e) for e in dict.fromkeys(events)]
         if max(values) - min(values) <= GEOM_ATOL:
             tau = values[0]
-    return SliceMeasure(st, [(e, w) for e, (_, w) in zip(events, sigma.atoms)],
-                        time_function=tf if tau is not None else None, tau=tau)
+    level = tf if tau is not None else None
+    if k is None:
+        return SliceMeasure(st, [(e, w) for e, (_, w) in zip(events, sigma.atoms)],
+                            time_function=level, tau=tau)
+    canon = {i: st.canonical_event(e) for i, e in raw.items()}
+    return SliceMeasure(st, [(canon[i], w) for i, (_, w) in zip(view.columns[k], sigma.atoms)],
+                        time_function=level, tau=tau, _groups=_regroup(fibers, canon.get))
 
 
-def _glued_pairs(left: SliceMeasure, right: SliceMeasure, atoms1, atoms2):
+def _glued_pairs(left: SliceMeasure, right: SliceMeasure):
     """The pairs glued over two junction measures that agree atom by atom:
-    ``(wx, wy, a1, a2)`` for each atom pair, of weights wx and wy, and each
-    a1 of atoms1 and a2 of atoms2 in its fibers (the merges' members)."""
+    ``(wx, wy, i, j)`` for each atom pair, of weights wx and wy, and each
+    input i of the left one and j of the right one in its fibers (the
+    merges' members)."""
     for (_, wx), (_, wy), fiber1, fiber2 in zip(left.atoms, right.atoms,
                                                 left._members, right._members):
         for i in fiber1:
             for j in fiber2:
-                yield wx, wy, atoms1[i], atoms2[j]
+                yield wx, wy, i, j
 
 
 def disintegrate(sigma: CurveMeasure, at):
@@ -252,6 +415,16 @@ def concat_measures(s1: CurveMeasure, s2: CurveMeasure) -> CurveMeasure:
     pushed through curve concatenation, each curve in the fiber its value
     was merged into.  Its evaluation marginal equals s1's strictly before
     the junction, the shared marginal at it, and s2's strictly after.
+
+    The curve count, the sum over junction atoms of the products of their
+    fiber sizes, is computed before any curve is built, and a count above
+    ``MAX_GLUED_CURVES`` is refused.  When both inputs have factor views
+    that meet at the junction, and the pieces of each glued pair meet at
+    one event, equal bit for bit, the result's view, built when first
+    asked for, is their windows and lifted curves, with the columns each
+    atom's pair reads.  Pieces that meet at two events merged within
+    tolerance give no view: the glued curve leaves the junction from the
+    left piece's event, not the right piece's.
     """
     st = s1.spacetime
     if s1.domain.kind not in (Interval.COMPACT, Interval.PAST):
@@ -266,9 +439,43 @@ def concat_measures(s1: CurveMeasure, s2: CurveMeasure) -> CurveMeasure:
         detail = [(e, w) for e, w in nu1.atoms], [(e, w) for e, w in nu2.atoms]
         raise PreconditionError(
             f"junction marginals differ at {b}: {detail[0]} vs {detail[1]}")
-    return CurveMeasure(st, [(concat(c1, c2), wx * (w1 / wx) * (w2 / wy))
-                             for wx, wy, (c1, w1), (c2, w2)
-                             in _glued_pairs(nu1, nu2, s1.atoms, s2.atoms)])
+    count = sum(len(f1) * len(f2) for f1, f2 in zip(nu1._members, nu2._members))
+    if count > MAX_GLUED_CURVES:
+        raise InputError(f"gluing at {b} would build {count} curves, more than the "
+                         f"cap of {MAX_GLUED_CURVES}")
+    pairs = list(_glued_pairs(nu1, nu2))
+    atoms1, atoms2 = s1.atoms, s2.atoms
+    glued = [(concat(atoms1[i][0], atoms2[j][0]),
+              wx * (atoms1[i][1] / wx) * (atoms2[j][1] / wy)) for wx, wy, i, j in pairs]
+    sigma = CurveMeasure(st, glued)
+    sigma._fewest = min(s1._fewest, s2._fewest)
+    sigma._build = lambda out: _glued_factors(out, glued, pairs, s1, s2)
+    return sigma
+
+
+def _glued_factors(sigma, glued, pairs, s1, s2):
+    """The factor view of ``sigma = concat_measures(s1, s2)``, built from
+    its ``glued`` (curve, weight) items and their ``pairs``, or None."""
+    f1, f2 = s1._factors, s2._factors
+    if f1 is None or f2 is None or f1.windows[-1][1] != f2.windows[0][0]:
+        return None
+    atoms1, atoms2 = s1.atoms, s2.atoms
+    if not all(_same_bits(atoms1[i][0].breakpoints[-1][1], atoms2[j][0].breakpoints[0][1])
+               for _, _, i, j in pairs):
+        return None
+    rows = _rows(sigma, glued)
+    left = f1.pick([pairs[r][2] for r in rows])
+    right = f2.pick([pairs[r][3] for r in rows])
+    return _Factors(left.windows + right.windows, left.lifted + right.lifted,
+                    left.columns + right.columns)
+
+
+def _same_bits(p, q):
+    """True when two events are one object, or equal with the same float
+    bits (``repr`` tells 0.0 from -0.0).  Coupling atoms off the vertices
+    are normalized anew by each coupling, so slabs meet at equal events
+    that are not one object."""
+    return p is q or (p == q and repr(p) == repr(q))
 
 
 def pushforward_reparametrize(sigma: CurveMeasure, tf1, tf2) -> CurveMeasure:

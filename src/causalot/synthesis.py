@@ -26,7 +26,7 @@ from .errors import InputError, PreconditionError, VerificationError
 from .spacetime import GEOM_ATOL, GRID_ATOL
 from .timefunc import validate as validate_tf
 from .curves import Interval, _compact_curve, is_time_parametrized
-from .measures import (Coupling, CurveMeasure, concat_measures,
+from .measures import (Coupling, CurveMeasure, _Factors, _regroup, _rows, concat_measures,
                        curve_measures_equal, marginal_at,
                        pushforward_reparametrize, slice_measures_equal)
 from .coupling import Evolution, MeshSpec, _decide, _times_match, check_evolution
@@ -54,6 +54,8 @@ def lift_coupling(st, tf, omega: Coupling, a, b) -> CurveMeasure:
     the evaluation marginals of the result are the coupling's marginals.
     Each curve is built and validated once, straight from the refined
     chain of (p, q), and the time function is validated once per call.
+    The result's factor view is one window, [a, b], whose lifted curves
+    are the result's own atoms.
     """
     a, b = float(a), float(b)
     if a >= b:
@@ -73,7 +75,11 @@ def lift_coupling(st, tf, omega: Coupling, a, b) -> CurveMeasure:
         if q.t <= p.t:  # a tilted time function can still increase here
             raise PreconditionError(f"degenerate coupling atom ({p}, {q}): no time passes")
         atoms.append((_compact_curve(st, tf, (p, q), a, b), w))
-    return CurveMeasure(st, atoms)
+    sigma = CurveMeasure(st, atoms)
+    sigma._fewest = len(sigma)
+    sigma._build = lambda out: _Factors(((a, b),), ([c for c, _ in out.atoms],),
+                                        (range(len(out)),))
+    return sigma
 
 
 def _project(sigma: CurveMeasure, a, b) -> CurveMeasure:
@@ -106,6 +112,15 @@ def _fold_slabs(st, tf, entries):
     return sigma
 
 
+def _rewrap(st, sigma, domain):
+    """sigma's curves over another interval kind, keeping its factor view."""
+    items = [(c.with_domain(domain), w) for c, w in sigma.atoms]
+    out = CurveMeasure(st, items)
+    out._fewest = sigma._fewest
+    out._build = lambda out: sigma._factors and sigma._factors.pick(_rows(out, items))
+    return out
+
+
 def _synthesize(st, tf, entries, split=None, domains=(None, None)):
     """Fold the entries into one curve measure and assert its mesh marginals.
 
@@ -118,7 +133,7 @@ def _synthesize(st, tf, entries, split=None, domains=(None, None)):
     for part, domain in zip(parts, domains):
         sigma = _fold_slabs(st, tf, part)
         if domain is not None:
-            sigma = CurveMeasure(st, [(c.with_domain(domain), w) for c, w in sigma.atoms])
+            sigma = _rewrap(st, sigma, domain)
         folds.append(sigma)
     sigma = folds[0] if split is None else concat_measures(*folds)
     for t, mu in entries:
@@ -195,7 +210,15 @@ def extract_coupling(sigma: CurveMeasure, s, t) -> Coupling:
     """Pushforward of a curve measure under evaluation at an ordered pair
     of parameters: the coupling of the two evaluation marginals carried by
     the curves themselves (causal because each atom pair lies on one
-    causal curve)."""
+    causal curve).
+
+    When both parameters lie in windows of the measure's factor view that
+    lifted fewer curves than it has atoms, each lifted curve is evaluated
+    once and the atoms are grouped by their pair of lifted curves, then by
+    exactly equal event pair, as :func:`causalot.measures.marginal_at`
+    does; the coupling is the plain pushforward's bit for bit, and its
+    causality check still runs on every merged atom.
+    """
     s, t = float(s), float(t)
     if s > t:
         raise InputError(f"need s <= t, got {s} > {t}")
@@ -203,8 +226,23 @@ def extract_coupling(sigma: CurveMeasure, s, t) -> Coupling:
         if not sigma.domain.contains(tau, GEOM_ATOL):
             raise InputError(f"parameter {tau} outside domain {sigma.domain}")
     st_ = sigma.spacetime
-    atoms = [((c.at(s), c.at(t)), w) for c, w in sigma.atoms]
-    return Coupling(st_, atoms)
+    n = len(sigma.atoms)
+    view = sigma._factors if sigma._fewest < n else None
+    ks = kt = None
+    if view is not None:
+        ks, kt = view.window(s, n), view.window(t, n)
+    if ks is None or kt is None:
+        return Coupling(st_, [((c.at(s), c.at(t)), w) for c, w in sigma.atoms])
+    left, right = view.columns[ks], view.columns[kt]
+    width = len(view.lifted[kt])
+    fibers = {}
+    for atom, (i, j) in enumerate(zip(left, right)):
+        fibers.setdefault(i * width + j, []).append(atom)
+    ps = {i: st_.canonical_event(view.lifted[ks][i].at(s)) for i in dict.fromkeys(left)}
+    qs = {j: st_.canonical_event(view.lifted[kt][j].at(t)) for j in dict.fromkeys(right)}
+    groups = _regroup(fibers, lambda ij: (ps[ij // width], qs[ij % width]))
+    return Coupling(st_, [((ps[i], qs[j]), w) for i, j, (_, w) in zip(left, right, sigma.atoms)],
+                    _groups=groups)
 
 
 def to_time_parametrized(st, tf, sigma: CurveMeasure) -> CurveMeasure:

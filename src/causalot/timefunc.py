@@ -103,7 +103,7 @@ class TimeFunction:
 
     def same_as(self, other):
         """Value-level equality (slope 0 and all-zero offsets count as canonical)."""
-        return self._plain() == other._plain()
+        return self is other or self._plain() == other._plain()
 
     def _plain(self):
         if self.slope is not None and self.slope != 0.0:

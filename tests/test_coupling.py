@@ -646,6 +646,24 @@ def test_unknown_mesh_kind_is_refused(kind):
         MeshSpec(kind)
 
 
+@pytest.mark.parametrize("depth", [-1, 2.5, True, "3"])
+def test_dyadic_depth_must_be_a_non_negative_int(depth):
+    with pytest.raises(InputError, match=f"non-negative integer depth, got {depth!r}"):
+        MeshSpec("dyadic", 0.0, 1.0, depth)
+
+
+def test_deep_dyadic_mesh_is_refused_without_building_its_times(mink, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dyadic_times called")
+
+    monkeypatch.setattr(coupling, "dyadic_times", refuse)
+    entries = [(t, delta(mink, t, 0.0)) for t in (0.0, 0.5, 1.0)]
+    evo = Evolution(mink, entries, T0, MeshSpec("dyadic", 0.0, 1.0, 60))
+    with pytest.raises(InputError, match=r"do not form the dyadic mesh of \[0.0, 1.0\] "
+                                         r"at depth 60"):
+        evo.validate_mesh()
+
+
 def test_slice_tag_violation_names_atom(mink):
     bad = SliceMeasure(mink, [(mink.event(5.0, 0.0), 1.0)])
     evo = Evolution(mink, [(0.0, bad)], T0, MeshSpec("explicit"))

@@ -352,6 +352,28 @@ def test_concat_checks_the_appended_part_against_the_left_piece(mink):
     assert concat(c1, c3).pace == 1.0
 
 
+@pytest.mark.parametrize("shared", [True, False])
+def test_a_glued_piece_is_checked_against_the_first_pieces_anchor(mink, shared):
+    # Three pieces of slope-1/4 time, each affine on its own: c2 and c3 have
+    # pace 1 + 2e-10, within GEOM_ATOL of c1's 1.  Glued, they keep c1's
+    # pace, and the drift against c1's anchor only shows over c3's long
+    # span.  c3's time function is c1's own object, or an equal copy.
+    tf = TimeFunction(slope=0.25)
+    tf3 = tf if shared else TimeFunction(slope=0.25)
+    pace = 1 + 2e-10
+
+    def piece(a, b, t0, rate, time_function):
+        return CausalCurve(mink, Interval.compact(a, b),
+                           [(a, mink.event(t0, 0.0)), (b, mink.event(t0 + rate * (b - a), 0.0))],
+                           pace=rate, time_function=time_function)
+
+    left = concat(piece(0.0, 1.0, 0.0, 1.0, tf), piece(1.0, 2.0, 1.0, pace, tf))
+    assert left.pace == 1.0
+    with pytest.raises(InputError, match="time-affinity"):
+        concat(left, piece(2.0, 1e4, 1.0 + pace, pace, tf3))
+    assert concat(left, piece(2.0, 3.0, 1.0 + pace, pace, tf3)).pace == 1.0
+
+
 # -- causality verification ------------------------------------------------------------
 
 def test_verify_causal_geodesic(mink):

@@ -507,6 +507,25 @@ def test_pushforwards_evaluate_each_curve_once(monkeypatch):
     assert calls == once(s1, s2)
 
 
+def test_a_glue_above_the_curve_cap_is_refused_before_building_a_curve(mink, monkeypatch):
+    # two curves meet at x = 0 on each side and one at x = 1: 2 * 2 + 1 pairs
+    s1, s2, _, _ = _glued_pair(mink, (-0.5, 0.0, 0.5), (0.0, 0.0, 1.0), (-0.5, 0.0, 0.5),
+                               (0.25, 0.25, 0.5))
+    count = 5
+    monkeypatch.setattr(M, "MAX_GLUED_CURVES", count - 1)
+
+    def refuse(c1, c2):
+        raise AssertionError("a curve was glued")
+
+    monkeypatch.setattr(M, "concat", refuse)
+    with pytest.raises(InputError, match=f"would build {count} curves, more than the cap "
+                                         f"of {count - 1}"):
+        concat_measures(s1, s2)
+    monkeypatch.undo()
+    monkeypatch.setattr(M, "MAX_GLUED_CURVES", count)
+    assert len(concat_measures(s1, s2)) == count
+
+
 # -- pushforward by reparametrization ------------------------------------------------------
 
 def test_pushforward_identity(mink):

@@ -1,18 +1,21 @@
-import pytest
+from collections import Counter
 
-from causalot import (Coupling, CurveMeasure, Evolution, InputError, Interval,
+import pytest
+from hypothesis import assume, given, settings, strategies as st_
+
+from causalot import (CausalCurve, Coupling, CurveMeasure, Event, Evolution, InputError, Interval,
                       MeshSpec, NonCausalEvolutionError, PreconditionError,
                       SliceMeasure, Spacetime,
                       SynthesisPlan, TimeFunction, canonical_time,
                       canonicalize_noncompact, causal_geodesic, check_evolution,
-                      dyadic_times, extract_coupling,
+                      concat_measures, disintegrate, dyadic_times, extract_coupling,
                       geometric_times, is_time_parametrized, lift_coupling,
                       marginal_at, observer_invariance_report,
                       pushforward_reparametrize, run_plan, slice_measures_equal,
                       synthesize_compact, synthesize_slabs, to_time_parametrized,
                       transport_distance, RawPath)
-from genrand import (random_backend, random_causal_evolution,
-                     random_time_function, rng_for)
+from genrand import (dyadic_weights, random_backend, random_causal_evolution,
+                     random_graph, random_time_function, rng_for)
 
 T0 = canonical_time()
 
@@ -427,3 +430,215 @@ def test_round_trip_randomized():
         entries = [(t, marginal_at(sigma, t)) for t in times]
         evo2 = Evolution(st, entries, tf, MeshSpec("explicit"))
         assert check_evolution(st, evo2).causal
+
+
+# -- factor views against the plain pushforwards ------------------------------------------------
+
+def _bits(v):
+    """A value with every float spelled by float.hex (events by their fields)."""
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, Event):
+        return ("event", _bits(v.t), _bits(v.x))
+    if isinstance(v, (tuple, list)):
+        return tuple(_bits(u) for u in v)
+    return v
+
+
+def _slice_bits(m):
+    return (_bits(m.atoms), m._members, _bits(m.tau), repr(m.time_function))
+
+
+def _outcome(f, *args):
+    """What ``f(*args)`` gives, bit for bit, or the InputError it raises."""
+    try:
+        out = f(*args)
+    except InputError as err:
+        return "error", str(err)
+    if isinstance(out, SliceMeasure):
+        return _slice_bits(out)
+    if isinstance(out, Coupling):
+        return _bits(out.atoms)
+    base, conditionals = out  # disintegrate: conditionals hold the curves by identity
+    return _slice_bits(base), [(_bits(x), [(id(c), w.hex()) for c, w in cond.atoms])
+                               for x, cond in conditionals]
+
+
+def _assert_view_matches_plain(sigma, times):
+    """Every pushforward of a measure with a factor view equals, bit for bit,
+    the one of the same atoms without it (the plain path).  Returns how
+    many of the times the view serves."""
+    plain = CurveMeasure(sigma.spacetime, sigma.atoms)
+    assert sigma._factors is not None and plain._factors is None
+    assert [a for a, _ in plain.atoms] == [a for a, _ in sigma.atoms]
+    for t in times:
+        for f in (marginal_at, disintegrate):
+            assert _outcome(f, sigma, t) == _outcome(f, plain, t), (f.__name__, t)
+    for i, s in enumerate(times):
+        for t in times[i::2]:
+            assert _outcome(extract_coupling, sigma, s, t) == \
+                _outcome(extract_coupling, plain, s, t), (s, t)
+    return sum(sigma._factors.window(t, len(sigma)) is not None for t in times)
+
+
+def _probe_times(sigma):
+    """Junction times and window edges, points inside windows, times within
+    GEOM_ATOL of the outer edges, and times on the static extension."""
+    windows = sigma._factors.windows
+    edges = [windows[0][0]] + [b for _, b in windows]
+    lo, hi = edges[0], edges[-1]
+    inside = [a + (b - a) * f for a, b in windows for f in (0.25, 0.5, 0.875)]
+    near = [lo - 5e-10, lo + 5e-10, hi - 5e-10, hi + 5e-10]
+    beyond = [lo - 1.5, hi + 2.0]
+    return sorted(set(edges + inside + near + beyond))
+
+
+def _branching_evolution(rng, st, tf, times, mesh):
+    """Slices on one small site set, each with its own dyadic weights, so
+    that witness couplings split mass and glued curves outnumber the curves
+    each slab lifts.  Every site pair lies within half the shortest step
+    on Minkowski and within one unit edge on a graph (sites: its two ends
+    and its midpoint); a tilt can still make a step non-causal."""
+    if st.backend == Spacetime.MINKOWSKI:
+        half = min(t - s for s, t in zip(times, times[1:])) / 2
+        sites = sorted({half * rng.randint(0, 8) / 8 for _ in range(3)})
+    else:
+        edges = sorted((a, b) for (a, b), length in st.edges.items() if length <= 1.0)
+        assume(edges)
+        a, b = rng.choice(edges)
+        sites = [a, b, (a, b, st.edges[(a, b)] / 2)]
+    entries = []
+    for t in times:
+        weights = dyadic_weights(rng, len(sites))
+        entries.append((t, SliceMeasure(st, [(tf.level_event(st, t, x), w)
+                                             for x, w in zip(sites, weights)],
+                                        time_function=tf, tau=t)))
+    return Evolution(st, entries, tf, mesh)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st_.sampled_from(["minkowski", "tilted", "graph", "tilted graph"]),
+       st_.sampled_from(["forward", "backward", "both", "compact"]),
+       st_.sampled_from(["bundle", "branching"]), st_.integers(1, 3), st_.integers(0, 2 ** 16))
+def test_factored_pushforwards_match_the_plain_path(backend, direction, slices, horizon, seed):
+    rng = rng_for(seed)
+    if backend in ("minkowski", "tilted"):
+        st = Spacetime("minkowski-1+1")
+    else:
+        st = random_graph(rng, n_vertices=rng.randint(3, 5), far=False)
+    tf = random_time_function(rng, st, max_lip=0.5) if "tilted" in backend else T0
+    if direction == "compact":
+        times = dyadic_times(0.0, 1.0, horizon)
+        mesh = MeshSpec("dyadic", 0.0, 1.0, horizon)
+    else:
+        times = [float(k) for k in range(-horizon, horizon + 1)]
+        mesh = MeshSpec("integer")
+    if slices == "bundle":  # cross-sections of worldlines, which may share sites
+        evo, _, _ = random_causal_evolution(rng, st, times, max_atoms=3, tf=tf, mesh=mesh)
+    else:
+        evo = _branching_evolution(rng, st, tf, times, mesh)
+    try:
+        if direction == "compact":
+            sigma = synthesize_compact(st, tf, evo)
+        else:
+            sigma = synthesize_slabs(st, tf, evo, horizon, direction)
+    except (NonCausalEvolutionError, PreconditionError):
+        assume(False)  # a tilt can make a drawn step non-causal
+    _assert_view_matches_plain(sigma, _probe_times(sigma))
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_factored_pushforwards_match_the_plain_path_on_interior_atoms(chain_graph, direction):
+    # each coupling normalizes its edge-interior events anew, so slabs meet
+    # at equal events that are not one object, and the glue keeps its view;
+    # the mass at mid splits, so three curves run through two first lifts
+    st = chain_graph
+    mid = ("B", "C", 1.0)
+    entries = [(0.0, SliceMeasure(st, [(st.event(0, "A"), 0.5), (st.event(0, "B"), 0.5)])),
+               (1.0, SliceMeasure(st, [(st.event(1, "B"), 0.5), (st.event(1, mid), 0.5)])),
+               (2.0, SliceMeasure(st, [(st.event(2, "C"), 0.25), (st.event(2, mid), 0.75)]))]
+    sigma = synthesize_slabs(st, T0, Evolution(st, entries, T0, MeshSpec("integer")), 2,
+                             direction)
+    assert _assert_view_matches_plain(sigma, _probe_times(sigma)) > 0
+
+
+def _merging_glue_pieces():
+    """Two lifts on a graph whose glue merges two curves within GEOM_ATOL,
+    and the merge keeps as its atom the glued pair with the larger input
+    index.
+
+    On the edge A-B (length 2), curves start at offsets 1.25 - 5e-10 and
+    1.25 and end at t = 1 on B and 5e-10 before B: each lift keeps them
+    apart, and so does the junction, where the points sort as B, C, the
+    interior points (A, B, 0.5) and (A, B, 0.6), then the one near B.
+    Gluing joins the two curves, and the one whose pair comes later sorts
+    first; the separating curves cross a vertex in one slab only, so their
+    glued curves are longer and sort elsewhere.  The curve through C
+    branches three ways, so the glue has more atoms than the first lift.
+    """
+    st = Spacetime("static-graph", vertices=["A", "B", "C"],
+                   edges=[("A", "B", 2.0), ("A", "C", 1.0)])
+    ev = st.event
+    near_b = ev(1, ("A", "B", 2.0 - 5e-10))
+    b, c, z = ev(1, "B"), ev(1, "C"), ev(2, ("A", "B", 1.5))
+    y, y2 = ev(1, ("A", "B", 0.5)), ev(1, ("A", "B", 0.6))
+    first = Coupling(st, [((ev(0, ("A", "B", 1.25)), b), 0.25),
+                          ((ev(0, ("A", "B", 1.25 - 2.5e-10)), y), 0.125),
+                          ((ev(0, ("A", "C", 0.2)), y2), 0.125),
+                          ((ev(0, ("A", "B", 1.25 - 5e-10)), near_b), 0.25),
+                          ((ev(0, ("A", "C", 0.9)), c), 0.25)])
+    second = Coupling(st, [((b, z), 0.25), ((y, ev(2, ("A", "C", 0.25))), 0.125),
+                           ((y2, ev(2, ("A", "B", 0.6))), 0.125), ((near_b, z), 0.25),
+                           ((c, ev(2, ("A", "C", 0.5))), 0.125),
+                           ((c, ev(2, ("A", "C", 0.6))), 0.0625),
+                           ((c, ev(2, ("A", "C", 0.7))), 0.0625)])
+    return (st, lift_coupling(st, T0, first, 0.0, 1.0),
+            lift_coupling(st, T0, second, 1.0, 2.0))
+
+
+def test_a_glue_that_merges_curves_keeps_its_representatives_view():
+    st, s1, s2 = _merging_glue_pieces()
+    starts = [c.at(0.0).x for c, _ in s1.atoms]
+    assert starts[0] == ("A", "B", 1.25 - 5e-10) and starts[2] == ("A", "B", 1.25)
+    glued = concat_measures(s1, s2)
+    # seven pairs glue into six atoms; the merged one holds the first pair,
+    # through s1's curve 2, and the last, through s1's curve 0, which comes
+    # first in key order and represents it
+    assert (len(s1), len(glued)) == (5, 6) and glued.atoms[0][1] == 0.5
+    assert glued.atoms[0][0].at(0.0).x == starts[0]
+    assert glued._factors.columns[0][0] == 0
+    # the view serves the first window, where the lift has fewer curves
+    assert _assert_view_matches_plain(glued, [0.0, 0.5, 1.0, 1.5, 2.0]) == 3
+
+
+def test_factored_pushforwards_evaluate_each_lifted_curve_once(monkeypatch):
+    _, s1, s2 = _merging_glue_pieces()
+    glued = concat_measures(s1, s2)
+    lifted = glued._factors.lifted[0]
+    calls = Counter()
+    real_at = CausalCurve.at
+
+    def counting_at(self, tau):
+        calls[id(self)] += 1
+        return real_at(self, tau)
+
+    monkeypatch.setattr(CausalCurve, "at", counting_at)
+    once = Counter({id(lifted[i]): 1 for i in set(glued._factors.columns[0])})
+    marginal_at(glued, 0.5)
+    assert calls == once and len(once) < len(glued)
+    calls.clear()
+    extract_coupling(glued, 0.25, 0.75)  # both times in the first window
+    assert calls == once + once
+
+
+def test_a_glue_over_junction_events_merged_within_tolerance_has_no_view(mink):
+    # the pieces meet at 0 and at 5e-10, one junction atom: each glued
+    # curve leaves the junction from the left piece's event, so the right
+    # lift's curves are not its pieces there
+    ev = mink.event
+    s1 = lift_coupling(mink, T0, Coupling(mink, [((ev(0, 0.0), ev(1, 0.0)), 1.0)]), 0.0, 1.0)
+    s2 = lift_coupling(mink, T0, Coupling(mink, [((ev(1, 5e-10), ev(2, 0.5)), 1.0)]), 1.0, 2.0)
+    glued = concat_measures(s1, s2)
+    assert s1._factors is not None and s2._factors is not None
+    assert glued._factors is None
+    assert marginal_at(glued, 1.5).atoms[0][0].x == 0.25
