@@ -146,6 +146,13 @@ class CausalCurve:
     along the curve; ``pace is None`` flags a curve that is not
     time-affine (such curves still support evaluation, restriction and
     causality checks, but not reparametrization).
+
+    ``_leaves`` holds, for a curve that ``concat`` glued, the curves it was
+    glued from, one per slab window (the pieces' own leaves, laid end to
+    end): on its window each leaf has exactly this curve's breakpoints.
+    An empty tuple stands for the curve itself, its own one leaf (a tuple
+    holding the curve would be a reference cycle), and None for a glued
+    curve whose pieces did not meet at one parameter and one event.
     """
 
     def __init__(self, st, domain, breakpoints, pace=None, time_function=None,
@@ -161,6 +168,7 @@ class CausalCurve:
             self.breakpoints = breakpoints
             self._params = _pieces[0]._params + _pieces[1]._params[1:]
         self._key = None
+        self._leaves = ()
         self._validate(_pieces)
 
     # -- construction and validation ----------------------------------------
@@ -315,6 +323,7 @@ class CausalCurve:
                           pace=self.pace, time_function=self.time_function)
         if self._key is not None:
             out._key = (domain.kind,) + self._key[1:]
+        out._leaves = self._leaves
         return out
 
     def sort_key(self):
@@ -483,6 +492,13 @@ def concat(c1: CausalCurve, c2: CausalCurve) -> CausalCurve:
     as non-affine otherwise.  Its validation checks what the pieces' own
     did not: the junction pair, and affinity from the junction on against
     c1's first breakpoint and pace (see ``CausalCurve._validate``).
+
+    The result records its pieces' leaves, c1's then c2's, when both have
+    leaves and the pieces meet at one parameter and at one event with the
+    same bits.  Inside c2's first window the glued curve then runs from
+    c2's own first breakpoint, as that leaf does; pieces that meet at two
+    events merged within tolerance leave the junction from c1's event
+    instead, and the result has no leaves (None).
     """
     st = c1.spacetime
     if c1.domain.kind not in (Interval.COMPACT, Interval.PAST):
@@ -519,7 +535,18 @@ def concat(c1: CausalCurve, c2: CausalCurve) -> CausalCurve:
     out = CausalCurve(st, domain, pts, pace=pace, time_function=tf, _pieces=(c1, c2))
     # the pieces' keys share their breakpoint tuples with the glued key
     out._key = (domain.kind, len(pts), c1.sort_key()[2] + c2.sort_key()[2][1:])
+    if (c1._leaves is not None and c2._leaves is not None
+            and c1._params[-1] == c2._params[0] and _same_bits(e1, e2)):
+        out._leaves = (c1._leaves or (c1,)) + (c2._leaves or (c2,))
+    else:
+        out._leaves = None
     return out
+
+
+def _same_bits(p, q):
+    """True when two events are one object, or equal with the same float
+    bits (``repr`` tells 0.0 from -0.0)."""
+    return p is q or (p == q and repr(p) == repr(q))
 
 
 # -- verification ---------------------------------------------------------------

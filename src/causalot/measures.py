@@ -12,20 +12,22 @@ rule, the merge's own: a junction atom's fiber is the inputs merged into
 it, which a slice measure keeps, so the fibers partition the inputs.
 
 Cost model, for N (atom, weight) pairs with D distinct atoms: a
-constructor passes events with a float time and a finite float point or
-a known vertex id through unchanged and normalizes the others
+constructor passes events with a float time and a canonical point (a
+finite float, a known vertex id or an edge-interior triple) through
+unchanged and normalizes the others
 (:meth:`causalot.spacetime.Spacetime.canonical_event`), groups exactly
 equal atoms in O(N), and sorts and merges only the D distinct ones, in
 O(D log D); only the member lists of merged distinct atoms are sorted.
 A curve measure built by a coupling lift, by :func:`concat_measures` or
-by synthesis's rewrap onto a half-line keeps its slab factors
-(``_Factors``, built on first use): per slab window, the L curves lifted
-there and, per atom, the one it runs through.  An evaluation pushforward at a time in a
-window with L < N evaluates those L curves once each and groups the N
-atoms by integer index, so it costs O(N) dictionary steps plus L
-evaluations, where the plain path (any other measure or time) evaluates
-each of the N curves.  Both compute a time value once per distinct
-event, and their fibers cost no closeness test.  A glued curve
+by synthesis's rewrap onto a half-line keeps its ordered slab windows
+(``_windows``), and each glued curve keeps the lifted curves it was
+glued from, one per window (``_leaves``, see
+:func:`causalot.curves.concat`).  An evaluation pushforward at a time in
+a window evaluates each atom by its leaf there, so with L distinct
+leaves it costs O(N) dictionary steps plus L evaluations; at any other
+time, on any other measure, or for a curve without leaves, an atom
+evaluates itself.  Either way it computes a time value once per
+distinct event, and its fibers cost no closeness test.  A glued curve
 checks only what its pieces did not (:func:`causalot.curves.concat`):
 the junction pair, and affinity from the junction on, against its own
 anchor, on time values the pieces cached; its sort key joins the pieces'
@@ -43,7 +45,6 @@ causal precedence (``coupling._Instance``).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from itertools import accumulate
 
 from .errors import InputError, PreconditionError
@@ -75,10 +76,7 @@ def _merge(items, key, close, tol):
     the indices of the pairs merged into ``atoms[n]``.
     """
     items = list(items)
-    groups = {}
-    for i, (atom, _) in enumerate(items):
-        groups.setdefault(atom, []).append(i)
-    return _merge_groups(items, groups, key, close, tol)
+    return _merge_groups(items, _group_indices([atom for atom, _ in items]), key, close, tol)
 
 
 def _merge_groups(items, groups, key, close, tol):
@@ -111,8 +109,8 @@ class SliceMeasure:
     level set of a time function."""
 
     def __init__(self, st, atoms, time_function=None, tau=None, _groups=None):
-        # ``_groups``, from a pushforward through a factor view, groups
-        # atoms that are canonical events already (see ``_merge_groups``)
+        # ``_groups``, from an evaluation pushforward, groups atoms that are
+        # canonical events already (see ``_merge_groups``)
         self.spacetime = st
         if _groups is None:
             st_atoms = [(st.canonical_event(e), float(w)) for e, w in atoms]
@@ -149,55 +147,23 @@ class SliceMeasure:
         return f"SliceMeasure({len(self.atoms)} atoms, tau={self.tau})"
 
 
-class _Factors:
-    """The slab factors of a glued curve measure: the view of the measures
-    that :func:`causalot.synthesis.lift_coupling`, :func:`concat_measures`
-    and ``synthesis._rewrap`` build (``CurveMeasure._factors``).
-
-    ``windows[k]`` is the k-th slab's parameter window ``(a_k, b_k)``, in
-    increasing order, each window's end the next one's start;
-    ``lifted[k]`` holds the curves lifted on that slab, each with its first
-    and last breakpoint at ``a_k`` and ``b_k``; and ``columns[k][n]`` is the
-    index in ``lifted[k]`` of the lifted curve that atom n runs through on
-    the window.  On its window, atom n has exactly the breakpoints of
-    ``lifted[k][columns[k][n]]``.
-    """
-
-    __slots__ = ("windows", "lifted", "columns", "_ends")
-
-    def __init__(self, windows, lifted, columns):
-        self.windows, self.lifted, self.columns = windows, lifted, columns
-        self._ends = [b for _, b in windows]
-
-    def window(self, t, n):
-        """Index of the window holding t (at a junction, the left one), if
-        it lifted fewer curves than the n atoms; None otherwise, where
-        evaluating the atoms themselves costs no more."""
-        k = bisect_left(self._ends, t)
-        if k < len(self.windows) and self.windows[k][0] <= t and len(self.lifted[k]) < n:
-            return k
-        return None
-
-    def fibers(self, k):
-        """The atoms by the curve they run through on window k:
-        ``{lifted index: increasing atom indices}``, in first-seen order."""
-        out = {}
-        for n, i in enumerate(self.columns[k]):
-            out.setdefault(i, []).append(n)
-        return out
-
-    def pick(self, rows):
-        """The view of the atoms ``rows`` name, in that order."""
-        return _Factors(self.windows, self.lifted,
-                        tuple(list(map(column.__getitem__, rows)) for column in self.columns))
+def _evaluators(sigma, t):
+    """Per atom, the curve that evaluates it at t: its leaf on the window of
+    ``sigma._windows`` that holds t (at a junction, the left one), when it
+    has leaves; otherwise the atom itself."""
+    for k, (a, b) in enumerate(sigma._windows or ()):
+        if a <= t <= b:
+            return [c._leaves[k] if c._leaves else c for c, _ in sigma.atoms]
+    return [c for c, _ in sigma.atoms]
 
 
-def _rows(sigma, items):
-    """For each atom of sigma, built from the (curve, weight) ``items``,
-    the index of the item whose curve it holds.  A merge keeps the first
-    curve in key order as its atom, which is not always its first input."""
-    index = {id(c): i for i, (c, _) in enumerate(items)}
-    return [index[id(c)] for c, _ in sigma.atoms]
+def _group_indices(keys):
+    """The indices of ``keys`` by key: ``{key: increasing indices}``, in
+    first-seen order."""
+    out = {}
+    for n, key in enumerate(keys):
+        out.setdefault(key, []).append(n)
+    return out
 
 
 def _regroup(fibers, value):
@@ -235,23 +201,10 @@ class CurveMeasure:
         total = math.fsum(w for _, w in self.atoms)
         if abs(total - 1.0) > MASS_ATOL:
             raise InputError(f"weights must sum to 1 within {MASS_ATOL}, got {total!r}")
-        # set by the builders of glued measures: how to build the factor
-        # view, and the fewest curves any of its windows lifted
-        self._build = None
-        self._fewest = math.inf
-        self._view = None
+        # set by the builders of glued measures: the ordered slab windows
+        # (a, b) of the atoms' leaves (see _evaluators)
+        self._windows = None
         self._affine = False  # not computed yet (see _affine_in)
-
-    @property
-    def _factors(self):
-        """The factor view (see ``_Factors``), built on first use by the
-        builder a glued measure was given, or None.  Pushforwards ask for it
-        only when ``_fewest`` is below the atom count, so a measure whose
-        every window lifted as many curves as it has atoms never builds it."""
-        if self._build is not None:
-            build, self._build = self._build, None
-            self._view = build(self)
-        return self._view
 
     @property
     def _affine_in(self):
@@ -334,46 +287,35 @@ def curve_measures_equal(s1: CurveMeasure, s2: CurveMeasure, tol=GEOM_ATOL, wtol
 def marginal_at(sigma: CurveMeasure, t) -> SliceMeasure:
     """Pushforward of a curve measure under evaluation at parameter t.
 
-    On a window of its factor view (see ``_Factors``) that lifted fewer
-    curves than it has atoms, a glued measure evaluates each lifted curve
-    of the window once and groups its atoms by lifted curve, then by
-    exactly equal event, before the merge's sorted close-merge; each
-    weight is the ``math.fsum`` of the same members, so the result is the
-    plain pushforward's, bit for bit.  The events are too: inside window k
-    a glued curve's breakpoints are the lifted curve's own, so
-    ``CausalCurve.at`` runs the same arithmetic on them, and at a
-    junction, ``bisect_left`` finds the left piece's last breakpoint, the
-    left window's lifted curve's last event.  Canonicalization, the mass
-    check and the level-set check still run on every distinct event, and
-    ``tau`` is the time value of the first atom's event.
+    Each atom is evaluated by its leaf on the slab window that holds t, or
+    by itself (see ``_evaluators``); each such curve is evaluated once, and
+    the atoms are grouped by it, then by exactly equal canonical event,
+    before the merge's sorted close-merge.  The result is the one of every
+    atom evaluating itself, bit for bit: inside window k a glued curve's
+    breakpoints are its leaf's own, so ``CausalCurve.at`` runs the same
+    arithmetic on them, and at a junction ``bisect_left`` finds the left
+    piece's last breakpoint, the left leaf's last event; the groups are
+    the ones ``_merge`` forms, and each weight is the ``math.fsum`` of the
+    same members.  Canonicalization, the mass check and the level-set
+    check run on every distinct event, and ``tau`` is the time value of
+    the first atom's event.
     """
     t = float(t)
     if not sigma.domain.contains(t, GEOM_ATOL):
         raise InputError(f"parameter {t} outside common domain {sigma.domain}")
     st = sigma.spacetime
-    n = len(sigma.atoms)
-    view = sigma._factors if sigma._fewest < n else None
-    k = None if view is None else view.window(t, n)
-    if k is None:
-        events = [c.at(t) for c, _ in sigma.atoms]
-    else:
-        lifted = view.lifted[k]
-        fibers = view.fibers(k)
-        raw = {i: lifted[i].at(t) for i in fibers}
-        events = raw.values()
+    curves = _evaluators(sigma, t)
+    fibers = _group_indices(curves)
+    canon = {c: st.canonical_event(c.at(t)) for c in fibers}
     tf = sigma._affine_in
     tau = None
     if tf is not None:
         # one value per distinct event, in first-seen order
-        values = [tf.value(st, e) for e in dict.fromkeys(events)]
+        values = [tf.value(st, e) for e in dict.fromkeys(canon.values())]
         if max(values) - min(values) <= GEOM_ATOL:
             tau = values[0]
     level = tf if tau is not None else None
-    if k is None:
-        return SliceMeasure(st, [(e, w) for e, (_, w) in zip(events, sigma.atoms)],
-                            time_function=level, tau=tau)
-    canon = {i: st.canonical_event(e) for i, e in raw.items()}
-    return SliceMeasure(st, [(canon[i], w) for i, (_, w) in zip(view.columns[k], sigma.atoms)],
+    return SliceMeasure(st, [(canon[c], w) for c, (_, w) in zip(curves, sigma.atoms)],
                         time_function=level, tau=tau, _groups=_regroup(fibers, canon.get))
 
 
@@ -418,13 +360,10 @@ def concat_measures(s1: CurveMeasure, s2: CurveMeasure) -> CurveMeasure:
 
     The curve count, the sum over junction atoms of the products of their
     fiber sizes, is computed before any curve is built, and a count above
-    ``MAX_GLUED_CURVES`` is refused.  When both inputs have factor views
-    that meet at the junction, and the pieces of each glued pair meet at
-    one event, equal bit for bit, the result's view, built when first
-    asked for, is their windows and lifted curves, with the columns each
-    atom's pair reads.  Pieces that meet at two events merged within
-    tolerance give no view: the glued curve leaves the junction from the
-    left piece's event, not the right piece's.
+    ``MAX_GLUED_CURVES`` is refused.  When both inputs have slab windows,
+    the result carries s1's then s2's; each glued curve keeps its own
+    leaves, or none where its pieces do not meet at one parameter and one
+    event (:func:`causalot.curves.concat`).
     """
     st = s1.spacetime
     if s1.domain.kind not in (Interval.COMPACT, Interval.PAST):
@@ -443,39 +382,13 @@ def concat_measures(s1: CurveMeasure, s2: CurveMeasure) -> CurveMeasure:
     if count > MAX_GLUED_CURVES:
         raise InputError(f"gluing at {b} would build {count} curves, more than the "
                          f"cap of {MAX_GLUED_CURVES}")
-    pairs = list(_glued_pairs(nu1, nu2))
     atoms1, atoms2 = s1.atoms, s2.atoms
-    glued = [(concat(atoms1[i][0], atoms2[j][0]),
-              wx * (atoms1[i][1] / wx) * (atoms2[j][1] / wy)) for wx, wy, i, j in pairs]
-    sigma = CurveMeasure(st, glued)
-    sigma._fewest = min(s1._fewest, s2._fewest)
-    sigma._build = lambda out: _glued_factors(out, glued, pairs, s1, s2)
+    sigma = CurveMeasure(st, [(concat(atoms1[i][0], atoms2[j][0]),
+                               wx * (atoms1[i][1] / wx) * (atoms2[j][1] / wy))
+                              for wx, wy, i, j in _glued_pairs(nu1, nu2)])
+    if s1._windows and s2._windows:
+        sigma._windows = s1._windows + s2._windows
     return sigma
-
-
-def _glued_factors(sigma, glued, pairs, s1, s2):
-    """The factor view of ``sigma = concat_measures(s1, s2)``, built from
-    its ``glued`` (curve, weight) items and their ``pairs``, or None."""
-    f1, f2 = s1._factors, s2._factors
-    if f1 is None or f2 is None or f1.windows[-1][1] != f2.windows[0][0]:
-        return None
-    atoms1, atoms2 = s1.atoms, s2.atoms
-    if not all(_same_bits(atoms1[i][0].breakpoints[-1][1], atoms2[j][0].breakpoints[0][1])
-               for _, _, i, j in pairs):
-        return None
-    rows = _rows(sigma, glued)
-    left = f1.pick([pairs[r][2] for r in rows])
-    right = f2.pick([pairs[r][3] for r in rows])
-    return _Factors(left.windows + right.windows, left.lifted + right.lifted,
-                    left.columns + right.columns)
-
-
-def _same_bits(p, q):
-    """True when two events are one object, or equal with the same float
-    bits (``repr`` tells 0.0 from -0.0).  Coupling atoms off the vertices
-    are normalized anew by each coupling, so slabs meet at equal events
-    that are not one object."""
-    return p is q or (p == q and repr(p) == repr(q))
 
 
 def pushforward_reparametrize(sigma: CurveMeasure, tf1, tf2) -> CurveMeasure:

@@ -289,18 +289,24 @@ class Spacetime:
 
     def canonical_event(self, e):
         """``self.event(e.t, e.x)``, or e itself when it is already that
-        event: a float time and a canonical point (see ``_is_canonical``).
-        Any other event is normalized."""
+        event: a float time and a canonical point (see ``_is_canonical``),
+        edge-interior graph points included, so couplings of adjacent slabs
+        meet at one junction event object.  Any other event is normalized."""
         if type(e) is Event and type(e.t) is float and self._is_canonical(e.x):
             return e
         return self.event(e.t, e.x)
 
     def _is_canonical(self, x):
         # True for points normalize_point returns unchanged without work:
-        # a finite float (Minkowski) or a known vertex id (graph).
+        # a finite float (Minkowski), a known vertex id, or an (a, b, offset)
+        # triple of an edge key and a float offset strictly inside the edge.
         if self.backend == self.MINKOWSKI:
             return type(x) is float and math.isfinite(x)
-        return type(x) is str and x in self._index
+        if type(x) is not tuple or len(x) != 3:
+            return type(x) is str and x in self._index
+        a, b, off = x
+        return (type(a) is str and type(b) is str and type(off) is float
+                and 0.0 < off < self.edges.get((a, b), 0.0))
 
     def _point(self, x):
         return x if self._is_canonical(x) else self.normalize_point(x)

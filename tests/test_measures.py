@@ -229,6 +229,26 @@ def test_canonical_event_returns_canonical_events_themselves(mink):
             st.canonical_event(raw)
 
 
+def test_canonical_edge_interior_events_are_returned_themselves():
+    st = MERGE_GRAPH
+    for x in [("A", "B", 0.5), ("B", "C", 1.5), ("1", "B", 5e-324), ("B", "C", 2.0 - 2 ** -51)]:
+        e = Event(1.0, x)
+        assert st.canonical_event(e) is e and st.event(e.t, e.x) == e
+    # reversed, on an end, within tolerance of one, an int offset: normalized
+    for x in [("B", "A", 0.5), ("A", "B", 0.0), ("A", "B", -0.0), ("A", "B", 1.0),
+              ("B", "C", 2.0), ("A", "B", -5e-10), ("B", "C", 1), ("B", "C", True)]:
+        raw = Event(1.0, x)
+        got = st.canonical_event(raw)
+        assert got is not raw and repr(got) == repr(st.event(raw.t, raw.x))
+    # an unknown edge, an unknown vertex, an offset beyond the edge: the same error
+    for x in [("A", "C", 0.5), ("A", "Z", 0.5), ("A", "B", 1.5), ("A", "B", math.nan)]:
+        with pytest.raises(InputError) as want:
+            st.event(1.0, x)
+        with pytest.raises(InputError) as got:
+            st.canonical_event(Event(1.0, x))
+        assert str(got.value) == str(want.value)
+
+
 def test_merge_differs_from_the_sorted_merge_only_on_tied_unequal_atoms():
     # Vertex ids containing "|" give the interior points P of edge (a|b, c) and
     # Q of edge (a, b|c) one sort key.  The sorted merge kept P, Q, P as three

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -14,6 +16,7 @@ from causalot import (CausalCurve, Coupling, CurveMeasure, Event, Evolution, Inp
                       pushforward_reparametrize, run_plan, slice_measures_equal,
                       synthesize_compact, synthesize_slabs, to_time_parametrized,
                       transport_distance, RawPath)
+from causalot.measures import _evaluators
 from genrand import (dyadic_weights, random_backend, random_causal_evolution,
                      random_graph, random_time_function, rng_for)
 
@@ -432,7 +435,7 @@ def test_round_trip_randomized():
         assert check_evolution(st, evo2).causal
 
 
-# -- factor views against the plain pushforwards ------------------------------------------------
+# -- evaluation through leaves against the plain pushforwards ---------------------------------
 
 def _bits(v):
     """A value with every float spelled by float.hex (events by their fields)."""
@@ -464,12 +467,13 @@ def _outcome(f, *args):
                                for x, cond in conditionals]
 
 
-def _assert_view_matches_plain(sigma, times):
-    """Every pushforward of a measure with a factor view equals, bit for bit,
-    the one of the same atoms without it (the plain path).  Returns how
-    many of the times the view serves."""
+def _assert_leaves_match_plain(sigma, times):
+    """Every pushforward of a measure with slab windows equals, bit for bit,
+    the one of the same atoms without them, where each atom evaluates
+    itself (the plain oracle).  Returns how many of the times some atom is
+    evaluated through a leaf."""
     plain = CurveMeasure(sigma.spacetime, sigma.atoms)
-    assert sigma._factors is not None and plain._factors is None
+    assert sigma._windows is not None and plain._windows is None
     assert [a for a, _ in plain.atoms] == [a for a, _ in sigma.atoms]
     for t in times:
         for f in (marginal_at, disintegrate):
@@ -478,13 +482,14 @@ def _assert_view_matches_plain(sigma, times):
         for t in times[i::2]:
             assert _outcome(extract_coupling, sigma, s, t) == \
                 _outcome(extract_coupling, plain, s, t), (s, t)
-    return sum(sigma._factors.window(t, len(sigma)) is not None for t in times)
+    return sum(any(e is not c for e, (c, _) in zip(_evaluators(sigma, t), sigma.atoms))
+               for t in times)
 
 
 def _probe_times(sigma):
     """Junction times and window edges, points inside windows, times within
     GEOM_ATOL of the outer edges, and times on the static extension."""
-    windows = sigma._factors.windows
+    windows = sigma._windows
     edges = [windows[0][0]] + [b for _, b in windows]
     lo, hi = edges[0], edges[-1]
     inside = [a + (b - a) * f for a, b in windows for f in (0.25, 0.5, 0.875)]
@@ -544,14 +549,14 @@ def test_factored_pushforwards_match_the_plain_path(backend, direction, slices, 
             sigma = synthesize_slabs(st, tf, evo, horizon, direction)
     except (NonCausalEvolutionError, PreconditionError):
         assume(False)  # a tilt can make a drawn step non-causal
-    _assert_view_matches_plain(sigma, _probe_times(sigma))
+    _assert_leaves_match_plain(sigma, _probe_times(sigma))
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_factored_pushforwards_match_the_plain_path_on_interior_atoms(chain_graph, direction):
-    # each coupling normalizes its edge-interior events anew, so slabs meet
-    # at equal events that are not one object, and the glue keeps its view;
-    # the mass at mid splits, so three curves run through two first lifts
+    # couplings pass canonical edge-interior events through, so slabs meet
+    # at one junction event and every glued curve keeps its leaves; the
+    # mass at mid splits, so three curves run through two first lifts
     st = chain_graph
     mid = ("B", "C", 1.0)
     entries = [(0.0, SliceMeasure(st, [(st.event(0, "A"), 0.5), (st.event(0, "B"), 0.5)])),
@@ -559,7 +564,8 @@ def test_factored_pushforwards_match_the_plain_path_on_interior_atoms(chain_grap
                (2.0, SliceMeasure(st, [(st.event(2, "C"), 0.25), (st.event(2, mid), 0.75)]))]
     sigma = synthesize_slabs(st, T0, Evolution(st, entries, T0, MeshSpec("integer")), 2,
                              direction)
-    assert _assert_view_matches_plain(sigma, _probe_times(sigma)) > 0
+    assert all(len(c._leaves) == 2 for c, _ in sigma.atoms)
+    assert _assert_leaves_match_plain(sigma, _probe_times(sigma)) > 0
 
 
 def _merging_glue_pieces():
@@ -606,15 +612,14 @@ def test_a_glue_that_merges_curves_keeps_its_representatives_view():
     # first in key order and represents it
     assert (len(s1), len(glued)) == (5, 6) and glued.atoms[0][1] == 0.5
     assert glued.atoms[0][0].at(0.0).x == starts[0]
-    assert glued._factors.columns[0][0] == 0
-    # the view serves the first window, where the lift has fewer curves
-    assert _assert_view_matches_plain(glued, [0.0, 0.5, 1.0, 1.5, 2.0]) == 3
+    assert glued.atoms[0][0]._leaves[0] is s1.atoms[0][0]
+    # every glued curve keeps its leaves, so they serve every time in the windows
+    assert _assert_leaves_match_plain(glued, [0.0, 0.5, 1.0, 1.5, 2.0]) == 5
 
 
 def test_factored_pushforwards_evaluate_each_lifted_curve_once(monkeypatch):
     _, s1, s2 = _merging_glue_pieces()
     glued = concat_measures(s1, s2)
-    lifted = glued._factors.lifted[0]
     calls = Counter()
     real_at = CausalCurve.at
 
@@ -623,22 +628,84 @@ def test_factored_pushforwards_evaluate_each_lifted_curve_once(monkeypatch):
         return real_at(self, tau)
 
     monkeypatch.setattr(CausalCurve, "at", counting_at)
-    once = Counter({id(lifted[i]): 1 for i in set(glued._factors.columns[0])})
+    once = Counter({id(c._leaves[0]): 1 for c, _ in glued.atoms})
     marginal_at(glued, 0.5)
     assert calls == once and len(once) < len(glued)
     calls.clear()
     extract_coupling(glued, 0.25, 0.75)  # both times in the first window
     assert calls == once + once
+    calls.clear()
+    marginal_at(glued, 1.5)
+    assert calls == Counter({id(c._leaves[1]): 1 for c, _ in glued.atoms})
 
 
 def test_a_glue_over_junction_events_merged_within_tolerance_has_no_view(mink):
-    # the pieces meet at 0 and at 5e-10, one junction atom: each glued
+    # the pieces meet at 0 and at 5e-10, one junction atom: the glued
     # curve leaves the junction from the left piece's event, so the right
-    # lift's curves are not its pieces there
+    # lift's curve is not its leaf there, and it keeps no leaves
     ev = mink.event
     s1 = lift_coupling(mink, T0, Coupling(mink, [((ev(0, 0.0), ev(1, 0.0)), 1.0)]), 0.0, 1.0)
     s2 = lift_coupling(mink, T0, Coupling(mink, [((ev(1, 5e-10), ev(2, 0.5)), 1.0)]), 1.0, 2.0)
     glued = concat_measures(s1, s2)
-    assert s1._factors is not None and s2._factors is not None
-    assert glued._factors is None
+    assert glued._windows == ((0.0, 1.0), (1.0, 2.0))
+    (curve, _), = glued.atoms
+    assert curve._leaves is None and _evaluators(glued, 1.5) == [curve]
     assert marginal_at(glued, 1.5).atoms[0][0].x == 0.25
+
+
+def test_a_glue_over_junction_parameters_apart_keeps_no_leaves(mink):
+    # the second lift starts 5e-10 after the first ends, within the glue's
+    # tolerance: inside the second window the glued curve runs from the
+    # first piece's junction parameter, not from its leaf's
+    ev = mink.event
+    mid = ev(1, 0.0)
+    s1 = lift_coupling(mink, T0, Coupling(mink, [((ev(0, 0.0), mid), 1.0)]), 0.0, 1.0)
+    s2 = lift_coupling(mink, T0, Coupling(mink, [((mid, ev(2, 0.5)), 1.0)]), 1.0 + 5e-10, 2.0)
+    glued = concat_measures(s1, s2)
+    assert [c._leaves for c, _ in glued.atoms] == [None]
+    times = [0.0, 0.5, 1.0, 1.0 + 2.5e-10, 1.0 + 5e-10, 1.5, 2.0]
+    assert _assert_leaves_match_plain(glued, times) == 0
+    assert marginal_at(glued, 1.5).atoms[0][0].x == 0.25
+
+
+def test_leaves_are_kept_per_glued_curve(mink):
+    # one junction pair meets at events 5e-10 apart, the other at one
+    # object; only the first pair's glued curve loses its leaves, and the
+    # second junction atom branches, so two glued curves keep theirs
+    ev = mink.event
+    mid = ev(1, 0.5)
+    s1 = lift_coupling(mink, T0, Coupling(mink, [((ev(0, 0.0), ev(1, 0.0)), 0.5),
+                                                 ((ev(0, 0.25), mid), 0.5)]), 0.0, 1.0)
+    s2 = lift_coupling(mink, T0, Coupling(mink, [((ev(1, 5e-10), ev(2, 0.25)), 0.5),
+                                                 ((mid, ev(2, 0.5)), 0.25),
+                                                 ((mid, ev(2, 0.75)), 0.25)]), 1.0, 2.0)
+    glued = concat_measures(s1, s2)
+    by_start = {c.at(0.0).x: c for c, _ in glued.atoms}
+    assert len(glued) == 3 and list(by_start) == [0.0, 0.25]
+    kept = [c for c, _ in glued.atoms if c._leaves is not None]
+    assert by_start[0.0]._leaves is None and len(kept) == 2
+    assert all(c._leaves[0] is s1.atoms[1][0] for c in kept)
+    # the window edges (the junction among them), inside the windows, and
+    # on either side of the junction
+    times = [0.0, 0.25, 0.5, 0.875, 1.0 - 5e-10, 1.0, 1.0 + 5e-10, 1.25, 1.5, 1.875, 2.0]
+    assert _assert_leaves_match_plain(glued, times) == len(times)
+
+
+def test_a_synthesized_measure_holds_no_reference_cycle(mink):
+    # a lifted curve held by its glued curves' leaves dies with the
+    # measure, without the cyclic garbage collector
+    entries = [(float(k), SliceMeasure(mink, [(mink.event(k, 0.0), 0.5),
+                                              (mink.event(k, 0.25), 0.5)]))
+               for k in range(-2, 3)]
+    evo = Evolution(mink, entries, T0, MeshSpec("integer"))
+    gc.collect()
+    gc.disable()
+    try:
+        sigma = synthesize_slabs(mink, T0, evo, 2, "both")
+        assert len(sigma.atoms[0][0]._leaves) == 4
+        leaf = weakref.ref(sigma.atoms[0][0]._leaves[0])
+        curve = weakref.ref(sigma.atoms[0][0])
+        del sigma
+        assert leaf() is None and curve() is None
+    finally:
+        gc.enable()
