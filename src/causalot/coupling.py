@@ -231,7 +231,7 @@ class _Instance:
         return units / self._unit_den  # int / int rounds once, correctly
 
 
-def _max_flow(instance: _Instance, flows=None):
+def _max_flow(instance: _Instance):
     """Edmonds-Karp max flow on source -> left atoms -> right atoms -> sink
     with integer capacities; deterministic arc ordering by atom index.
 
@@ -240,8 +240,7 @@ def _max_flow(instance: _Instance, flows=None):
     the admissible arc i -> j (a dense m x n integer matrix, zero off the
     arcs) and reachable is the set of left atoms reachable from the
     source in the final residual graph (a min-cut witness when the flow
-    is not saturating).  ``flows``, when given, is a feasible starting
-    flow on admissible arcs and is augmented in place.
+    is not saturating).  The flow starts from zero.
 
     The augmenting paths found first are direct arcs, and one greedy pass
     pushes them all before the first BFS.  Each BFS queues the left atoms
@@ -254,28 +253,20 @@ def _max_flow(instance: _Instance, flows=None):
     grow, so no atom regains a free neighbour, and these augmentations are
     exactly the pass below: for i ascending, for j ascending over the arcs
     of row i, push ``min(free supply, free demand)``.  The result is the
-    one the BFS alone would reach, from any starting flow.  The BFS steps
-    back from right atom j only over ``carriers[j]``, the rows that carry
-    flow into j, kept in ascending order at every push, so it visits the
-    rows in the order a scan of the whole column would.
+    one the BFS alone would reach.  The BFS steps back from right atom j
+    only over ``carriers[j]``, the rows that carry flow into j, kept in
+    ascending order at every push, so it visits the rows in the order a
+    scan of the whole column would.
     """
     supply, demand = instance.supply, instance.demand
     m = len(supply)
     n = len(demand)
     arcs = instance.adjacency
     carriers = [[] for _ in range(n)]
-    if flows is None:
-        flows = [[0] * n for _ in range(m)]
-        used_supply, used_demand = [0] * m, [0] * n
-    else:
-        used_supply = [sum(row) for row in flows]
-        used_demand = [sum(col) for col in zip(*flows)]
-        for i, row in enumerate(flows):
-            for j in arcs[i]:
-                if row[j]:
-                    carriers[j].append(i)
+    flows = [[0] * n for _ in range(m)]
+    used_supply, used_demand = [0] * m, [0] * n
     for i in range(m):
-        free = supply[i] - used_supply[i]
+        free = supply[i]
         if free <= 0:
             continue
         row = flows[i]
@@ -285,9 +276,8 @@ def _max_flow(instance: _Instance, flows=None):
                 continue
             if push > free:
                 push = free
-            if not row[j]:
-                insort(carriers[j], i)
-            row[j] += push
+            carriers[j].append(i)  # rows ascend, so each list stays sorted
+            row[j] = push
             used_demand[j] += push
             free -= push
             if not free:
@@ -351,9 +341,14 @@ def _max_flow(instance: _Instance, flows=None):
 def _transport_exact(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
     """W1 by the primal-dual method (Ahuja, Magnanti and Orlin, *Network
     Flows*, ch. 9) in integers, with duals from the row then column minima.
-    Each phase grows the flow on the tight arcs; while supply is unrouted,
-    the duals of the min-cut side move by the least slack across the cut.
-    Only arcs from unreached atoms, which carry no flow, stop being tight."""
+    Each phase finds a max flow on the tight arcs from zero; while supply
+    is unrouted, the duals of the min-cut side move by the least slack
+    across the cut.  Only arcs from unreached atoms, which carry no flow,
+    stop being tight, so no phase routes less than the one before.  Every
+    max flow of a phase has the same value and the same set reachable from
+    the source (the minimal min cut), so the duals move the same way
+    whichever one the phase finds, and the cost of the final flow is the
+    optimum, exact in integers."""
     inst = _Instance(mu, nu, None)  # each phase sets its tight arcs
     n = len(nu.atoms)
     ints, cost_scale = _dyadic_ints([st.riemannian_distance(p, q)
@@ -361,11 +356,10 @@ def _transport_exact(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
     cost = [ints[k:k + n] for k in range(0, len(ints), n)]
     u = [min(row) for row in cost]
     v = [min(c[j] - ui for c, ui in zip(cost, u)) for j in range(n)]
-    flows = None
     while True:
         inst.adjacency = [[j for j, (vj, cij) in enumerate(zip(v, c)) if ui + vj == cij]
                           for c, ui in zip(cost, u)]
-        value, flows, reachable = _max_flow(inst, flows)
+        value, flows, reachable = _max_flow(inst)
         if value == inst.scale:
             break
         right = {j for i in reachable for j in inst.adjacency[i]}

@@ -1,15 +1,18 @@
 """Finitely supported probability measures on events and on curves.
 
 All measures are finite lists of (atom, weight) pairs with weights
-summing to one; atom identity is structural equality at tolerance 1e-9,
-and equal atoms are merged by weight addition (compensated summation
-throughout).  Disintegration is exact discrete conditioning, and the
-concatenation of two curve measures over a shared junction marginal is
-the finite sum of fiberwise product measures pushed through curve
-concatenation.  Conditioning, concatenation and the composition of
-couplings (:func:`causalot.coupling.compose_couplings`) read one fiber
-rule, the merge's own: a junction atom's fiber is the inputs merged into
-it, which a slice measure keeps, so the fibers partition the inputs.
+summing to one.  One function, ``_merge``, decides both for every
+measure: atom identity is structural equality at ``GEOM_ATOL`` (1e-9),
+equal atoms are merged by weight addition (compensated summation
+throughout), and the total must lie within ``MASS_ATOL`` (1e-12) of one;
+each constructor calls it once.  Disintegration is exact discrete
+conditioning, and the concatenation of two curve measures over a shared
+junction marginal is the finite sum of fiberwise product measures pushed
+through curve concatenation.  Conditioning, concatenation and the
+composition of couplings (:func:`causalot.coupling.compose_couplings`)
+read one fiber rule, the merge's own: a junction atom's fiber is the
+inputs merged into it, which a slice measure keeps, so the fibers
+partition the inputs.
 
 Cost model, for N (atom, weight) pairs with D distinct atoms: a
 constructor passes events with a float time and a canonical point (a
@@ -65,32 +68,33 @@ MASS_ATOL = 1e-12
 MAX_GLUED_CURVES = 100_000
 
 
-def _merge(items, key, close, tol):
-    """Merge (atom, weight) pairs into atoms sorted by key.
+def _merge(items, key, close, groups=None):
+    """Merge (atom, weight) pairs into a probability measure's atoms, sorted
+    by key: the one rule for atom identity and unit mass.
 
     Exactly equal atoms are grouped first: events and event pairs by value,
-    curves by identity.  The sort and the merge of ``close`` neighbours then
-    run over the distinct atoms, and each merged atom's weight is the
-    ``math.fsum`` of all its weights, which does not depend on their order.
-    Returns ``(atoms, members)``: ``members[n]`` lists, in increasing order,
-    the indices of the pairs merged into ``atoms[n]``.
+    curves by identity.  ``groups``, when given, is that grouping already
+    made (an evaluation pushforward's): each distinct atom, in the order of
+    its first pair, mapped to the increasing indices of the pairs equal to
+    it.  The sort and the merge of neighbours that ``close`` accepts at
+    ``GEOM_ATOL`` then run over the distinct atoms, and each merged atom's
+    weight is the ``math.fsum`` of all its weights, which does not depend on
+    their order.  A non-positive weight is refused first, then a total
+    farther than ``MASS_ATOL`` from one.  Returns ``(atoms, members)``:
+    ``members[n]`` lists, in increasing order, the indices of the pairs
+    merged into ``atoms[n]``.
     """
     items = list(items)
-    return _merge_groups(items, _group_indices([atom for atom, _ in items]), key, close, tol)
-
-
-def _merge_groups(items, groups, key, close, tol):
-    """``_merge`` of pairs already grouped: ``groups`` maps each distinct
-    atom, in the order of its first pair, to the increasing indices of the
-    pairs equal to it, as ``_merge`` groups them."""
     # the error names the first non-positive or NaN weight in sort order
     bad = [aw for aw in items if not aw[1] > 0]
     if bad:
         atom, w = min(bad, key=lambda aw: key(aw[0]))
         raise InputError(f"weights must be positive, got {w} at {atom!r}")
+    if groups is None:
+        groups = _group_indices([atom for atom, _ in items])
     atoms, members, joined = [], [], set()
     for atom, idx in sorted(groups.items(), key=lambda ai: key(ai[0])):
-        if atoms and close(atoms[-1], atom, tol):
+        if atoms and close(atoms[-1], atom, GEOM_ATOL):
             members[-1].extend(idx)
             joined.add(len(members) - 1)
         else:
@@ -101,6 +105,9 @@ def _merge_groups(items, groups, key, close, tol):
     # a single weight is its own fsum
     weights = [math.fsum([items[i][1] for i in idx]) if len(idx) > 1 else items[idx[0]][1]
                for idx in members]
+    total = math.fsum(weights)
+    if abs(total - 1.0) > MASS_ATOL:
+        raise InputError(f"weights must sum to 1 within {MASS_ATOL}, got {total!r}")
     return tuple(zip(atoms, weights)), members
 
 
@@ -110,20 +117,13 @@ class SliceMeasure:
 
     def __init__(self, st, atoms, time_function=None, tau=None, _groups=None):
         # ``_groups``, from an evaluation pushforward, groups atoms that are
-        # canonical events already (see ``_merge_groups``)
+        # canonical events already (see ``_merge``)
         self.spacetime = st
         if _groups is None:
-            st_atoms = [(st.canonical_event(e), float(w)) for e, w in atoms]
-            self.atoms, self._members = _merge(st_atoms, st.event_key, st.events_close,
-                                               GEOM_ATOL)
-        else:
-            self.atoms, self._members = _merge_groups(atoms, _groups, st.event_key,
-                                                      st.events_close, GEOM_ATOL)
+            atoms = [(st.canonical_event(e), float(w)) for e, w in atoms]
+        self.atoms, self._members = _merge(atoms, st.event_key, st.events_close, _groups)
         self.time_function = time_function
         self.tau = None if tau is None else float(tau)
-        total = math.fsum(w for _, w in self.atoms)
-        if abs(total - 1.0) > MASS_ATOL:
-            raise InputError(f"weights must sum to 1 within {MASS_ATOL}, got {total!r}")
         if self.tau is not None:
             if not math.isfinite(self.tau):
                 raise InputError(f"level-set time tau={self.tau} is not finite")
@@ -196,11 +196,7 @@ class CurveMeasure:
                     f"atom domains differ: {c.domain} vs {domain}")
         self.spacetime = st
         self.domain = domain
-        self.atoms = _merge(atoms, lambda c: c.sort_key(),
-                            lambda c1, c2, tol: curves_close(c1, c2, tol), GEOM_ATOL)[0]
-        total = math.fsum(w for _, w in self.atoms)
-        if abs(total - 1.0) > MASS_ATOL:
-            raise InputError(f"weights must sum to 1 within {MASS_ATOL}, got {total!r}")
+        self.atoms = _merge(atoms, lambda c: c.sort_key(), curves_close)[0]
         # set by the builders of glued measures: the ordered slab windows
         # (a, b) of the atoms' leaves (see _evaluators)
         self._windows = None
@@ -245,12 +241,7 @@ class Coupling:
         if _groups is None:
             event = st.canonical_event
             atoms = [((event(p), event(q)), float(w)) for (p, q), w in atoms]
-            self.atoms = _merge(atoms, key, close, GEOM_ATOL)[0]
-        else:
-            self.atoms = _merge_groups(atoms, _groups, key, close, GEOM_ATOL)[0]
-        total = math.fsum(w for _, w in self.atoms)
-        if abs(total - 1.0) > MASS_ATOL:
-            raise InputError(f"weights must sum to 1 within {MASS_ATOL}, got {total!r}")
+        self.atoms = _merge(atoms, key, close, _groups)[0]
         for (p, q), _ in self.atoms:
             if not st.causally_precedes(p, q, st.causal_tol):
                 raise InputError(f"atom pair ({p}, {q}) is not causally related")
@@ -415,9 +406,11 @@ def transport_distance(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
     O(m + n), exactly up to the rounding of each term.  Everything else
     (graphs, tilted level sets, atoms off one common time) goes to the
     exact primal-dual transport on ``coupling._Instance``, rounded once,
-    in phases of O(m n) each: faster than an LP solver up to about 16 atoms
-    per side, 6 to 15 times slower at 80 (``BENCH_transport_exact.json``);
-    the bundled scenarios, the benchmark and the tests pass at most 12.
+    in phases of one max flow each.  It is faster than an LP solver up to
+    about 16 atoms per side and 6 to 15 times slower at 80
+    (``BENCH_transport_exact.json``, measured while each phase resumed the
+    last one's flow, which saved 7 to 11% at 3 to 24 atoms per side); the
+    bundled scenarios, the benchmark and the tests pass at most 12.
     The routes agree when the totals are equal; when they differ (by up to
     2e-12), the instance scales nu to mu's total and the closed form lets
     nu's last atom absorb the difference.  Equal atom lists give 0 without

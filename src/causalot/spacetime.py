@@ -436,19 +436,18 @@ class Spacetime:
         return tuple(self.vertices[i] for i in path)
 
     def _shared_edge(self, x, y):
-        """Common edge of two graph points as (key, off_x, off_y), or None."""
-        ex = self._edges_of(x)
-        ey = self._edges_of(y)
-        shared = sorted(set(ex) & set(ey))
-        if not shared:
-            return None
-        key = shared[0]
+        """Common edge of two distinct canonical graph points as (key,
+        off_x, off_y), or None: an interior point's own edge, when the
+        other point lies on it, or the edge between two vertices."""
+        if isinstance(x, str) and isinstance(y, str):
+            key = (x, y) if x < y else (y, x)
+            if key not in self.edges:
+                return None
+        else:
+            key = y[:2] if isinstance(x, str) else x[:2]
+            if not all(p in key if isinstance(p, str) else p[:2] == key for p in (x, y)):
+                return None
         return key, self._offset_on(x, key), self._offset_on(y, key)
-
-    def _edges_of(self, x):
-        if isinstance(x, str):
-            return [tuple(sorted((x, self.vertices[j]))) for j, _ in self._adj[self._index[x]]]
-        return [(x[0], x[1])]
 
     def _offset_on(self, x, key):
         if isinstance(x, str):

@@ -1,4 +1,3 @@
-import copy
 import math
 from collections import deque
 from fractions import Fraction
@@ -285,17 +284,13 @@ def test_transport_distance_computes_no_causal_adjacency(net_graph, monkeypatch)
 
 # -- max flow against plain Edmonds-Karp ----------------------------------------------
 
-def _oracle_max_flow(instance, flows=None):
+def _oracle_max_flow(instance):
     """Edmonds-Karp with a BFS for every augmenting path: ``_max_flow``
     as it was before the greedy pass, kept as the oracle for it."""
     m = len(instance.supply)
     n = len(instance.demand)
-    if flows is None:
-        flows = [[0] * n for _ in range(m)]
-        used_supply, used_demand = [0] * m, [0] * n
-    else:
-        used_supply = [sum(row) for row in flows]
-        used_demand = [sum(col) for col in zip(*flows)]
+    flows = [[0] * n for _ in range(m)]
+    used_supply, used_demand = [0] * m, [0] * n
     while True:
         parent = {}
         queue = deque()
@@ -346,11 +341,11 @@ def _oracle_max_flow(instance, flows=None):
                 flows[w][v - m] -= bottleneck
 
 
-def _same_as_oracle(inst, flows=None):
-    """``_max_flow`` and the oracle, each from its own copy of ``flows``,
-    return the same (value, flows, reachable); returns that result."""
-    got = _max_flow(inst, copy.deepcopy(flows))
-    assert got == _oracle_max_flow(inst, copy.deepcopy(flows))
+def _same_as_oracle(inst):
+    """``_max_flow`` and the oracle return the same (value, flows,
+    reachable); returns that result."""
+    got = _max_flow(inst)
+    assert got == _oracle_max_flow(inst)
     return got
 
 
@@ -408,24 +403,6 @@ def _flow_pair(draw, kind):
             _weighted(st, [(e, draw(_WEIGHTS)) for e in right]))
 
 
-@st_.composite
-def _partial_flow(draw, inst):
-    """A feasible flow on the instance's arcs, as a primal-dual phase of
-    W1 hands to ``_max_flow``: each arc in a drawn order takes none, all,
-    half or a third of what its two ends still have free."""
-    m, n = len(inst.supply), len(inst.demand)
-    free_supply, free_demand = list(inst.supply), list(inst.demand)
-    flows = [[0] * n for _ in range(m)]
-    arcs = [(i, j) for i, row in enumerate(inst.adjacency) for j in row]
-    for i, j in draw(st_.permutations(arcs)):
-        cap = min(free_supply[i], free_demand[j])
-        push = draw(st_.sampled_from([0, cap, cap // 2, cap // 3]))
-        flows[i][j] += push
-        free_supply[i] -= push
-        free_demand[j] -= push
-    return flows
-
-
 _KINDS = st_.sampled_from(["one-time", "tilted", "mixed-time", "graph"])
 
 
@@ -433,12 +410,10 @@ _KINDS = st_.sampled_from(["one-time", "tilted", "mixed-time", "graph"])
 @given(st_.data(), _KINDS)
 def test_max_flow_matches_plain_edmonds_karp(data, kind):
     # The greedy pass pushes exactly the direct-arc augmentations the BFS
-    # would find first, so value, flows and the min-cut side are the BFS's,
-    # from a zero flow and from a partial one.
+    # would find first, so value, flows and the min-cut side are the BFS's.
     st, mu, nu = data.draw(_flow_pair(kind))
     inst = _Instance(mu, nu, _causal_adjacency(st, mu, nu))
     _same_as_oracle(inst)
-    _same_as_oracle(inst, data.draw(_partial_flow(inst)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -453,7 +428,6 @@ def test_max_flow_matches_plain_edmonds_karp_on_bipartite_graphs(data):
     demand = data.draw(st_.lists(st_.integers(1, 6), min_size=n, max_size=n))
     inst = SimpleNamespace(supply=supply, demand=demand, adjacency=_index_rows(adjacency))
     _same_as_oracle(inst)
-    _same_as_oracle(inst, data.draw(_partial_flow(inst)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -523,9 +497,8 @@ def test_decisions_match_plain_edmonds_karp(data, kind):
 
 
 def test_w1_matches_plain_edmonds_karp(monkeypatch):
-    # The primal-dual W1 (graph and tilted pairs) restarts the max flow
-    # from its last flow in every phase; its distances are bit-identical
-    # to the oracle's.
+    # The primal-dual W1 (graph and tilted pairs) runs one max flow per
+    # phase; its distances are bit-identical to the oracle's.
     rng = rng_for(1501)
     pairs = []
     for _ in range(120):

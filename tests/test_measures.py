@@ -60,23 +60,61 @@ def test_nan_weight_is_refused(mink, atoms):
         SliceMeasure(mink, [(mink.event(0.0, x), w) for x, w in atoms])
 
 
+def _two_atoms(st, kind, ws, off=False):
+    """A measure of the given kind with two distinct atoms of weights ws;
+    with ``off``, a slice measure whose atoms miss its level set, or a
+    coupling whose atom pairs are not causally related."""
+    if kind == "slice":
+        return SliceMeasure(st, [(st.event(0.0, x), w) for x, w in zip((0.0, 1.0), ws)],
+                            time_function=T0, tau=5.0 if off else 0.0)
+    if kind == "coupling":
+        dx = 5.0 if off else 0.0
+        return Coupling(st, [((st.event(0.0, x), st.event(1.0, x + dx)), w)
+                             for x, w in zip((0.0, 1.0), ws)])
+    return CurveMeasure(st, [(geod(st, 0, x, 1, x), w) for x, w in zip((0.0, 1.0), ws)])
+
+
+@pytest.mark.parametrize("kind", ["slice", "coupling", "curve"])
+def test_weights_must_sum_to_one_within_mass_atol(mink, kind):
+    for dw in (5e-13, -5e-13):
+        assert len(_two_atoms(mink, kind, [0.5, 0.5 + dw])) == 2
+    for dw in (2e-12, -2e-12):
+        ws = [0.5, 0.5 + dw]
+        with pytest.raises(InputError) as err:
+            _two_atoms(mink, kind, ws)
+        assert str(err.value) == f"weights must sum to 1 within 1e-12, got {math.fsum(ws)!r}"
+    # a non-positive weight is reported before the mass
+    with pytest.raises(InputError, match="weights must be positive, got -0.25"):
+        _two_atoms(mink, kind, [-0.25, 0.5 + 2e-12])
+    if kind != "curve":
+        # the mass is reported before the level set and the causal relation
+        with pytest.raises(InputError, match="not on the level set|not causally related"):
+            _two_atoms(mink, kind, [0.5, 0.5], off=True)
+        with pytest.raises(InputError, match="weights must sum to 1"):
+            _two_atoms(mink, kind, [0.5, 0.5 + 2e-12], off=True)
+
+
 # -- merging atoms -------------------------------------------------------------------
 
-def _sorted_merge(items, key, close, tol):
+def _sorted_merge(items, key, close, groups=None):
     """Reference: the merge that sorts every pair by key and merges each atom
-    into the previous one when they are close, without grouping first; the
-    members of an atom are the input indices its sweep merged into it."""
+    into the previous one when they are close, without grouping first (so
+    it ignores ``groups``); the members of an atom are the input indices its
+    sweep merged into it.  The total mass is checked as ``_merge`` does."""
     out = []
     for i, (atom, w) in sorted(enumerate(items), key=lambda iaw: key(iaw[1][0])):
         if w <= 0:
             raise InputError(f"weights must be positive, got {w} at {atom!r}")
-        if out and close(out[-1][0], atom, tol):
+        if out and close(out[-1][0], atom, GEOM_ATOL):
             out[-1][1].append(w)
             out[-1][2].append(i)
         else:
             out.append([atom, [w], [i]])
-    return (tuple((atom, math.fsum(ws)) for atom, ws, _ in out),
-            [sorted(idx) for _, _, idx in out])
+    atoms = tuple((atom, math.fsum(ws)) for atom, ws, _ in out)
+    total = math.fsum(w for _, w in atoms)
+    if abs(total - 1.0) > M.MASS_ATOL:
+        raise InputError(f"weights must sum to 1 within {M.MASS_ATOL}, got {total!r}")
+    return atoms, [sorted(idx) for _, _, idx in out]
 
 
 def _outcome(build, merge=None):
