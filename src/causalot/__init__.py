@@ -23,10 +23,9 @@ from .measures import (Coupling, CurveMeasure, SliceMeasure, concat_measures,
 from .coupling import (Evolution, MeshSpec, check_evolution, compose_couplings,
                        cut_witness, dominates_on_upsets, dyadic_times,
                        find_causal_coupling)
-from .synthesis import (NonCausalEvolutionError, SynthesisPlan, extract_coupling,
-                        geometric_times, lift_coupling,
-                        observer_invariance_report, run_plan, synthesize_compact,
-                        synthesize_slabs, to_time_parametrized)
+from .synthesis import (NonCausalEvolutionError, extract_coupling, geometric_times,
+                        lift_coupling, observer_invariance_report, synthesize_compact,
+                        synthesize_open, synthesize_slabs, to_time_parametrized)
 
 __version__ = "0.1.0"
 
@@ -42,7 +41,7 @@ __all__ = [
     "pushforward_reparametrize", "slice_measures_equal", "transport_distance",
     "Evolution", "MeshSpec", "check_evolution", "compose_couplings",
     "cut_witness", "dominates_on_upsets", "dyadic_times", "find_causal_coupling",
-    "NonCausalEvolutionError", "SynthesisPlan", "extract_coupling",
-    "geometric_times", "lift_coupling", "observer_invariance_report",
-    "run_plan", "synthesize_compact", "synthesize_slabs", "to_time_parametrized",
+    "NonCausalEvolutionError", "extract_coupling", "geometric_times",
+    "lift_coupling", "observer_invariance_report", "synthesize_compact",
+    "synthesize_open", "synthesize_slabs", "to_time_parametrized",
 ]

@@ -45,8 +45,9 @@ from .measures import (Coupling, CurveMeasure, SliceMeasure, marginal_at,
                        pushforward_reparametrize, transport_distance)
 from .coupling import Evolution, MeshSpec, _decide, check_evolution
 from .schemacheck import compile_schema
-from .synthesis import (NonCausalEvolutionError, SynthesisPlan,
-                        observer_invariance_report, run_plan, to_time_parametrized)
+from .synthesis import (NonCausalEvolutionError, observer_invariance_report,
+                        synthesize_compact, synthesize_open, synthesize_slabs,
+                        to_time_parametrized)
 
 SCHEMA_VERSION = 1
 
@@ -291,26 +292,19 @@ def _verb_synthesize(sc: Scenario, args):
     if args.mesh_depth is not None:
         evo = _sub_mesh(evo, args.mesh_depth)
     kind = args.interval
-    if kind == "compact":
-        interval = Interval.compact(evo.times[0], evo.times[-1])
-        plan = SynthesisPlan(interval, evo, horizon=args.horizon)
-    elif kind == "future":
-        plan = SynthesisPlan(Interval.future(evo.times[0]), evo, horizon=args.horizon)
-    elif kind == "past":
-        plan = SynthesisPlan(Interval.past(evo.times[-1]), evo, horizon=args.horizon)
-    elif kind == "line":
-        plan = SynthesisPlan(Interval.line(), evo, horizon=args.horizon)
-    elif kind in ("right-open", "left-open", "open"):
-        if args.a is None or args.b is None:
-            raise InputError("open intervals need the endpoints --a and --b")
-        interval = Interval.compact(args.a, args.b)
-        plan = SynthesisPlan(interval, evo, horizon=args.horizon,
-                             open_left=kind in ("left-open", "open"),
-                             open_right=kind in ("right-open", "open"))
-    else:
-        raise InputError(f"unknown interval request {kind!r}")
     try:
-        sigma = run_plan(st, tf, plan)
+        if kind == "compact":
+            sigma = synthesize_compact(st, tf, evo)
+        elif kind in ("future", "past", "line"):
+            direction = {"future": "forward", "past": "backward", "line": "both"}[kind]
+            sigma = synthesize_slabs(st, tf, evo, args.horizon, direction)
+        elif kind in ("right-open", "left-open", "open"):
+            if args.a is None or args.b is None:
+                raise InputError("open intervals need the endpoints --a and --b")
+            side = {"right-open": "right", "left-open": "left", "open": "both"}[kind]
+            sigma = synthesize_open(st, tf, evo, args.a, args.b, args.horizon, side)
+        else:
+            raise InputError(f"unknown interval request {kind!r}")
     except NonCausalEvolutionError as err:
         return False, {"synthesized": False, "step": list(err.step),
                        "witness": err.witness.to_dict()}

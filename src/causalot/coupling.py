@@ -35,24 +35,27 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InputError
-from .measures import Coupling, SliceMeasure, _glued_pairs, _one_time, slice_measures_equal
+from .measures import (MASS_ATOL, Coupling, SliceMeasure, _glued_pairs, _one_time,
+                       slice_measures_equal)
 from .spacetime import GEOM_ATOL, GRID_ATOL, _dyadic_ints
 from .timefunc import canonical_time
 
 UPSET_SUPPORT_CAP = 20
 
-# Feasibility is decided on exact integer capacities; a relative deficiency
-# up to this much of the total mass is forgiven, so that weights carrying
-# float rounding dust (products of conditionals, merged marginals) do not
-# flip boundary-tie instances.  Exactly representable instances whose true
-# deficiency exceeds the threshold are still decided exactly.
-FLOW_RTOL_NUM = 1
-FLOW_RTOL_DEN = 10 ** 9
+_MASS_NUM, _MASS_DEN = MASS_ATOL.as_integer_ratio()
 
 
 def _deficient(deficit, scale):
-    """True when the integer flow deficit exceeds the relative tolerance."""
-    return deficit * FLOW_RTOL_DEN > scale * FLOW_RTOL_NUM
+    """True when the integer flow deficit, as a share of the mass
+    ``scale``, exceeds ``MASS_ATOL``, compared exactly in integers.
+
+    A deficit up to the bound is forgiven as float rounding dust, the dust
+    the unit-mass rule of every measure forgives too, so the decision and
+    its witness ``Coupling`` agree on a pair.  One edge case remains: when
+    mu's total already sits at the mass bound, a forgiven deficit can carry
+    the coupling's total past it, and the ``Coupling`` refuses its mass.
+    """
+    return deficit * _MASS_DEN > scale * _MASS_NUM
 
 
 @dataclass
@@ -413,9 +416,10 @@ def find_causal_coupling(st, mu: SliceMeasure, nu: SliceMeasure):
     """Return a causal coupling of mu and nu, or None when none exists.
 
     Feasibility of a transport plan supported on the causal relation is
-    decided by integer max flow (exact arithmetic, deficits below one part
-    in 10^9 forgiven as rounding dust); the witness plan uses a fixed
-    deterministic arc ordering so repeated runs reproduce it bit for bit.
+    decided by integer max flow (exact arithmetic, deficits up to
+    ``MASS_ATOL`` of the mass forgiven as rounding dust, see
+    :func:`_deficient`); the witness plan uses a fixed deterministic arc
+    ordering so repeated runs reproduce it bit for bit.
     """
     atoms, _ = _decide(st, mu, nu)
     return None if atoms is None else Coupling(st, atoms)
@@ -459,7 +463,7 @@ def compose_couplings(st, first: Coupling, second: Coupling) -> Coupling:
     in the fiber of the middle atom its middle event was merged into.
     """
     mid, mid2 = first.marginal(1), second.marginal(0)
-    if not slice_measures_equal(mid, mid2, wtol=1e-9):
+    if not slice_measures_equal(mid, mid2):
         raise InputError("middle marginals of the two couplings do not match")
     atoms = []
     for wy, _, i, j in _glued_pairs(mid, mid2):

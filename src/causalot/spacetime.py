@@ -544,14 +544,16 @@ def causal_geodesic(st, p, q):
     """Deterministic causal geodesic from p to q, time-affine in t.
 
     The spatial track is the deterministic shortest path (lexicographic
-    tie-break) traversed at constant optical speed, and each event's own
-    coordinate time is its parameter, so the curve has unit pace w.r.t.
-    the canonical time function.  The leg is refined at its vertex
-    crossings by the one leg refiner of :mod:`causalot.curves`, which
-    every curve constructor shares, so identical inputs give identical
-    events on every route.
+    tie-break) traversed at constant optical speed, parametrized over
+    [p.t, q.t] with unit pace w.r.t. the canonical time function.  For
+    p != q the curve is the one ``canonicalize_compact(st, T0,
+    RawPath(st, [p, q]), p.t, q.t)`` builds, bit for bit: the leg is
+    refined at its vertex crossings by the one leg refiner of
+    :mod:`causalot.curves` and parametrized by the lift's own
+    construction, so identical inputs give identical curves on every
+    route.
     """
-    from .curves import CausalCurve, Interval, _materialize
+    from .curves import CausalCurve, Interval, _compact_curve
     from .timefunc import canonical_time
 
     p = st.canonical_event(p)
@@ -559,11 +561,9 @@ def causal_geodesic(st, p, q):
     if not st.causally_precedes(p, q, st.causal_tol):
         raise PreconditionError(f"{p} does not causally precede {q}")
     if p == q:
-        chain = (p,)
-    elif q.t <= p.t:
+        return CausalCurve(st, Interval.compact(p.t, q.t), [(p.t, p)],
+                           pace=1.0, time_function=canonical_time())
+    if q.t <= p.t:
         raise PreconditionError(
             f"degenerate pair: distinct events {p}, {q} on one time slice")
-    else:
-        chain = _materialize(st, (p, q))
-    return CausalCurve(st, Interval.compact(p.t, q.t), [(e.t, e) for e in chain],
-                       pace=1.0, time_function=canonical_time())
+    return _compact_curve(st, canonical_time(), (p, q), p.t, q.t)

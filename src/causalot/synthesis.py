@@ -10,12 +10,15 @@ mesh times the marginals are those of the synthesized curves, and mesh
 refinement quantifies the difference (see the Lipschitz bound of
 :func:`causalot.spacetime.causal_lipschitz_constant`).
 
-Unbounded intervals are handled at a finite horizon of unit slabs with
-the curves' static window extension; truncating a deeper horizon
+Three engines serve the interval requests: :func:`synthesize_compact`
+a compact interval on a dyadic mesh, :func:`synthesize_slabs` a
+half-line or the full line on unit slabs, and :func:`synthesize_open` a
+bounded interval with open ends on a geometric mesh accumulating at
+them.  Unbounded intervals are handled at a finite horizon of unit slabs
+with the curves' static window extension; truncating a deeper horizon
 projects exactly onto a shallower one, and this consistency is asserted
-at every fold step.  Every route, compact, half-line, full-line or open,
-runs through one fold path and asserts its mesh marginals before it
-returns.
+at every fold step.  The three engines run through one fold path and
+assert their mesh marginals before they return.
 """
 
 from __future__ import annotations
@@ -254,7 +257,6 @@ class InvarianceReport:
     slices_tagged: bool
     evolution_causal: bool
     rawpaths_equal: bool
-    marginals: tuple = ()
 
     def __bool__(self):
         return self.ok
@@ -303,11 +305,10 @@ def observer_invariance_report(st, tf1, tf2, evo: Evolution, horizon=None) -> In
 
     rawpaths_equal = path_multiset(ups1) == path_multiset(moved)
     ok = slices_tagged and causal and rawpaths_equal
-    return InvarianceReport(ok, horizon, slices_tagged, causal, rawpaths_equal,
-                            marginals=tuple(entries))
+    return InvarianceReport(ok, horizon, slices_tagged, causal, rawpaths_equal)
 
 
-# -- general interval requests ----------------------------------------------------
+# -- open bounded intervals -------------------------------------------------------
 
 
 def geometric_times(a, b, n):
@@ -319,56 +320,35 @@ def geometric_times(a, b, n):
     return [b + (a - b) / (1 << i) for i in range(n + 1)]
 
 
-@dataclass
-class SynthesisPlan:
-    """A synthesis request: target interval (with optional open bounded
-    ends), the mesh evolution, and the slab horizon for unbounded or open
-    ends."""
-
-    interval: Interval
-    mesh: Evolution
-    horizon: int = 1
-    open_left: bool = False
-    open_right: bool = False
-
-    def __post_init__(self):
-        if (self.open_left or self.open_right) and self.interval.kind != Interval.COMPACT:
-            raise InputError("open endpoint flags apply to bounded intervals only")
-
-
 def _match_times(actual, wanted, what):
     if not _times_match(actual, wanted):
         raise InputError(f"evolution times {list(actual)} do not match the {what} "
                          f"mesh {list(wanted)}")
 
 
-def run_plan(st, tf, plan: SynthesisPlan) -> CurveMeasure:
-    """Dispatch a synthesis plan to the matching engine.
+def synthesize_open(st, tf, evo: Evolution, a, b, horizon, side) -> CurveMeasure:
+    """Realize a causal evolution on a bounded interval with open ends,
+    truncated at the given horizon: ``right`` serves [a, b), ``left``
+    (a, b] and ``both`` (a, b).
 
-    Bounded open ends are served by the compact engine over a geometric
-    mesh accumulating at the open endpoint, truncated at the plan horizon;
-    half-lines and the full line go through unit slabs at the horizon.
+    The evolution's times must be the geometric mesh accumulating at each
+    open end, ``horizon`` halvings deep (:func:`geometric_times`; with
+    ``both`` the two halves meet at the midpoint), and the compact fold
+    runs over them, split at the midpoint with ``both``.
     """
-    iv = plan.interval
-    evo = plan.mesh
-    if iv.kind == Interval.FUTURE:
-        return synthesize_slabs(st, tf, evo, plan.horizon, "forward")
-    if iv.kind == Interval.PAST:
-        return synthesize_slabs(st, tf, evo, plan.horizon, "backward")
-    if iv.kind == Interval.LINE:
-        return synthesize_slabs(st, tf, evo, plan.horizon, "both")
-    if not (plan.open_left or plan.open_right):
-        return synthesize_compact(st, tf, evo)
+    if side not in ("right", "left", "both"):
+        raise InputError(f"unknown side {side!r}")
+    iv = Interval.compact(a, b)
     evo.validate_slices()
     a, b = iv.a, iv.b
     split = None
-    if plan.open_right and not plan.open_left:
-        wanted, what = geometric_times(a, b, plan.horizon), "right-open"
-    elif plan.open_left and not plan.open_right:
-        wanted = [a + b - t for t in geometric_times(a, b, plan.horizon)][::-1]
+    if side == "right":
+        wanted, what = geometric_times(a, b, horizon), "right-open"
+    elif side == "left":
+        wanted = [a + b - t for t in geometric_times(a, b, horizon)][::-1]
         what = "left-open"
     else:
-        right = geometric_times((a + b) / 2, b, plan.horizon)
+        right = geometric_times((a + b) / 2, b, horizon)
         left = [a + b - t for t in right][::-1]
         wanted, what, split = left[:-1] + right, "two-sided geometric", len(left) - 1
     _match_times(evo.times, wanted, what)

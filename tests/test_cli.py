@@ -12,7 +12,8 @@ import pytest
 import causalot.cli
 import causalot.coupling
 from causalot import (Evolution, InputError, MeshSpec, NonCausalEvolutionError,
-                      SliceMeasure, Spacetime, canonical_time, synthesize_compact)
+                      SliceMeasure, Spacetime, canonical_time, geometric_times,
+                      synthesize_compact)
 from causalot.cli import _load_schema, load_scenario, main
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -481,3 +482,93 @@ def test_non_finite_interval_endpoint_exits_1(tmp_path, capsys, a, b):
     assert capsys.readouterr().err == \
         f"error: interval endpoints must be finite, got {float(bad)}\n"
     assert not reports.exists() or os.listdir(reports) == []
+
+
+MINKOWSKI = {"backend": "minkowski-1+1", "alpha": 1.0, "u": 1.0, "tolerance": 0.0}
+
+
+def _write_scenario(tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"schema_version": 1, "spacetime": MINKOWSKI, **doc}))
+    return str(path)
+
+
+def _geometric_scenario(tmp_path, synthesize):
+    """Evolutions on the right-open, left-open and two-sided geometric
+    meshes of [0, 1], at horizons 3, 3 and 2: two atoms drifting apart at
+    half the speed of light."""
+    right = geometric_times(0.0, 1.0, 3)
+    half = geometric_times(0.5, 1.0, 2)
+    meshes = {"right": right, "left": [1.0 - t for t in right][::-1],
+              "both": [1.0 - t for t in half][::-1][:-1] + half}
+    evolutions = {name: {"time_function": "T0", "mesh": {"kind": "explicit"},
+                         "slices": [{"tau": t, "atoms": [[-1.0 - t / 2, 0.5], [1.0 + t / 2, 0.5]]}
+                                    for t in times]}
+                  for name, times in meshes.items()}
+    return _write_scenario(tmp_path, {"evolutions": evolutions,
+                                      "commands": {"synthesize": synthesize}})
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("static_graph.json", ["--interval", "future"]),
+    ("static_graph.json", ["--interval", "past"]),
+    ("static_graph.json", ["--interval", "line"]),
+    ("minkowski_branching.json", ["--interval", "compact"]),
+    ("geometric", ["--evolution", "right", "--interval", "right-open", "--horizon", "3"]),
+    ("geometric", ["--evolution", "left", "--interval", "left-open", "--horizon", "3"]),
+    ("geometric", ["--evolution", "both", "--interval", "open", "--horizon", "2"]),
+])
+def test_every_synthesis_request_exits_0(tmp_path, name, flags):
+    if name == "geometric":
+        path = _geometric_scenario(tmp_path, {})
+        flags = [*flags, "--a", "0", "--b", "1"]
+    else:
+        path = scenario(name)
+    assert run(tmp_path, path, "synthesize", *flags) == 0
+    result = report(tmp_path, "synthesize")["result"]
+    assert result["synthesized"] is True
+    assert result["max_mesh_marginal_distance"] == 0.0
+
+
+@pytest.mark.parametrize("flags, section, message", [
+    (["--interval", "right-open", "--a", "0"], {},
+     "open intervals need the endpoints --a and --b"),
+    (["--interval", "right-open", "--a", "nan", "--b", "1"], {},
+     "interval endpoints must be finite, got nan"),
+    (["--interval", "left-open", "--a", "1", "--b", "0"], {},
+     "compact interval needs a <= b, got [1.0, 0.0]"),
+    (["--interval", "right-open", "--a", "1", "--b", "1"], {}, "need a < b, got [1.0, 1.0]"),
+    (["--interval", "right-open", "--a", "0", "--b", "2"], {},
+     "evolution times [0.0, 0.5, 0.75, 0.875] do not match the right-open mesh "
+     "[0.0, 1.0, 1.5, 1.75]"),
+    ([], {"interval": "sideways"}, "unknown interval request 'sideways'"),
+])
+def test_synthesis_request_errors_exit_1(tmp_path, capsys, flags, section, message):
+    path = _geometric_scenario(tmp_path, {"evolution": "right", "horizon": 3, **section})
+    reports = tmp_path / "reports"
+    assert main([path, "synthesize", *flags, "--report-dir", str(reports)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not reports.exists() or os.listdir(reports) == []
+
+
+def test_a_deficit_beyond_the_mass_tolerance_exits_2(tmp_path):
+    # (0, 0.0) reaches only (1, 0.5), which carries 1e-10 less: every verb
+    # reports that cut, none fails on the witness coupling's unit mass
+    mu = {"tau": 0.0, "atoms": [[0.0, 0.5], [2.0, 0.5]]}
+    nu = {"tau": 1.0, "atoms": [[0.5, 0.5 - 1e-10], [2.5, 0.5 + 1e-10]]}
+    path = _write_scenario(tmp_path, {
+        "measures": {"mu": mu, "nu": nu},
+        "evolutions": {"probe": {"time_function": "T0", "mesh": {"kind": "integer"},
+                                 "slices": [mu, nu]}},
+        "commands": {"check-coupling": {"mu": "mu", "nu": "nu"},
+                     "check-evolution": {"evolution": "probe"},
+                     "synthesize": {"evolution": "probe", "interval": "future"}}})
+    cut = [[0.0, 0.0]]
+    assert run(tmp_path, path, "check-coupling") == 2
+    assert report(tmp_path, "check-coupling")["result"]["violated_subset"]["events"] == cut
+    assert run(tmp_path, path, "check-evolution") == 2
+    steps = report(tmp_path, "check-evolution")["result"]["steps"]
+    assert [step["witness"]["events"] for step in steps] == [cut]
+    assert run(tmp_path, path, "synthesize") == 2
+    result = report(tmp_path, "synthesize")["result"]
+    assert result["synthesized"] is False and result["witness"]["events"] == cut

@@ -6,10 +6,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st_
 
-from causalot import (Evolution, InputError, MeshSpec, SliceMeasure, Spacetime,
-                      TimeFunction, canonical_time, check_evolution, compose_couplings,
-                      cut_witness, dominates_on_upsets, find_causal_coupling,
-                      transport_distance)
+from causalot import (Evolution, InputError, MeshSpec, NonCausalEvolutionError, SliceMeasure,
+                      Spacetime, TimeFunction, canonical_time, check_evolution,
+                      compose_couplings, cut_witness, dominates_on_upsets,
+                      find_causal_coupling, synthesize_slabs, transport_distance)
 from genrand import (inject_superluminal, random_backend, random_causal_evolution,
                      random_graph, random_slice_measure, rng_for)
 from causalot import coupling
@@ -523,6 +523,32 @@ def test_a_subnormal_atom_is_coupled_exactly(mink):
     plan = find_causal_coupling(mink, mu, nu)
     assert [(p.x, q.x, w) for (p, q), w in plan.atoms] == \
         [(0.0, 0.5, 0.5), (10.0, 10.5, 0.5), (20.0, 20.5, 5e-324)]
+
+
+@pytest.mark.parametrize("dust, causal", [(1e-10, False), (5e-13, True)])
+def test_every_entry_point_decides_at_the_mass_tolerance(mink, dust, causal):
+    # Atom (0, 0.0) reaches only (1, 0.5), which carries dust less than it.
+    # A deficit beyond MASS_ATOL is a cut for every entry point, and none
+    # raises the unit-mass error; one within it is forgiven by all of them.
+    mu = SliceMeasure(mink, [(mink.event(0, 0.0), 0.5), (mink.event(0, 2.0), 0.5)])
+    nu = SliceMeasure(mink, [(mink.event(1, 0.5), 0.5 - dust),
+                             (mink.event(1, 2.5), 0.5 + dust)])
+    evo = Evolution(mink, [(0.0, mu), (1.0, nu)], T0, MeshSpec("integer"))
+    cut = (mink.event(0, 0.0),)
+    for mode in ("consecutive", "all-pairs"):
+        report = check_evolution(mink, evo, mode)
+        assert report.causal is causal
+        assert causal or report.first_failure.witness.events == cut
+    witness = cut_witness(mink, mu, nu)
+    assert witness is None if causal else witness.events == cut
+    assert dominates_on_upsets(mink, mu, nu) is causal
+    assert (find_causal_coupling(mink, mu, nu) is not None) is causal
+    if causal:
+        synthesize_slabs(mink, T0, evo, 1, "forward")
+    else:
+        with pytest.raises(NonCausalEvolutionError) as err:
+            synthesize_slabs(mink, T0, evo, 1, "forward")
+        assert err.value.witness.events == cut
 
 
 def test_monotone_embedding(mink):

@@ -7,8 +7,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st_
 
-from causalot import (InputError, PreconditionError, Spacetime, causal_geodesic,
-                      causal_lipschitz_constant, verify_causal)
+from causalot import (InputError, PreconditionError, RawPath, Spacetime, canonical_time,
+                      canonicalize_compact, causal_geodesic, causal_lipschitz_constant,
+                      verify_causal)
 from causalot.coupling import _causal_adjacency
 from genrand import dyadic, random_graph, rng_for
 
@@ -519,6 +520,43 @@ def test_geodesic_outputs_verify_causal_randomized():
         g = causal_geodesic(st, st.event(t0, x), st.event(t1, y))
         assert g.pace == 1.0
         assert verify_causal(st, g, samples=6).ok
+
+
+def _bits(curve):
+    """Every parameter and event of a curve, floats written by float.hex."""
+    def hexed(v):
+        if isinstance(v, float):
+            return v.hex()
+        return tuple(map(hexed, v)) if isinstance(v, tuple) else v
+    return [(tau.hex(), e.t.hex(), hexed(e.x)) for tau, e in curve.breakpoints]
+
+
+def test_geodesic_is_the_canonical_parametrization_of_its_leg():
+    # One leg, one parametrization: the geodesic and the canonical
+    # parametrization of the two-event path agree bit for bit, also where
+    # the crossing times of non-dyadic edges are not exact.
+    rng = rng_for(2718)
+    tf = canonical_time()
+    mink = Spacetime("minkowski-1+1")
+    for trial in range(300):
+        if trial % 3 == 0:
+            st = mink
+            x, y = rng.uniform(-3, 3), rng.uniform(-3, 3)
+        else:
+            k = rng.randint(3, 7)
+            names = [f"V{i}" for i in range(k + 1)]
+            st = Spacetime("static-graph", vertices=names,
+                           edges=[(u, v, rng.uniform(0.1, 2.0))
+                                  for u, v in zip(names, names[1:])])
+            i = rng.randrange(k)
+            x, y = (names[0], names[-1]) if trial % 2 else (names[i], names[rng.randint(i + 1, k)])
+        t0 = rng.uniform(-3, 3)
+        t1 = t0 + st.optical_distance(x, y) + rng.uniform(0.01, 2.0)
+        p, q = st.event(t0, x), st.event(t1, y)
+        want = canonicalize_compact(st, tf, RawPath(st, [p, q]), p.t, q.t)
+        got = causal_geodesic(st, p, q)
+        assert _bits(got) == _bits(want), (trial, p, q)
+        assert got.pace == want.pace == 1.0
 
 
 def test_causality_slack():

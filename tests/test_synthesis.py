@@ -8,13 +8,14 @@ from hypothesis import assume, given, settings, strategies as st_
 from causalot import (CausalCurve, Coupling, CurveMeasure, Event, Evolution, InputError, Interval,
                       MeshSpec, NonCausalEvolutionError, PreconditionError,
                       SliceMeasure, Spacetime,
-                      SynthesisPlan, TimeFunction, canonical_time,
+                      TimeFunction, canonical_time,
                       canonicalize_noncompact, causal_geodesic, check_evolution,
                       concat_measures, disintegrate, dyadic_times, extract_coupling,
                       geometric_times, is_time_parametrized, lift_coupling,
                       marginal_at, observer_invariance_report,
-                      pushforward_reparametrize, run_plan, slice_measures_equal,
-                      synthesize_compact, synthesize_slabs, to_time_parametrized,
+                      pushforward_reparametrize, slice_measures_equal,
+                      synthesize_compact, synthesize_open, synthesize_slabs,
+                      to_time_parametrized,
                       transport_distance, RawPath)
 from causalot.measures import _evaluators
 from genrand import (dyadic_weights, random_backend, random_causal_evolution,
@@ -300,17 +301,25 @@ def test_observer_randomized():
         assert rep.ok
 
 
-# -- general interval plans -----------------------------------------------------------------
+# -- open bounded intervals -----------------------------------------------------------------
 
 def test_plan_right_open_geometric(mink):
     times = geometric_times(0.0, 1.0, 3)
     entries = [(t, delta(mink, t, 0.0)) for t in times]
     evo = Evolution(mink, entries, T0, MeshSpec("explicit"))
-    plan = SynthesisPlan(Interval.compact(0.0, 1.0), evo, horizon=3, open_right=True)
-    sigma = run_plan(mink, T0, plan)
+    sigma = synthesize_open(mink, T0, evo, 0.0, 1.0, 3, "right")
     assert sigma.domain == Interval.compact(0.0, times[-1])
     for t, mu in entries:
         assert slice_measures_equal(marginal_at(sigma, t), mu)
+
+
+def test_engines_refuse_an_unknown_direction_or_side(mink):
+    entries = [(t, delta(mink, t, 0.0)) for t in geometric_times(0.0, 1.0, 1)]
+    evo = Evolution(mink, entries, T0, MeshSpec("explicit"))
+    with pytest.raises(InputError, match="unknown side 'middle'"):
+        synthesize_open(mink, T0, evo, 0.0, 1.0, 1, "middle")
+    with pytest.raises(InputError, match="unknown direction 'sideways'"):
+        synthesize_slabs(mink, T0, evo, 1, "sideways")
 
 
 def test_nan_mesh_times_match_nothing(mink):
@@ -349,8 +358,7 @@ def test_plan_left_open_geometric(mink):
     wanted = [1.0 - t for t in geometric_times(0.0, 1.0, 3)][::-1]
     entries = [(t, delta(mink, t, 0.0)) for t in wanted]
     evo = Evolution(mink, entries, T0, MeshSpec("explicit"))
-    plan = SynthesisPlan(Interval.compact(0.0, 1.0), evo, horizon=3, open_left=True)
-    sigma = run_plan(mink, T0, plan)
+    sigma = synthesize_open(mink, T0, evo, 0.0, 1.0, 3, "left")
     assert sigma.domain == Interval.compact(wanted[0], 1.0)
     for t, mu in entries:
         assert slice_measures_equal(marginal_at(sigma, t), mu)
@@ -363,9 +371,7 @@ def test_plan_open_both_sides(mink):
     times = left[:-1] + right
     entries = [(t, delta(mink, t, 0.0)) for t in times]
     evo = Evolution(mink, entries, T0, MeshSpec("explicit"))
-    plan = SynthesisPlan(Interval.compact(0.0, 1.0), evo, horizon=2,
-                         open_left=True, open_right=True)
-    sigma = run_plan(mink, T0, plan)
+    sigma = synthesize_open(mink, T0, evo, 0.0, 1.0, 2, "both")
     assert sigma.domain == Interval.compact(times[0], times[-1])
     for t, mu in entries:
         assert slice_measures_equal(marginal_at(sigma, t), mu)
