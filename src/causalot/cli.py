@@ -190,12 +190,8 @@ def load_scenario(path) -> Scenario:
 # -- serialization -----------------------------------------------------------
 
 
-def _spatial_out(x):
-    return list(x) if isinstance(x, tuple) else x
-
-
 def _event_out(e):
-    return [e.t, _spatial_out(e.x)]
+    return [e.t, e.x]
 
 
 def _curve_out(c: CausalCurve):
@@ -206,7 +202,7 @@ def _curve_out(c: CausalCurve):
         domain["b"] = c.domain.b
     out = {
         "domain": domain,
-        "breakpoints": [[tau, e.t, _spatial_out(e.x)] for tau, e in c.breakpoints],
+        "breakpoints": [[tau, e.t, e.x] for tau, e in c.breakpoints],
         "pace": c.pace,
     }
     if c.time_function is not None and c.time_function.name:
@@ -463,7 +459,7 @@ def build_parser():
                         help="synthesize on the dyadic sub-mesh of this depth")
     parser.add_argument("--horizon", type=int,
                         help="slab horizon for unbounded or open intervals (default 1)")
-    parser.add_argument("--to-it", "--to-IT", dest="to_it", action="store_true", default=None,
+    parser.add_argument("--to-it", dest="to_it", action="store_true", default=None,
                         help="normalize the synthesized measure onto "
                              "identity-parametrized curves")
     parser.add_argument("--observer", help="second time function name")
@@ -485,15 +481,37 @@ DEFAULTS = {"mode": "consecutive", "interval": "compact", "horizon": 1, "to_it":
             "source": "T0", "target": "T0", "t2": "T0", "slack": 0.0}
 
 
-def _fill_defaults(args, sc: Scenario):
+def _takes(action):
+    """The JSON type of a flag's value, read off its parser action: a switch
+    takes a boolean, a flag converted by int an integer and by float a
+    number, and every other flag a string."""
+    if action.nargs == 0:
+        return "a boolean"
+    return {int: "an integer", float: "a number"}.get(action.type, "a string")
+
+
+def _json_type(value):
+    # by exact type: a bool is an int to Python, and neither an integer nor
+    # a number in JSON
+    return {bool: "a boolean", int: "an integer", float: "a number",
+            str: "a string"}.get(type(value))
+
+
+def _fill_defaults(parser, args, sc: Scenario):
     """Fill the flags absent from the command line (every flag parses to
     None when absent) from the scenario's section for the verb, then from
-    DEFAULTS: explicit command-line flags win."""
+    DEFAULTS: explicit command-line flags win.  Each value in the section
+    must have the JSON type its flag takes (see ``_takes``)."""
     section = sc.commands.get(args.verb, {})
+    actions = {action.dest: action for action in parser._actions}
     for key, value in section.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise InputError(f"unknown parameter {key!r} in the {args.verb} command section")
+        want, got = _takes(actions[attr]), _json_type(value)
+        if got != want and (want, got) != ("a number", "an integer"):
+            raise InputError(f"parameter {key!r} in the {args.verb} command section "
+                             f"must be {want}, got {value!r}")
         if getattr(args, attr) is None:
             setattr(args, attr, value)
     for attr, value in DEFAULTS.items():
@@ -507,10 +525,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         sc = load_scenario(args.scenario)
-        _fill_defaults(args, sc)
+        _fill_defaults(parser, args, sc)
         ok, result = VERBS[args.verb](sc, args)
         path = write_report(args, args.verb, sc.name, ok, result)
-    except (InputError, CausalotError) as err:
+    except CausalotError as err:
         if isinstance(err, VerificationError):
             print(f"verification failed: {err}", file=sys.stderr)
             return 2

@@ -533,13 +533,9 @@ def check_evolution(st, evo: Evolution, mode="consecutive") -> EvolutionReport:
     else:
         pairs = [(i, j) for i in range(len(evo)) for j in range(i, len(evo))]
     steps = []
-    causal = True
     for i, j in pairs:
         s, mu = evo.entries[i]
         t, nu = evo.entries[j]
         _, witness = _decide(st, mu, nu)
-        ok = witness is None
-        steps.append(StepResult(s, t, ok, witness))
-        if not ok:
-            causal = False
-    return EvolutionReport(causal, mode, tuple(steps))
+        steps.append(StepResult(s, t, witness is None, witness))
+    return EvolutionReport(all(step.causal for step in steps), mode, tuple(steps))

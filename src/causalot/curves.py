@@ -152,7 +152,7 @@ class CausalCurve:
     end): on its window each leaf has exactly this curve's breakpoints.
     An empty tuple stands for the curve itself, its own one leaf (a tuple
     holding the curve would be a reference cycle), and None for a glued
-    curve whose pieces did not meet at one parameter and one event.
+    curve whose pieces did not meet at one parameter and one event object.
     """
 
     def __init__(self, st, domain, breakpoints, pace=None, time_function=None,
@@ -494,10 +494,10 @@ def concat(c1: CausalCurve, c2: CausalCurve) -> CausalCurve:
     c1's first breakpoint and pace (see ``CausalCurve._validate``).
 
     The result records its pieces' leaves, c1's then c2's, when both have
-    leaves and the pieces meet at one parameter and at one event with the
-    same bits.  Inside c2's first window the glued curve then runs from
-    c2's own first breakpoint, as that leaf does; pieces that meet at two
-    events merged within tolerance leave the junction from c1's event
+    leaves and the pieces meet at one parameter and at one event object.
+    Inside c2's first window the glued curve then runs from c2's own first
+    breakpoint, as that leaf does; pieces that meet at two event objects,
+    equal or merged within tolerance, leave the junction from c1's event
     instead, and the result has no leaves (None).
     """
     st = c1.spacetime
@@ -536,17 +536,11 @@ def concat(c1: CausalCurve, c2: CausalCurve) -> CausalCurve:
     # the pieces' keys share their breakpoint tuples with the glued key
     out._key = (domain.kind, len(pts), c1.sort_key()[2] + c2.sort_key()[2][1:])
     if (c1._leaves is not None and c2._leaves is not None
-            and c1._params[-1] == c2._params[0] and _same_bits(e1, e2)):
+            and c1._params[-1] == c2._params[0] and e1 is e2):
         out._leaves = (c1._leaves or (c1,)) + (c2._leaves or (c2,))
     else:
         out._leaves = None
     return out
-
-
-def _same_bits(p, q):
-    """True when two events are one object, or equal with the same float
-    bits (``repr`` tells 0.0 from -0.0)."""
-    return p is q or (p == q and repr(p) == repr(q))
 
 
 # -- verification ---------------------------------------------------------------

@@ -209,14 +209,8 @@ class CurveMeasure:
         computed once."""
         if self._affine is False:
             tf = self.atoms[0][0].time_function or canonical_time()
-            same = {}  # a curve's time function (None: canonical) -> same_as(tf)
-
-            def same_tf(tfc):
-                if tfc not in same:
-                    same[tfc] = (tfc or canonical_time()).same_as(tf)
-                return same[tfc]
-
-            affine = all(c.pace is not None and same_tf(c.time_function)
+            affine = all(c.pace is not None
+                         and (c.time_function or canonical_time()).same_as(tf)
                          for c, _ in self.atoms)
             self._affine = tf if affine else None
         return self._affine

@@ -221,7 +221,8 @@ class Spacetime:
     # -- spatial points ------------------------------------------------------
 
     def normalize_point(self, x):
-        """Validate a spatial point and return it in canonical form."""
+        """Validate a spatial point and return it in canonical form; a
+        canonical point (see ``_is_canonical``) is returned as it is."""
         if self.backend == self.MINKOWSKI:
             try:
                 x = float(x)
@@ -233,6 +234,8 @@ class Spacetime:
         if isinstance(x, str):
             if x not in self._index:
                 raise InputError(f"unknown vertex {x!r}")
+            return x
+        if self._is_canonical(x):
             return x
         try:
             a, b, off = x
@@ -297,9 +300,9 @@ class Spacetime:
         return self.event(e.t, e.x)
 
     def _is_canonical(self, x):
-        # True for points normalize_point returns unchanged without work:
-        # a finite float (Minkowski), a known vertex id, or an (a, b, offset)
-        # triple of an edge key and a float offset strictly inside the edge.
+        # True for points normalize_point returns as they are: a finite
+        # float (Minkowski), a known vertex id, or an (a, b, offset) triple
+        # of an edge key and a float offset strictly inside the edge.
         if self.backend == self.MINKOWSKI:
             return type(x) is float and math.isfinite(x)
         if type(x) is not tuple or len(x) != 3:
@@ -308,9 +311,6 @@ class Spacetime:
         return (type(a) is str and type(b) is str and type(off) is float
                 and 0.0 < off < self.edges.get((a, b), 0.0))
 
-    def _point(self, x):
-        return x if self._is_canonical(x) else self.normalize_point(x)
-
     # -- distances -----------------------------------------------------------
 
     def optical_distance(self, x, y):
@@ -318,7 +318,7 @@ class Spacetime:
 
         On a graph the distance is the exact shortest route length,
         rounded to float once."""
-        x, y = self._point(x), self._point(y)
+        x, y = self.normalize_point(x), self.normalize_point(y)
         if self.backend == self.MINKOWSKI:
             return abs(x - y)
         den = max(self._den(x), self._den(y))
@@ -491,7 +491,7 @@ class Spacetime:
         The track is a list of spatial points with consecutive entries on a
         common edge, so it can be traversed by single-edge segments.
         """
-        x, y = self._point(x), self._point(y)
+        x, y = self.normalize_point(x), self.normalize_point(y)
         if self.backend == self.MINKOWSKI:
             return [x] if x == y else [x, y]
         if self.points_close(x, y, 0.0):

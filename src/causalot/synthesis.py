@@ -23,7 +23,7 @@ assert their mesh marginals before they return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InputError, PreconditionError, VerificationError
 from .spacetime import GEOM_ATOL, GRID_ATOL
@@ -235,7 +235,7 @@ def to_time_parametrized(st, tf, sigma: CurveMeasure) -> CurveMeasure:
 
     Every atom must pass the membership check; a failing atom signals a
     slice-tagging bug upstream and aborts with that atom rather than
-    returning a partial result.
+    returning a partial result.  The checked measure is returned as it is.
     """
     if sigma.domain.kind != Interval.LINE:
         raise InputError("only full-line curve measures can be normalized")
@@ -244,7 +244,7 @@ def to_time_parametrized(st, tf, sigma: CurveMeasure) -> CurveMeasure:
             raise VerificationError(
                 f"atom {c!r} is not parametrized by the time function "
                 f"(value at 0 is {tf.value(st, c.at(0.0))}, at 1 is {tf.value(st, c.at(1.0))})")
-    return CurveMeasure(st, sigma.atoms)
+    return sigma
 
 
 # -- observer invariance --------------------------------------------------------
@@ -262,13 +262,7 @@ class InvarianceReport:
         return self.ok
 
     def to_dict(self):
-        return {
-            "ok": self.ok,
-            "horizon": self.horizon,
-            "slices_tagged": self.slices_tagged,
-            "evolution_causal": self.evolution_causal,
-            "rawpaths_equal": self.rawpaths_equal,
-        }
+        return asdict(self)
 
 
 def observer_invariance_report(st, tf1, tf2, evo: Evolution, horizon=None) -> InvarianceReport:
@@ -336,6 +330,8 @@ def synthesize_open(st, tf, evo: Evolution, a, b, horizon, side) -> CurveMeasure
     ``both`` the two halves meet at the midpoint), and the compact fold
     runs over them, split at the midpoint with ``both``.
     """
+    if horizon < 1:
+        raise InputError(f"horizon must be >= 1, got {horizon}")
     if side not in ("right", "left", "both"):
         raise InputError(f"unknown side {side!r}")
     iv = Interval.compact(a, b)

@@ -66,13 +66,10 @@ class TimeFunction:
                 raise InputError("slope form only applies to the Minkowski backend")
             return self.slope * x
         if isinstance(x, str):
-            try:
-                return float(self.offsets[x])
-            except KeyError:
-                raise InputError(f"no offset value for vertex {x!r}") from None
+            return self._vertex(x)
         a, b, off = x
-        fa = self.spatial_part(st, a)
-        fb = self.spatial_part(st, b)
+        fa = self._vertex(a)
+        fb = self._vertex(b)
         return fa + (fb - fa) * (off / st.edge_length(a, b))
 
     def value(self, st: Spacetime, p: Event):

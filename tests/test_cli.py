@@ -443,6 +443,36 @@ def test_command_line_flags_override_the_commands_section(tmp_path, monkeypatch,
     assert {key: seen[key] for key in want} == want
 
 
+@pytest.mark.parametrize("name, verb, key, value, kind", [
+    ("static_graph.json", "synthesize", "horizon", 1.5, "an integer"),
+    ("static_graph.json", "synthesize", "horizon", "3", "an integer"),
+    ("static_graph.json", "synthesize", "horizon", True, "an integer"),
+    ("static_graph.json", "synthesize", "evolution", ["static_at_A"], "a string"),
+    ("minkowski_branching.json", "synthesize", "mesh-depth", "x", "an integer"),
+    ("minkowski_branching.json", "bounds-report", "a", "zero", "a number"),
+    ("minkowski_branching.json", "bounds-report", "slack", False, "a number"),
+    ("tilted_observer.json", "synthesize", "to-it", 1, "a boolean"),
+])
+def test_a_commands_value_of_the_wrong_json_type_exits_1(tmp_path, capsys, name, verb, key,
+                                                         value, kind):
+    # each value has the JSON type its flag takes, and a boolean is not a
+    # number; the refusal is one line, before the verb runs
+    path = _scenario_copy(tmp_path, name,
+                          lambda doc: doc["commands"].setdefault(verb, {}).update({key: value}))
+    reports = tmp_path / "reports"
+    assert main([path, verb, "--report-dir", str(reports)]) == 1
+    assert capsys.readouterr().err == (f"error: parameter {key!r} in the {verb} command "
+                                       f"section must be {kind}, got {value!r}\n")
+    assert not reports.exists()
+
+
+def test_an_integer_is_a_number_in_the_commands_section(tmp_path):
+    path = _scenario_copy(tmp_path, "minkowski_branching.json",
+                          lambda doc: doc["commands"]["bounds-report"].update({"a": 0, "b": 1}))
+    assert run(tmp_path, path, "bounds-report") == 0
+    assert report(tmp_path, "bounds-report")["status"] == "ok"
+
+
 @pytest.mark.parametrize("verb", ["validate", "synthesize"])
 @pytest.mark.parametrize("field", ["a", "b", "depth"])
 def test_dyadic_mesh_without_its_parameters_exits_1(tmp_path, capsys, verb, field):
@@ -454,11 +484,11 @@ def test_dyadic_mesh_without_its_parameters_exits_1(tmp_path, capsys, verb, fiel
     assert not reports.exists() or os.listdir(reports) == []
 
 
-@pytest.mark.parametrize("flag", [["--horizon", "x"], ["--a", "-inf"]])
+@pytest.mark.parametrize("flag", [["--horizon", "x"], ["--a", "-inf"], ["--to-IT"]])
 def test_malformed_flag_exits_1(tmp_path, capsys, flag):
     # argparse exits 2, the code of a failed verification, on a malformed
     # command line; it is an input error.  "-inf" after "--a" reads as an
-    # option, not as a value.
+    # option, not as a value, and --to-it has one spelling.
     reports = tmp_path / "reports"
     with pytest.raises(SystemExit) as exit_:
         main([scenario("minkowski_branching.json"), "synthesize", *flag,
@@ -542,6 +572,8 @@ def test_every_synthesis_request_exits_0(tmp_path, name, flags):
      "evolution times [0.0, 0.5, 0.75, 0.875] do not match the right-open mesh "
      "[0.0, 1.0, 1.5, 1.75]"),
     ([], {"interval": "sideways"}, "unknown interval request 'sideways'"),
+    (["--interval", "right-open", "--a", "0", "--b", "1", "--horizon", "0"], {},
+     "horizon must be >= 1, got 0"),
 ])
 def test_synthesis_request_errors_exit_1(tmp_path, capsys, flags, section, message):
     path = _geometric_scenario(tmp_path, {"evolution": "right", "horizon": 3, **section})

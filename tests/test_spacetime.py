@@ -52,6 +52,22 @@ def test_precedes_rejects_bad_points(mink, chain_graph):
         mink.event(0.0, float("nan"))
 
 
+def test_normalize_point_returns_a_canonical_interior_point_itself(chain_graph):
+    x = ("B", "C", 0.5)
+    assert chain_graph.normalize_point(x) is x
+    # reversed edges, end offsets and non-float offsets are still normalized
+    assert chain_graph.normalize_point(("C", "B", 1.5)) == x
+    assert chain_graph.normalize_point(["B", "C", 0.5]) == x
+    assert chain_graph.normalize_point(("B", "C", 1)) == ("B", "C", 1.0)
+    assert chain_graph.normalize_point(("B", "C", 0.0)) == "B"
+    assert chain_graph.normalize_point(("C", "B", 0.0)) == "C"
+    assert chain_graph.normalize_point(("B", "C", 2.0 + 5e-10)) == "C"
+    with pytest.raises(InputError, match="no edge between 'A' and 'C'"):
+        chain_graph.normalize_point(("A", "C", 0.5))
+    with pytest.raises(InputError, match="outside edge"):
+        chain_graph.normalize_point(("B", "C", 2.5))
+
+
 # -- optical distance -----------------------------------------------------------
 
 def test_optical_distance_examples(chain_graph, edge_graph):

@@ -253,6 +253,8 @@ def test_normalize_synthesized_line(chain_graph):
     sigma = synthesize_slabs(chain_graph, T0, evo, 2, "both")
     ups = to_time_parametrized(chain_graph, T0, sigma)
     assert all(is_time_parametrized(chain_graph, T0, c) for c, _ in ups.atoms)
+    # the checked measure itself: its atoms are merged, and its slab windows stay
+    assert ups is sigma and ups._windows is not None
 
 
 def test_normalize_rejects_wrong_pace(chain_graph):
@@ -320,6 +322,16 @@ def test_engines_refuse_an_unknown_direction_or_side(mink):
         synthesize_open(mink, T0, evo, 0.0, 1.0, 1, "middle")
     with pytest.raises(InputError, match="unknown direction 'sideways'"):
         synthesize_slabs(mink, T0, evo, 1, "sideways")
+
+
+@pytest.mark.parametrize("side", ["right", "left", "both"])
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_open_synthesis_refuses_a_horizon_below_one(mink, side, horizon):
+    # refused before the mesh is compared, as synthesize_slabs refuses it
+    entries = [(t, delta(mink, t, 0.0)) for t in geometric_times(0.0, 1.0, 3)]
+    evo = Evolution(mink, entries, T0, MeshSpec("explicit"))
+    with pytest.raises(InputError, match=f"^horizon must be >= 1, got {horizon}$"):
+        synthesize_open(mink, T0, evo, 0.0, 1.0, horizon, side)
 
 
 def test_nan_mesh_times_match_nothing(mink):
@@ -648,15 +660,23 @@ def test_factored_pushforwards_evaluate_each_lifted_curve_once(monkeypatch):
 def test_a_glue_over_junction_events_merged_within_tolerance_has_no_view(mink):
     # the pieces meet at 0 and at 5e-10, one junction atom: the glued
     # curve leaves the junction from the left piece's event, so the right
-    # lift's curve is not its leaf there, and it keeps no leaves
+    # lift's curve is not its leaf there, and it keeps no leaves.  Two
+    # equal junction events that are separate objects keep none either:
+    # leaves are kept only over one junction event object.
     ev = mink.event
-    s1 = lift_coupling(mink, T0, Coupling(mink, [((ev(0, 0.0), ev(1, 0.0)), 1.0)]), 0.0, 1.0)
-    s2 = lift_coupling(mink, T0, Coupling(mink, [((ev(1, 5e-10), ev(2, 0.5)), 1.0)]), 1.0, 2.0)
-    glued = concat_measures(s1, s2)
-    assert glued._windows == ((0.0, 1.0), (1.0, 2.0))
-    (curve, _), = glued.atoms
-    assert curve._leaves is None and _evaluators(glued, 1.5) == [curve]
-    assert marginal_at(glued, 1.5).atoms[0][0].x == 0.25
+    for x in (5e-10, 0.0):
+        s1 = lift_coupling(mink, T0, Coupling(mink, [((ev(0, 0.0), ev(1, 0.0)), 1.0)]),
+                           0.0, 1.0)
+        s2 = lift_coupling(mink, T0, Coupling(mink, [((ev(1, x), ev(2, 0.5)), 1.0)]), 1.0, 2.0)
+        e1, e2 = s1.atoms[0][0].breakpoints[-1][1], s2.atoms[0][0].breakpoints[0][1]
+        assert e1 is not e2 and (e1 == e2) == (x == 0.0)
+        glued = concat_measures(s1, s2)
+        assert glued._windows == ((0.0, 1.0), (1.0, 2.0))
+        (curve, _), = glued.atoms
+        assert curve._leaves is None and _evaluators(glued, 1.5) == [curve]
+        assert marginal_at(glued, 1.5).atoms[0][0].x == 0.25
+        times = [0.0, 0.5, 1.0 - 5e-10, 1.0, 1.0 + 5e-10, 1.5, 2.0]
+        assert _assert_leaves_match_plain(glued, times) == 0
 
 
 def test_a_glue_over_junction_parameters_apart_keeps_no_leaves(mink):
