@@ -235,7 +235,6 @@ def _verb_validate(sc: Scenario, args):
     for name, evo in sc.evolutions.items():
         entry = {"ok": True}
         try:
-            evo.validate_slices()
             evo.validate_mesh()
         except InputError as err:
             entry = {"ok": False, "error": str(err)}

@@ -45,17 +45,19 @@ UPSET_SUPPORT_CAP = 20
 _MASS_NUM, _MASS_DEN = MASS_ATOL.as_integer_ratio()
 
 
-def _deficient(deficit, scale):
-    """True when the integer flow deficit, as a share of the mass
-    ``scale``, exceeds ``MASS_ATOL``, compared exactly in integers.
-
-    A deficit up to the bound is forgiven as float rounding dust, the dust
-    the unit-mass rule of every measure forgives too, so the decision and
-    its witness ``Coupling`` agree on a pair.  One edge case remains: when
-    mu's total already sits at the mass bound, a forgiven deficit can carry
-    the coupling's total past it, and the ``Coupling`` refuses its mass.
+def _deficient(deficit, inst):
+    """True when the integer flow deficit of ``inst`` is more than the
+    rounding dust the unit-mass rule of every measure forgives, compared
+    exactly in integers: more than ``MASS_ATOL`` of the mass, or enough to
+    leave the witness coupling, weighted in mu's mass, a total below
+    ``1 - MASS_ATOL``.  So the decision and its witness ``Coupling`` agree
+    on a pair, up to the rounding of the witness's float weights.  The
+    test is monotone in the deficit, so the Strassen check, calling it per
+    subset, gives the max-flow verdict.
     """
-    return deficit * _MASS_DEN > scale * _MASS_NUM
+    scale, unit_den = inst.scale, inst._unit_den
+    return deficit > 0 and (deficit * _MASS_DEN > scale * _MASS_NUM or
+                            (scale - deficit) * _MASS_DEN < unit_den * (_MASS_DEN - _MASS_NUM))
 
 
 @dataclass
@@ -100,7 +102,8 @@ def _times_match(actual, wanted):
 
 class Evolution:
     """A time-indexed family of slice measures on the level sets of one
-    time function, with strictly increasing times."""
+    time function, with strictly increasing times; the constructor checks
+    that every atom lies on the level set at its slice's time."""
 
     def __init__(self, st, entries, time_function=None, mesh=None):
         entries = tuple((float(t), mu) for t, mu in entries)
@@ -112,26 +115,20 @@ class Evolution:
         for (s, _), (t, _) in zip(entries, entries[1:]):
             if t <= s:
                 raise InputError(f"slice times must strictly increase: {s} then {t}")
-        self.spacetime = st
-        self.entries = entries
-        self.time_function = time_function or canonical_time()
-        self.mesh = mesh or MeshSpec(MeshSpec.EXPLICIT)
-
-    @property
-    def times(self):
-        return tuple(t for t, _ in self.entries)
-
-    def validate_slices(self):
-        """Every atom of the i-th slice must lie on the time function's
-        level set at the i-th time; raises naming the offending atom."""
-        st = self.spacetime
-        tf = self.time_function
-        for t, mu in self.entries:
+        self.time_function = tf = time_function or canonical_time()
+        for t, mu in entries:
             for e, _ in mu.atoms:
                 v = tf.value(st, e)
                 if abs(v - t) > GEOM_ATOL:
                     raise InputError(
                         f"atom {e} of the slice at {t} has time value {v}")
+        self.spacetime = st
+        self.entries = entries
+        self.mesh = mesh or MeshSpec(MeshSpec.EXPLICIT)
+
+    @property
+    def times(self):
+        return tuple(t for t, _ in self.entries)
 
     def validate_mesh(self):
         mesh = self.mesh
@@ -400,7 +397,7 @@ def _decide(st, mu: SliceMeasure, nu: SliceMeasure):
     """
     inst = _Instance(mu, nu, _causal_adjacency(st, mu, nu))
     value, flows, reachable = _max_flow(inst)
-    if not _deficient(inst.scale - value, inst.scale):
+    if not _deficient(inst.scale - value, inst):
         atoms = [((p, nu.atoms[j][0]), inst.weight_from_units(row[j]))
                  for (p, _), arcs, row in zip(mu.atoms, inst.adjacency, flows)
                  for j in arcs if row[j]]
@@ -416,10 +413,9 @@ def find_causal_coupling(st, mu: SliceMeasure, nu: SliceMeasure):
     """Return a causal coupling of mu and nu, or None when none exists.
 
     Feasibility of a transport plan supported on the causal relation is
-    decided by integer max flow (exact arithmetic, deficits up to
-    ``MASS_ATOL`` of the mass forgiven as rounding dust, see
-    :func:`_deficient`); the witness plan uses a fixed deterministic arc
-    ordering so repeated runs reproduce it bit for bit.
+    decided by integer max flow (exact arithmetic, a deficit forgiven only
+    as rounding dust, see :func:`_deficient`); the witness plan uses a
+    fixed deterministic arc ordering so repeated runs reproduce it bit for bit.
     """
     atoms, _ = _decide(st, mu, nu)
     return None if atoms is None else Coupling(st, atoms)
@@ -449,7 +445,7 @@ def dominates_on_upsets(st, mu: SliceMeasure, nu: SliceMeasure) -> bool:
     for mask in range(1, 1 << m):
         mu_mass = sum(inst.supply[i] for i in range(m) if mask & (1 << i))
         nu_mass = sum(inst.demand[j] for j in range(n) if future_masks[j] & mask)
-        if _deficient(mu_mass - nu_mass, inst.scale):
+        if _deficient(mu_mass - nu_mass, inst):
             return False
     return True
 
@@ -527,7 +523,6 @@ def check_evolution(st, evo: Evolution, mode="consecutive") -> EvolutionReport:
     """
     if mode not in ("consecutive", "all-pairs"):
         raise InputError(f"unknown mode {mode!r}")
-    evo.validate_slices()
     if mode == "consecutive":
         pairs = [(i, i + 1) for i in range(len(evo) - 1)]
     else:

@@ -343,6 +343,11 @@ def concat_measures(s1: CurveMeasure, s2: CurveMeasure) -> CurveMeasure:
     was merged into.  Its evaluation marginal equals s1's strictly before
     the junction, the shared marginal at it, and s2's strictly after.
 
+    Restricted to a compact s1's domain, the result is s1: a glued curve
+    restricts to its left piece's breakpoints exactly, each fiber's
+    weights sum back to the left piece's weight, and the pace is kept
+    unless :func:`causalot.curves.concat` dropped it.
+
     The curve count, the sum over junction atoms of the products of their
     fiber sizes, is computed before any curve is built, and a count above
     ``MAX_GLUED_CURVES`` is refused.  When both inputs have slab windows,

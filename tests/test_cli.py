@@ -604,3 +604,26 @@ def test_a_deficit_beyond_the_mass_tolerance_exits_2(tmp_path):
     assert run(tmp_path, path, "synthesize") == 2
     result = report(tmp_path, "synthesize")["result"]
     assert result["synthesized"] is False and result["witness"]["events"] == cut
+
+
+def test_a_deficit_at_the_mass_bound_exits_2(tmp_path):
+    # mu sits 9e-13 below unit mass and (0, 0.0) reaches only (1, 0.5),
+    # which carries 5e-13 less: forgiving that deficit would leave a witness
+    # of mass 1 - 1.4e-12, so every verb reports the cut instead
+    mu = {"tau": 0.0, "atoms": [[0.0, 0.5 - 4.5e-13], [2.0, 0.5 - 4.5e-13]]}
+    nu = {"tau": 1.0, "atoms": [[0.5, 0.5 - 5e-13], [2.5, 0.5 + 5e-13]]}
+    path = _write_scenario(tmp_path, {
+        "measures": {"mu": mu, "nu": nu},
+        "evolutions": {"probe": {"time_function": "T0", "mesh": {"kind": "integer"},
+                                 "slices": [mu, nu]}}})
+    cut = [[0.0, 0.0]]
+    assert run(tmp_path, path, "check-coupling", "--mu", "mu", "--nu", "nu") == 2
+    assert report(tmp_path, "check-coupling")["result"]["violated_subset"]["events"] == cut
+    for mode in ("consecutive", "all-pairs"):
+        assert run(tmp_path, path, "check-evolution", "--evolution", "probe",
+                   "--mode", mode) == 2
+        steps = report(tmp_path, "check-evolution")["result"]["steps"]
+        assert [step["witness"]["events"] for step in steps if not step["causal"]] == [cut]
+    assert run(tmp_path, path, "synthesize", "--evolution", "probe",
+               "--interval", "future", "--horizon", "1") == 2
+    assert report(tmp_path, "synthesize")["result"]["witness"]["events"] == cut

@@ -16,7 +16,7 @@ from causalot import (CausalCurve, Coupling, CurveMeasure, Event, Evolution, Inp
                       pushforward_reparametrize, slice_measures_equal,
                       synthesize_compact, synthesize_open, synthesize_slabs,
                       to_time_parametrized,
-                      transport_distance, RawPath)
+                      transport_distance, RawPath, VerificationError)
 from causalot.measures import _evaluators
 from genrand import (dyadic_weights, random_backend, random_causal_evolution,
                      random_graph, random_time_function, rng_for)
@@ -201,6 +201,111 @@ def test_slabs_truncation_consistency(mink):
     for (c1, w1), (c2, w2) in zip(projected.atoms, reference.atoms):
         assert c1.breakpoints == c2.breakpoints
         assert w1 == pytest.approx(w2, abs=1e-12)
+
+
+def _assert_projects(st, deep, shallow, a, b):
+    """Restricted to [a, b], the deeper synthesis is the shallower one:
+    the same breakpoints, and weights within MASS_ATOL."""
+    projected = CurveMeasure(st, [(c.restrict(a, b), w) for c, w in deep.atoms])
+    reference = CurveMeasure(st, [(c.restrict(a, b), w) for c, w in shallow.atoms])
+    assert len(projected) == len(reference)
+    for (c1, w1), (c2, w2) in zip(projected.atoms, reference.atoms):
+        assert c1.breakpoints == c2.breakpoints
+        assert w1 == pytest.approx(w2, abs=1e-12)
+
+
+def _backend(name, rng):
+    return Spacetime("minkowski-1+1") if name == "minkowski" else random_graph(rng, 4, far=False)
+
+
+@pytest.mark.parametrize("backend", ["minkowski", "graph"])
+@pytest.mark.parametrize("seed", [103, 151, 156])
+def test_slabs_backward_truncation(backend, seed):
+    rng = rng_for(seed)
+    st = _backend(backend, rng)
+    evo, _, _ = random_causal_evolution(rng, st, [float(k) for k in range(5)],
+                                        mesh=MeshSpec("integer"))
+    deep = synthesize_slabs(st, T0, evo, 4, "backward")
+    shallow = synthesize_slabs(st, T0, evo, 3, "backward")
+    _assert_projects(st, deep, shallow, 1.0, 4.0)
+
+
+@pytest.mark.parametrize("backend", ["minkowski", "graph"])
+@pytest.mark.parametrize("seed", [103, 132, 151])
+def test_open_right_truncation(backend, seed):
+    # the geometric times of horizon 3 are the first four of horizon 4
+    rng = rng_for(seed)
+    st = _backend(backend, rng)
+    times = geometric_times(0.0, 1.0, 4)
+    evo, _, _ = random_causal_evolution(rng, st, times)
+    shallow_evo = Evolution(st, evo.entries[:4], T0)
+    deep = synthesize_open(st, T0, evo, 0.0, 1.0, 4, "right")
+    shallow = synthesize_open(st, T0, shallow_evo, 0.0, 1.0, 3, "right")
+    _assert_projects(st, deep, shallow, 0.0, times[3])
+
+
+@pytest.mark.parametrize("backend", ["minkowski", "graph"])
+@pytest.mark.parametrize("seed", [103, 106, 115])
+def test_compact_restricts_to_its_half(backend, seed):
+    # the first half of the depth-3 mesh of [0, 2] is the depth-2 mesh of [0, 1]
+    rng = rng_for(seed)
+    st = _backend(backend, rng)
+    evo, _, _ = random_causal_evolution(rng, st, dyadic_times(0.0, 2.0, 3),
+                                        mesh=MeshSpec("dyadic", 0.0, 2.0, 3))
+    half = Evolution(st, evo.entries[:5], T0, MeshSpec("dyadic", 0.0, 1.0, 2))
+    _assert_projects(st, synthesize_compact(st, T0, evo), synthesize_compact(st, T0, half),
+                     0.0, 1.0)
+
+
+def _offset_diracs(st, times, offsets, mesh):
+    """One Dirac slice per time at x = 0, each atom offset in time from its
+    level set by its entry of ``offsets``."""
+    return Evolution(st, [(float(t), delta(st, t + d, 0.0)) for t, d in zip(times, offsets)],
+                     T0, mesh)
+
+
+@pytest.mark.parametrize("request_", ["forward", "backward", "compact"])
+def test_a_fold_of_lifts_with_paces_apart_is_refused(mink, request_):
+    # the two slab lifts have paces 1 +/- 9e-10 (1 +/- 1.8e-9 on the
+    # half-width slabs), more than GEOM_ATOL apart, so the glued curve has
+    # no pace
+    offsets = (0.0, 9e-10, 0.0)
+    if request_ == "compact":
+        evo = _offset_diracs(mink, (0.0, 0.5, 1.0), offsets, MeshSpec("dyadic", 0.0, 1.0, 1))
+        run = lambda: synthesize_compact(mink, T0, evo)
+    else:
+        evo = _offset_diracs(mink, (0.0, 1.0, 2.0), offsets, MeshSpec("integer"))
+        run = lambda: synthesize_slabs(mink, T0, evo, 2, request_)
+    assert check_evolution(mink, evo).causal
+    with pytest.raises(VerificationError, match="not time-affine"):
+        run()
+
+
+def test_a_two_sided_glue_of_paces_apart_is_refused(mink):
+    evo = _offset_diracs(mink, (-1.0, 0.0, 1.0), (6e-10, 0.0, 6e-10), MeshSpec("integer"))
+    assert check_evolution(mink, evo).causal
+    with pytest.raises(VerificationError, match="not time-affine"):
+        synthesize_slabs(mink, T0, evo, 1, "both")
+
+
+def test_a_two_sided_glue_of_paces_within_tolerance_keeps_its_pace(mink):
+    evo = _offset_diracs(mink, (-1.0, 0.0, 1.0), (9e-10, 0.0, 0.0), MeshSpec("integer"))
+    sigma = synthesize_slabs(mink, T0, evo, 1, "both")
+    assert [c.pace for c, _ in sigma.atoms] == [pytest.approx(1 - 9e-10, abs=1e-15)]
+
+
+@pytest.mark.xfail(strict=True, raises=InputError,
+                   reason="ROADMAP item 5: concat keeps the left pace when two paces "
+                          "are within GEOM_ATOL, and the glued curve then checks its "
+                          "values against it over the whole domain")
+def test_a_pace_drift_within_tolerance_per_glue_is_refused_as_synthesis(mink):
+    # paces 1 + 0.9e-9, 1, 1: each glue is within GEOM_ATOL, but at the
+    # third slab the drift from the first pace reaches 1.8e-9
+    evo = _offset_diracs(mink, (0.0, 1.0, 2.0, 3.0), (0.0, 0.9e-9, 0.9e-9, 0.9e-9),
+                         MeshSpec("integer"))
+    assert check_evolution(mink, evo).causal
+    with pytest.raises(VerificationError, match="not time-affine"):
+        synthesize_slabs(mink, T0, evo, 3, "forward")
 
 
 def test_slabs_junctions_connect(mink):
