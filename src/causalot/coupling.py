@@ -156,8 +156,7 @@ class Evolution:
 def _causal_adjacency(st, mu, nu):
     """Rows of the causal relation: ``rows[i]`` holds, in ascending order,
     the indices j of the right atoms that left atom i causally precedes,
-    by the comparison of :meth:`Spacetime.causally_precedes` at
-    ``st.causal_tol``.
+    by the comparison of :meth:`Spacetime.causally_precedes`.
 
     When the right support of a Minkowski pair lies on one time, each row
     is one run of right atoms, returned as ``range(lo, hi)``.  Those atoms
@@ -202,7 +201,7 @@ def _causal_adjacency(st, mu, nu):
         dist = [[abs(x - y) for y in ys] for x in xs]
     else:
         t_max = max(tq)
-        dist = st._graph_distances(xs, ys, [t_max - p.t for p, _ in mu.atoms], tol)
+        dist = st._graph_distances(xs, ys, [t_max - p.t for p, _ in mu.atoms])
     return [[j for j, (t, d) in enumerate(zip(tq, row)) if t - p.t >= d - tol]
             for (p, _), row in zip(mu.atoms, dist)]
 

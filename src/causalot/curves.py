@@ -101,7 +101,7 @@ class RawPath:
         for p, q in zip(events, events[1:]):
             if q.t <= p.t:
                 raise InputError(f"path events out of time order: {p} then {q}")
-            if not st.causally_precedes(p, q, st.causal_tol):
+            if not st.causally_precedes(p, q):
                 raise InputError(f"consecutive path events not causally related: {p}, {q}")
         self.spacetime = st
         self.events = events
@@ -224,6 +224,9 @@ class CausalCurve:
             for (tau, e), v in zip(tail, values[start:]):
                 expected = v0 + self.pace * (tau - t0)
                 if abs(v - expected) > GEOM_ATOL:
+                    if pieces is not None:
+                        self.pace = self.time_function = None
+                        return
                     raise InputError(
                         f"breakpoint {e} at parameter {tau} violates time-affinity "
                         f"(value {v}, expected {expected})")
@@ -341,21 +344,19 @@ class CausalCurve:
                 f"on [{lo}, {hi}], pace={self.pace})")
 
 
-def curves_close(c1: CausalCurve, c2: CausalCurve, tol=GEOM_ATOL):
-    """Structural equality of two curves at the given tolerance."""
+def curves_close(c1: CausalCurve, c2: CausalCurve):
+    """Structural equality of two curves within ``GEOM_ATOL``."""
     if c1.domain.kind != c2.domain.kind:
         return False
     if len(c1.breakpoints) != len(c2.breakpoints):
         return False
     st = c1.spacetime
     for (s, p), (t, q) in zip(c1.breakpoints, c2.breakpoints):
-        if abs(s - t) > tol or (p is not q and not st.events_close(p, q, tol)):
+        if abs(s - t) > GEOM_ATOL or (p is not q and not st.events_close(p, q)):
             return False
-    if (c1.pace is None) != (c2.pace is None):
-        return False
-    if c1.pace is not None and abs(c1.pace - c2.pace) > tol:
-        return False
-    return True
+    if c1.pace is None or c2.pace is None:
+        return c1.pace is c2.pace
+    return abs(c1.pace - c2.pace) <= GEOM_ATOL
 
 
 # -- canonical parametrization ----------------------------------------------
@@ -487,11 +488,11 @@ def reparametrize(st, curve: CausalCurve, tf1: TimeFunction, tf2: TimeFunction) 
 def concat(c1: CausalCurve, c2: CausalCurve) -> CausalCurve:
     """Concatenate two curves meeting at the junction parameter.
 
-    The result restricts exactly to the two inputs; it is time-affine only
-    when both pieces share the time function and the pace, and is stored
-    as non-affine otherwise.  Its validation checks what the pieces' own
-    did not: the junction pair, and affinity from the junction on against
-    c1's first breakpoint and pace (see ``CausalCurve._validate``).
+    The result restricts exactly to the two inputs.  Its validation checks
+    what the pieces' own did not: the junction pair, and, when both pieces
+    are affine in one time function, affinity from the junction on against
+    c1's first breakpoint and pace (see ``CausalCurve._validate``).  A glue
+    that passes keeps c1's pace; any other is stored as non-affine.
 
     The result records its pieces' leaves, c1's then c2's, when both have
     leaves and the pieces meet at one parameter and at one event object.
@@ -526,7 +527,7 @@ def concat(c1: CausalCurve, c2: CausalCurve) -> CausalCurve:
         domain = Interval.compact(c1.domain.a, c2.domain.b)
     pace = None
     tf = None
-    if c1.pace is not None and c2.pace is not None and abs(c1.pace - c2.pace) <= GEOM_ATOL:
+    if c1.pace is not None and c2.pace is not None:
         tf1 = c1.time_function or canonical_time()
         tf2 = c2.time_function or canonical_time()
         if tf1.same_as(tf2):
@@ -572,19 +573,18 @@ def verify_causal(st, curve: CausalCurve, samples=8) -> CausalityReport:
     violations = []
     for i in range(len(ordered)):
         for j in range(i, len(ordered)):
-            if not st.causally_precedes(events[i], events[j], st.causal_tol):
+            if not st.causally_precedes(events[i], events[j]):
                 violations.append((ordered[i], ordered[j], events[i], events[j]))
     return CausalityReport(not violations, tuple(violations))
 
 
-def is_time_parametrized(st, tf: TimeFunction, curve: CausalCurve, tol=GEOM_ATOL):
+def is_time_parametrized(st, tf: TimeFunction, curve: CausalCurve):
     """True iff the time function reads its own parameter along the whole
     curve, checked through the values at parameters 0 and 1 (sufficient by
     affinity)."""
     if curve.domain.kind != Interval.LINE:
         raise InputError("membership is defined for full-line curves only")
-    return (abs(tf.value(st, curve.at(0.0)) - 0.0) <= tol
-            and abs(tf.value(st, curve.at(1.0)) - 1.0) <= tol)
+    return all(abs(tf.value(st, curve.at(s)) - s) <= GEOM_ATOL for s in (0.0, 1.0))
 
 
 # -- bi-Lipschitz envelopes ------------------------------------------------------
@@ -608,6 +608,8 @@ class BiLipschitzReport:
     pairs: int
 
     def within(self, tol=0.0):
+        if not 0.0 <= tol < math.inf:
+            raise InputError(f"slack must be finite and nonnegative, got {tol!r}")
         slack = lambda env: tol * max(1.0, abs(env)) + 1e-15 * max(1.0, abs(env))
         return (self.dw_ratio_min >= self.dw_lower - slack(self.dw_lower)
                 and self.dw_ratio_max <= self.dw_upper + slack(self.dw_upper)
@@ -647,6 +649,8 @@ def bilipschitz_report(st, tf2: TimeFunction, curves, a, b, samples=7) -> BiLips
     """
     if not curves:
         raise InputError("empty curve family")
+    if samples < 2:
+        raise InputError("need at least 2 samples")
     a, b = float(a), float(b)
     if a >= b:
         raise InputError(f"window needs a < b, got [{a}, {b}]")

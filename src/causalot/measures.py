@@ -5,10 +5,11 @@ summing to one.  One function, ``_merge``, decides both for every
 measure: atom identity is structural equality at ``GEOM_ATOL`` (1e-9),
 equal atoms are merged by weight addition (compensated summation
 throughout), and the total must lie within ``MASS_ATOL`` (1e-12) of one;
-each constructor calls it once.  Disintegration is exact discrete
-conditioning, and the concatenation of two curve measures over a shared
-junction marginal is the finite sum of fiberwise product measures pushed
-through curve concatenation.  Conditioning, concatenation and the
+each constructor calls it once.  Every comparison of atoms or weights
+reads those two constants, with no per-call override.  Disintegration is
+exact discrete conditioning, and the concatenation of two curve measures
+over a shared junction marginal is the finite sum of fiberwise product
+measures pushed through curve concatenation.  Conditioning, concatenation and the
 composition of couplings (:func:`causalot.coupling.compose_couplings`)
 read one fiber rule, the merge's own: a junction atom's fiber is the
 inputs merged into it, which a slice measure keeps, so the fibers
@@ -76,8 +77,8 @@ def _merge(items, key, close, groups=None):
     curves by identity.  ``groups``, when given, is that grouping already
     made (an evaluation pushforward's): each distinct atom, in the order of
     its first pair, mapped to the increasing indices of the pairs equal to
-    it.  The sort and the merge of neighbours that ``close`` accepts at
-    ``GEOM_ATOL`` then run over the distinct atoms, and each merged atom's
+    it.  The sort and the merge of neighbours that ``close(a, b)`` accepts
+    at ``GEOM_ATOL`` then run over the distinct atoms, and each merged atom's
     weight is the ``math.fsum`` of all its weights, which does not depend on
     their order.  A non-positive weight is refused first, then a total
     farther than ``MASS_ATOL`` from one.  Returns ``(atoms, members)``:
@@ -94,7 +95,7 @@ def _merge(items, key, close, groups=None):
         groups = _group_indices([atom for atom, _ in items])
     atoms, members, joined = [], [], set()
     for atom, idx in sorted(groups.items(), key=lambda ai: key(ai[0])):
-        if atoms and close(atoms[-1], atom, GEOM_ATOL):
+        if atoms and close(atoms[-1], atom):
             members[-1].extend(idx)
             joined.add(len(members) - 1)
         else:
@@ -134,11 +135,9 @@ class SliceMeasure:
                     raise InputError(
                         f"atom {e} has time value {v}, not on the level set {self.tau}")
 
-    def weight_of(self, event, tol=GEOM_ATOL):
-        for e, w in self.atoms:
-            if self.spacetime.events_close(e, event, tol):
-                return w
-        return 0.0
+    def weight_of(self, event):
+        close = self.spacetime.events_close
+        return next((w for e, w in self.atoms if close(e, event)), 0.0)
 
     def __len__(self):
         return len(self.atoms)
@@ -229,15 +228,14 @@ class Coupling:
     def __init__(self, st, atoms, _groups=None):
         # ``_groups`` as in SliceMeasure: pairs of canonical events, grouped
         key = lambda pq: st.event_key(pq[0]) + st.event_key(pq[1])
-        close = lambda a, b, tol: (st.events_close(a[0], b[0], tol)
-                                   and st.events_close(a[1], b[1], tol))
+        close = lambda a, b: st.events_close(a[0], b[0]) and st.events_close(a[1], b[1])
         self.spacetime = st
         if _groups is None:
             event = st.canonical_event
             atoms = [((event(p), event(q)), float(w)) for (p, q), w in atoms]
         self.atoms = _merge(atoms, key, close, _groups)[0]
         for (p, q), _ in self.atoms:
-            if not st.causally_precedes(p, q, st.causal_tol):
+            if not st.causally_precedes(p, q):
                 raise InputError(f"atom pair ({p}, {q}) is not causally related")
 
     def marginal(self, side):
@@ -251,19 +249,17 @@ class Coupling:
         return f"Coupling({len(self.atoms)} atoms)"
 
 
-def slice_measures_equal(m1: SliceMeasure, m2: SliceMeasure, tol=GEOM_ATOL, wtol=MASS_ATOL):
-    if len(m1.atoms) != len(m2.atoms):
-        return False
-    st = m1.spacetime
-    return all(st.events_close(e1, e2, tol) and abs(w1 - w2) <= wtol
-               for (e1, w1), (e2, w2) in zip(m1.atoms, m2.atoms))
+def slice_measures_equal(m1: SliceMeasure, m2: SliceMeasure):
+    close = m1.spacetime.events_close
+    return len(m1.atoms) == len(m2.atoms) and all(
+        close(e1, e2) and abs(w1 - w2) <= MASS_ATOL
+        for (e1, w1), (e2, w2) in zip(m1.atoms, m2.atoms))
 
 
-def curve_measures_equal(s1: CurveMeasure, s2: CurveMeasure, tol=GEOM_ATOL, wtol=MASS_ATOL):
-    if len(s1.atoms) != len(s2.atoms):
-        return False
-    return all(curves_close(c1, c2, tol) and abs(w1 - w2) <= wtol
-               for (c1, w1), (c2, w2) in zip(s1.atoms, s2.atoms))
+def curve_measures_equal(s1: CurveMeasure, s2: CurveMeasure):
+    return len(s1.atoms) == len(s2.atoms) and all(
+        curves_close(c1, c2) and abs(w1 - w2) <= MASS_ATOL
+        for (c1, w1), (c2, w2) in zip(s1.atoms, s2.atoms))
 
 
 # -- pushforwards and conditioning --------------------------------------------

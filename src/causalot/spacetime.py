@@ -31,6 +31,9 @@ vertex id (str) or an ``(a, b, offset)`` tuple for a point at the given
 optical offset from vertex ``a`` along edge ``(a, b)`` on the graph
 backend.  Edge tuples are kept in canonical orientation (``a < b``) and
 exact endpoint offsets are normalised to vertices.
+
+Each comparison reads one constant, with no per-call override: points and
+events are close within ``GEOM_ATOL``, causal pairs within ``causal_tol``.
 """
 
 from __future__ import annotations
@@ -100,8 +103,8 @@ class Spacetime:
     vertices, edges : graph data (ignored for Minkowski); edges are
         ``(a, b, length)`` triples with ``length > 0``.
     alpha, u : positive finite global constants (lapse, conformal factor).
-    eps_caus : finite slack admitted in causality comparisons (default 0);
-        library checks use ``causal_tol``, which is at least ``GEOM_ATOL``.
+    eps_caus : finite causality slack (default 0); :meth:`causally_precedes`
+        compares at ``causal_tol = max(eps_caus, GEOM_ATOL)``.
     """
 
     MINKOWSKI = "minkowski-1+1"
@@ -263,29 +266,29 @@ class Spacetime:
         a, b, off = x
         return (1, 0.0, a + "|" + b, off)
 
-    def points_close(self, x, y, tol=GEOM_ATOL):
+    def points_close(self, x, y):
         if self.backend == self.MINKOWSKI:
-            return abs(x - y) <= tol
+            return abs(x - y) <= GEOM_ATOL
         if isinstance(x, str) or isinstance(y, str):
             if isinstance(x, str) and isinstance(y, str):
                 return x == y
             # vertex vs interior point: close only if the offset is within
-            # tol of the matching endpoint (normalisation keeps genuinely
+            # GEOM_ATOL of the matching endpoint (normalisation keeps genuinely
             # interior points off the vertices).
             v, e = (x, y) if isinstance(x, str) else (y, x)
             a, b, off = e
             if v == a:
-                return off <= tol
+                return off <= GEOM_ATOL
             if v == b:
-                return self.edge_length(a, b) - off <= tol
+                return self.edge_length(a, b) - off <= GEOM_ATOL
             return False
-        return x[0] == y[0] and x[1] == y[1] and abs(x[2] - y[2]) <= tol
+        return x[0] == y[0] and x[1] == y[1] and abs(x[2] - y[2]) <= GEOM_ATOL
 
     def event_key(self, e):
         return (e.t,) + self.point_key(e.x)
 
-    def events_close(self, p, q, tol=GEOM_ATOL):
-        return abs(p.t - q.t) <= tol and self.points_close(p.x, q.x, tol)
+    def events_close(self, p, q):
+        return abs(p.t - q.t) <= GEOM_ATOL and self.points_close(p.x, q.x)
 
     def event(self, t, x):
         return Event(float(t), self.normalize_point(x))
@@ -324,7 +327,7 @@ class Spacetime:
         den = max(self._den(x), self._den(y))
         return _to_float(self._graph_distance(x, y, den), den)
 
-    def _graph_distances(self, xs, ys, gaps, tol):
+    def _graph_distances(self, xs, ys, gaps):
         """The causal adjacency's bounded query on canonical graph points:
         row k holds ``optical_distance(xs[k], y)``, or ``inf`` where row
         k's comparison ``t - p.t >= d - tol`` cannot hold for any right
@@ -339,6 +342,7 @@ class Spacetime:
         comparison at any t of the row; the row's verdicts are the full
         search's.  The direct move along a shared edge is always counted.
         """
+        tol = self.causal_tol
         den = max(self._den(x) for x in xs + ys)
         f = den // self._scale
         exits_y = [[(self._index[vy], oy) for vy, oy in self._exits(y, den)] for y in ys]
@@ -464,7 +468,7 @@ class Spacetime:
             return y
         if self.backend == self.MINKOWSKI:
             return x + frac * (y - x)
-        if self.points_close(x, y, 0.0):
+        if x == y:
             return x
         shared = self._shared_edge(x, y)
         if shared is None:
@@ -477,7 +481,7 @@ class Spacetime:
         """Optical length of the stored segment from x to y (single edge)."""
         if self.backend == self.MINKOWSKI:
             return abs(x - y)
-        if self.points_close(x, y, 0.0):
+        if x == y:
             return 0.0
         shared = self._shared_edge(x, y)
         if shared is None:
@@ -494,13 +498,13 @@ class Spacetime:
         x, y = self.normalize_point(x), self.normalize_point(y)
         if self.backend == self.MINKOWSKI:
             return [x] if x == y else [x, y]
-        if self.points_close(x, y, 0.0):
+        if x == y:
             return [x]
         track = [x]
         for v in self._graph_chain(x, y):
-            if not self.points_close(track[-1], v, 0.0):
+            if track[-1] != v:
                 track.append(v)
-        if not self.points_close(track[-1], y, 0.0):
+        if track[-1] != y:
             track.append(y)
         return track
 
@@ -515,17 +519,13 @@ class Spacetime:
 
     # -- causality -----------------------------------------------------------
 
-    def causally_precedes(self, p, q, tol=None):
-        """True iff q is in the causal future of p.
-
-        For the static split the rule is exact: ``q.t - p.t >=
-        optical_distance(p.x, q.x)``.  Null-boundary pairs (equality) count
-        as causally related.  ``tol`` defaults to the spacetime's
-        ``eps_caus``.
+    def causally_precedes(self, p, q):
+        """True iff q is in the causal future of p: ``q.t - p.t >=
+        optical_distance(p.x, q.x) - causal_tol``, null-boundary pairs
+        included.  It is the library's one causal relation: every path,
+        curve, coupling, lift, geodesic and decision compares by it.
         """
-        if tol is None:
-            tol = self.eps_caus
-        return q.t - p.t >= self.optical_distance(p.x, q.x) - tol
+        return q.t - p.t >= self.optical_distance(p.x, q.x) - self.causal_tol
 
 
 def causal_lipschitz_constant(st, a, b):
@@ -558,7 +558,7 @@ def causal_geodesic(st, p, q):
 
     p = st.canonical_event(p)
     q = st.canonical_event(q)
-    if not st.causally_precedes(p, q, st.causal_tol):
+    if not st.causally_precedes(p, q):
         raise PreconditionError(f"{p} does not causally precede {q}")
     if p == q:
         return CausalCurve(st, Interval.compact(p.t, q.t), [(p.t, p)],

@@ -74,7 +74,7 @@ def lift_coupling(st, tf, omega: Coupling, a, b) -> CurveMeasure:
             raise PreconditionError(f"left atom {p} not on the level set {a} (value {vp})")
         if abs(vq - b) > GEOM_ATOL:
             raise PreconditionError(f"right atom {q} not on the level set {b} (value {vq})")
-        if not st.causally_precedes(p, q, st.causal_tol):
+        if not st.causally_precedes(p, q):
             raise PreconditionError(f"non-causal coupling atom ({p}, {q})")
         if q.t <= p.t:  # a tilted time function can still increase here
             raise PreconditionError(f"degenerate coupling atom ({p}, {q}): no time passes")
@@ -118,8 +118,8 @@ def _synthesize(st, tf, entries, split=None, domains=(None, None)):
     sigma = folds[0] if split is None else concat_measures(*folds)
     if sigma._affine_in is None:
         raise VerificationError(
-            "synthesized curves are not time-affine: adjacent slab lifts have "
-            "paces more than GEOM_ATOL apart")
+            "synthesized curves are not time-affine: a glued slab lift leaves the "
+            "first lift's time-affine law by more than GEOM_ATOL")
     for t, mu in entries:
         if not slice_measures_equal(marginal_at(sigma, t), mu):
             raise VerificationError(

@@ -17,12 +17,18 @@ from causalot import (CurveMeasure, Evolution, MeshSpec, SliceMeasure, Spacetime
                       slice_measures_equal, synthesize_compact, synthesize_slabs,
                       transport_distance, Interval, NonCausalEvolutionError,
                       RawPath)
+from causalot.measures import MASS_ATOL
+from causalot.spacetime import GEOM_ATOL
 from genrand import (identity_parametrized_bundle, inject_superluminal,
                      random_backend, random_causal_evolution,
                      random_full_line_curve, random_slice_measure,
                      random_time_function, rng_for)
 
 T0 = canonical_time()
+
+# The criteria compare positions and times at GEOM_ATOL and weights at
+# MASS_ATOL (slice_measures_equal, curves_close); their bounds are pinned here.
+assert GEOM_ATOL == 1e-9 and MASS_ATOL == 1e-12
 
 
 def _verdict(num, title, ok):
@@ -85,7 +91,7 @@ def test_criterion_2_round_trip():
         times = evo.times
         for t, mu in evo.entries:
             got = marginal_at(sigma, t)
-            if not slice_measures_equal(got, mu, wtol=1e-12):
+            if not slice_measures_equal(got, mu):
                 failures.append((trial, "weights", t))
             if transport_distance(st, got, mu) > 1e-12:
                 failures.append((trial, "transport", t))
@@ -160,7 +166,7 @@ def test_criterion_4_reparametrization():
             if abs(tf2.value(st, e) - tf1.value(st, c.at(s))) > 1e-9:
                 bad += 1
         back = reparametrize(st, moved, tf2, tf1)
-        if not curves_close(back, c, 1e-9):
+        if not curves_close(back, c):
             bad += 1
     # sequential-continuity witness on a scripted perturbation family
     mink = Spacetime("minkowski-1+1")

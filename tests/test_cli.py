@@ -408,6 +408,29 @@ def test_report_with_a_non_finite_number_is_not_written(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("flags, literal, replacement, value", [
+    (["--slack", "nan"], None, None, "nan"),
+    (["--slack", "inf"], None, None, "inf"),
+    (["--slack", "-1"], None, None, "-1.0"),
+    # valid JSON grammar that json.load reads as inf
+    ([], '"t2": "T0", "a"', '"t2": "T0", "slack": 1e999, "a"', "inf"),
+])
+def test_a_slack_that_is_not_finite_and_nonnegative_exits_1(tmp_path, capsys, flags, literal,
+                                                            replacement, value):
+    path = scenario("minkowski_branching.json")
+    if literal is not None:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert literal in text
+        path = tmp_path / "minkowski_branching.json"
+        path.write_text(text.replace(literal, replacement, 1))
+    reports = tmp_path / "reports"
+    assert main([str(path), "bounds-report", *flags, "--report-dir", str(reports)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: slack must be finite and nonnegative, got {value}\n")
+    assert not reports.exists() or os.listdir(reports) == []
+
+
 def _scenario_copy(tmp_path, name, edit):
     with open(scenario(name), encoding="utf-8") as fh:
         doc = json.load(fh)

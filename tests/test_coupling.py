@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st_
 
-from causalot import (Evolution, InputError, MeshSpec, NonCausalEvolutionError, SliceMeasure,
-                      Spacetime, TimeFunction, canonical_time, check_evolution,
+from causalot import (Coupling, Evolution, InputError, MeshSpec, NonCausalEvolutionError,
+                      SliceMeasure, Spacetime, TimeFunction, canonical_time, check_evolution,
                       compose_couplings, cut_witness, dominates_on_upsets,
                       find_causal_coupling, synthesize_slabs, transport_distance)
 from genrand import (inject_superluminal, random_backend, random_causal_evolution,
@@ -148,7 +148,7 @@ def test_minkowski_adjacency_matches_causally_precedes(eps_caus):
                         nu = SliceMeasure(st, [
                             (st.event(nudge_t(t0 + dt), nudge_x(x + sign * (dt + slack))),
                              0.125) for x in xs])
-                        want = [[st.causally_precedes(p, q, tol) for q, _ in nu.atoms]
+                        want = [[st.causally_precedes(p, q) for q, _ in nu.atoms]
                                 for p, _ in mu.atoms]
                         assert _listed(_causal_adjacency(st, mu, nu)) == _index_rows(want)
                         seen.update(want[i][i] for i in range(len(xs)))
@@ -180,11 +180,50 @@ def test_graph_adjacency_matches_causally_precedes(eps_caus, monkeypatch):
                                     lambda *args: calls.append(args) or precedes(*args))
                 adjacency = _causal_adjacency(st, mu, nu)
                 monkeypatch.setattr(Spacetime, "causally_precedes", precedes)
-                want = [[st.causally_precedes(p, q, tol) for q, _ in nu.atoms]
+                want = [[st.causally_precedes(p, q) for q, _ in nu.atoms]
                         for p, _ in mu.atoms]
                 assert _listed(adjacency) == _index_rows(want)
                 seen.update(b for row in want for b in row)
     assert calls == []
+    assert seen == {True, False}
+
+
+def _pair_verdicts(st, p, q):
+    """Whether p causally precedes q, to the relation itself, to the
+    causal adjacency row, to Coupling and to the decision of two Diracs."""
+    try:
+        Coupling(st, [((p, q), 1.0)])
+        coupled = True
+    except InputError:
+        coupled = False
+    mu, nu = delta(st, p.t, p.x), delta(st, q.t, q.x)
+    return (st.causally_precedes(p, q), list(_causal_adjacency(st, mu, nu)[0]) == [0],
+            coupled, find_causal_coupling(st, mu, nu) is not None)
+
+
+@pytest.mark.parametrize("backend", [Spacetime.MINKOWSKI, Spacetime.GRAPH])
+@pytest.mark.parametrize("eps_caus", [0.0, 1e-6, 0.25])
+def test_one_causal_relation(backend, eps_caus):
+    # Right events at gaps d and d - causal_tol after the left one, each also
+    # one ulp either way: the relation users query is the one every check
+    # applies.
+    if backend == Spacetime.MINKOWSKI:
+        st = Spacetime(backend, eps_caus=eps_caus)
+        p, ys = st.event(0.0, 0.0), [1.0, -2.5, 1 + 5e-10]
+        # a pair within causal_tol of the light cone is causal to all four
+        assert _pair_verdicts(st, p, st.event(1.0, 1 + 5e-10)) == (True,) * 4
+    else:
+        st = Spacetime(backend, vertices=["A", "B", "C"],
+                       edges=[("A", "B", 1.0), ("B", "C", 2.0)], eps_caus=eps_caus)
+        p, ys = st.event(0.0, "A"), ["B", ("B", "C", 0.5), "C"]
+    seen = set()
+    for y in ys:
+        d = st.optical_distance(p.x, y)
+        for edge in (d, d - st.causal_tol):
+            for gap in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+                verdicts = _pair_verdicts(st, p, st.event(gap, y))
+                assert len(set(verdicts)) == 1, (y, gap, verdicts)
+                seen.add(verdicts[0])
     assert seen == {True, False}
 
 
@@ -203,7 +242,7 @@ def _support(st, events):
 
 def _adjacency_matches(st, left, right):
     mu, nu = _support(st, left), _support(st, right)
-    want = [[st.causally_precedes(p, q, st.causal_tol) for q, _ in nu.atoms]
+    want = [[st.causally_precedes(p, q) for q, _ in nu.atoms]
             for p, _ in mu.atoms]
     return _listed(_causal_adjacency(st, mu, nu)) == _index_rows(want)
 
@@ -621,7 +660,7 @@ def test_monotone_embedding(mink):
             sel = [events[i] for i in range(len(events)) if mask & (1 << i)]
             mu_mass = sum(mu.weight_of(e) for e in sel)
             nu_mass = sum(wt for q, wt in nu.atoms
-                          if any(mink.causally_precedes(p, q, 1e-9) for p in sel))
+                          if any(mink.causally_precedes(p, q) for p in sel))
             assert mu_mass <= nu_mass + 1e-12
 
 
@@ -640,7 +679,7 @@ def test_gluing_soundness(mink):
             continue
         w = compose_couplings(mink, w1, w2)
         # construction validates: marginals match, every pair causal
-        assert all(mink.causally_precedes(p, q, mink.causal_tol) for (p, q), _ in w.atoms)
+        assert all(mink.causally_precedes(p, q) for (p, q), _ in w.atoms)
         left = w.marginal(0)
         for e, wt in mu.atoms:
             assert left.weight_of(e) == pytest.approx(wt, abs=1e-9)

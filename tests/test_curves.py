@@ -52,7 +52,7 @@ def test_canonicalize_idempotent():
         c = random_full_line_curve(rng, st, tf)
         piece = c.restrict(-1.0, 1.0)
         again = canonicalize_compact(st, tf, RawPath(st, piece.raw_path()), -1.0, 1.0)
-        assert curves_close(again, piece, 1e-9)
+        assert curves_close(again, piece)
 
 
 def test_canonicalize_degenerate_rejected(mink):
@@ -191,7 +191,7 @@ def test_interval_endpoints_must_be_finite(build, v):
 def test_reparametrize_identity(mink):
     c = random_full_line_curve(rng_for(31), mink, T0, rate=1.0, shift=0.0)
     out = reparametrize(mink, c, T0, T0)
-    assert curves_close(out, c, 0.0)
+    assert (out.domain, out.breakpoints, out.pace) == (c.domain, c.breakpoints, c.pace)
 
 
 def test_reparametrize_closed_form(mink):
@@ -220,7 +220,7 @@ def test_reparametrize_round_trip_randomized():
         back = reparametrize(st, moved, tf2, tf1)
         assert moved.raw_path() == c.raw_path()
         assert moved.pace == pytest.approx(c.pace, abs=1e-9)
-        assert curves_close(back, c, 1e-9)
+        assert curves_close(back, c)
         # the identity tf2(moved(s)) = tf1(c(s)) at all breakpoints
         for (s, e), (tau, f) in zip(moved.breakpoints, c.breakpoints):
             assert tf2.value(st, e) == pytest.approx(tf1.value(st, f) + c.pace * (s - tau),
@@ -337,15 +337,15 @@ def test_concat_rejects_endpoints_apart_beyond_tolerance(mink):
 
 
 def test_concat_checks_the_appended_part_against_the_left_piece(mink):
-    # Paces 1 and 1 + 5e-10 agree within GEOM_ATOL, so the result keeps c1's
-    # pace; each piece is affine on its own, but over 1e4 units of parameter
-    # c2 drifts 5e-6 away from the line through c1's first breakpoint.
+    # Each piece is affine on its own, but over 1e4 units of parameter c2
+    # (pace 1 + 5e-10) drifts 5e-6 away from the line through c1's first
+    # breakpoint: the glue is stored without a pace.
     c1 = _bare(mink, Interval.compact(0, 1), [(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)], pace=1.0)
     pace2 = 1 + 5e-10
     c2 = _bare(mink, Interval.compact(1, 1e4),
                [(1.0, 1.0, 0.0), (1e4, 1.0 + pace2 * (1e4 - 1.0), 0.0)], pace=pace2)
-    with pytest.raises(InputError, match="time-affinity"):
-        concat(c1, c2)
+    glued = concat(c1, c2)
+    assert glued.pace is None and glued.time_function is None
     # the same pieces over a short span glue into one affine curve
     c3 = _bare(mink, Interval.compact(1, 2), [(1.0, 1.0, 0.0), (2.0, 1.0 + pace2, 0.0)],
                pace=pace2)
@@ -355,9 +355,10 @@ def test_concat_checks_the_appended_part_against_the_left_piece(mink):
 @pytest.mark.parametrize("shared", [True, False])
 def test_a_glued_piece_is_checked_against_the_first_pieces_anchor(mink, shared):
     # Three pieces of slope-1/4 time, each affine on its own: c2 and c3 have
-    # pace 1 + 2e-10, within GEOM_ATOL of c1's 1.  Glued, they keep c1's
-    # pace, and the drift against c1's anchor only shows over c3's long
-    # span.  c3's time function is c1's own object, or an equal copy.
+    # pace 1 + 2e-10.  Glued, they keep c1's pace 1 while their values stay
+    # within GEOM_ATOL of c1's law, and the drift against c1's anchor only
+    # shows over c3's long span.  c3's time function is c1's own object, or
+    # an equal copy.
     tf = TimeFunction(slope=0.25)
     tf3 = tf if shared else TimeFunction(slope=0.25)
     pace = 1 + 2e-10
@@ -369,9 +370,30 @@ def test_a_glued_piece_is_checked_against_the_first_pieces_anchor(mink, shared):
 
     left = concat(piece(0.0, 1.0, 0.0, 1.0, tf), piece(1.0, 2.0, 1.0, pace, tf))
     assert left.pace == 1.0
-    with pytest.raises(InputError, match="time-affinity"):
-        concat(left, piece(2.0, 1e4, 1.0 + pace, pace, tf3))
+    assert concat(left, piece(2.0, 1e4, 1.0 + pace, pace, tf3)).pace is None
     assert concat(left, piece(2.0, 3.0, 1.0 + pace, pace, tf3)).pace == 1.0
+
+
+@pytest.mark.parametrize("pace2, end, affine", [
+    (1 + 3e-9, 1.25, True),    # paces 3e-9 apart, values 7.5e-10 off c1's law
+    (1 + 1.5e-9, 2.0, False),  # paces apart, values 1.5e-9 off
+    (1 + 9e-10, 3.0, False),   # paces within GEOM_ATOL, values 1.8e-9 off
+])
+def test_a_glue_is_affine_by_the_rule_every_curve_is_checked_by(mink, pace2, end, affine):
+    # concat keeps c1's pace exactly when the glued breakpoints satisfy the
+    # affinity check a curve built from them with that pace passes, whatever
+    # the two paces are; otherwise the glue has no pace, and no error
+    c1 = _bare(mink, Interval.compact(0, 1), [(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)], pace=1.0)
+    c2 = _bare(mink, Interval.compact(1, end),
+               [(1.0, 1.0, 0.0), (end, 1.0 + pace2 * (end - 1.0), 0.0)], pace=pace2)
+    glued = concat(c1, c2)
+    assert glued.pace == (1.0 if affine else None)
+    build = lambda: CausalCurve(mink, glued.domain, glued.breakpoints, pace=1.0)
+    if affine:
+        assert build().pace == 1.0
+    else:
+        with pytest.raises(InputError, match="time-affinity"):
+            build()
 
 
 # -- causality verification ------------------------------------------------------------
@@ -486,3 +508,19 @@ def test_bilipschitz_randomized_families():
 def test_bilipschitz_empty_family(mink):
     with pytest.raises(InputError):
         bilipschitz_report(mink, T0, [], 0.0, 1.0)
+
+
+def test_bilipschitz_refuses_a_slack_that_is_not_finite_and_nonnegative(mink):
+    c = causal_geodesic(mink, mink.event(0, 0.0), mink.event(1, 0.0))
+    rep = bilipschitz_report(mink, T0, [c], 0.0, 1.0)
+    assert rep.within(0.0) and rep.within(0) and rep.within(0.5)
+    for slack in (math.nan, math.inf, -1.0):
+        with pytest.raises(InputError, match="slack must be finite and nonnegative"):
+            rep.within(slack)
+
+
+@pytest.mark.parametrize("samples", [1, 0])
+def test_bilipschitz_needs_two_samples(mink, samples):
+    c = causal_geodesic(mink, mink.event(0, 0.0), mink.event(1, 0.0))
+    with pytest.raises(InputError, match="need at least 2 samples"):
+        bilipschitz_report(mink, T0, [c], 0.0, 1.0, samples=samples)

@@ -105,7 +105,7 @@ def _sorted_merge(items, key, close, groups=None):
     for i, (atom, w) in sorted(enumerate(items), key=lambda iaw: key(iaw[1][0])):
         if w <= 0:
             raise InputError(f"weights must be positive, got {w} at {atom!r}")
-        if out and close(out[-1][0], atom, GEOM_ATOL):
+        if out and close(out[-1][0], atom):
             out[-1][1].append(w)
             out[-1][2].append(i)
         else:
@@ -591,7 +591,8 @@ def test_pushforward_identity(mink):
     curves, weights = identity_parametrized_bundle(rng, mink, T0, [-1.0, 0.0, 1.0])
     sigma = CurveMeasure(mink, list(zip(curves, weights)))
     out = pushforward_reparametrize(sigma, T0, T0)
-    assert curve_measures_equal(out, sigma, 0.0)
+    assert ([(c.domain, c.breakpoints, c.pace, w) for c, w in out.atoms]
+            == [(c.domain, c.breakpoints, c.pace, w) for c, w in sigma.atoms])
 
 
 def test_pushforward_single_atom(mink):
@@ -933,5 +934,4 @@ def test_reconstruction_roundtrip(mink):
         # the rebuilt measure couples the halves through the junction only;
         # its marginals agree with sigma's everywhere
         for t in (0.0, 0.5, 1.0, 1.5, 2.0):
-            assert slice_measures_equal(marginal_at(rebuilt, t), marginal_at(sigma, t),
-                                        wtol=1e-12)
+            assert slice_measures_equal(marginal_at(rebuilt, t), marginal_at(sigma, t))

@@ -206,11 +206,11 @@ def _brute_route(st, x, y):
 def _track(st, x, chain, y):
     # geodesic track through the vertices of chain
     x, y = st.normalize_point(x), st.normalize_point(y)
-    if st.points_close(x, y, 0.0):
+    if x == y:
         return [x]
     track = [x]
     for v in chain + (y,):
-        if not st.points_close(track[-1], v, 0.0):
+        if track[-1] != v:
             track.append(v)
     return track
 
@@ -245,8 +245,32 @@ def test_route_ties_below_float_resolution_are_exact():
     assert st.geodesic_track("B", "A") == ["B", "A"]
     assert st.optical_distance("A", "D") == 1.0
     assert st.geodesic_track("A", "D") == ["A", "C", "D"]
-    assert not st.causally_precedes(st.event(0.0, "A"), st.event(1.0, "B"), 0.0)
-    assert st.causally_precedes(st.event(0.0, "A"), st.event(1 + 2.0 ** -52, "B"), 0.0)
+    # the comparison's edge sits causal_tol below the exact distance; from
+    # the float sum 1.0 it would sit two ulps lower
+    edge = 1 + 2.0 ** -52 - st.causal_tol
+    assert st.causally_precedes(st.event(0.0, "A"), st.event(edge, "B"))
+    assert not st.causally_precedes(st.event(0.0, "A"),
+                                    st.event(math.nextafter(edge, 0.0), "B"))
+
+
+def test_a_vertex_and_its_edge_endpoint_tuples_give_one_segment(chain_graph):
+    # A user-built curve can hold (a, b, 0.0) or (a, b, length) in place of
+    # vertex a or b.  The segment queries compare points by equality, and
+    # give either form the vertex's results against every point of its edge.
+    st = chain_graph
+    for (a, b), length in st.edges.items():
+        on_edge = [a, b, (a, b, length / 4), (a, b, length / 2)]
+        for v, tup in ((a, (a, b, 0.0)), (b, (a, b, length))):
+            for y in on_edge:
+                assert st.segment_length(tup, y) == st.segment_length(v, y)
+                assert st.segment_length(y, tup) == st.segment_length(y, v)
+                assert st.geodesic_track(tup, y) == st.geodesic_track(v, y)
+                assert st.geodesic_track(y, tup) == st.geodesic_track(y, v)
+                for frac in (0.0, 0.25, 0.5, 1.0):
+                    got = st.point_on_segment(tup, y, frac)
+                    assert st.normalize_point(got) == st.point_on_segment(v, y, frac)
+                    got = st.point_on_segment(y, tup, frac)
+                    assert st.normalize_point(got) == st.point_on_segment(y, v, frac)
 
 
 def test_exact_lengths_beyond_the_float_range():
@@ -464,7 +488,7 @@ def test_partial_order_on_random_event_sets():
             assert st.causally_precedes(p, p)
             for q in events:
                 if st.causally_precedes(p, q) and st.causally_precedes(q, p):
-                    assert p.t == q.t and st.points_close(p.x, q.x, 0.0)
+                    assert p.t == q.t and p.x == q.x
                 for r in events:
                     if st.causally_precedes(p, q) and st.causally_precedes(q, r):
                         assert st.causally_precedes(p, r)
