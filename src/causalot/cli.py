@@ -7,11 +7,13 @@ transport distances).  Reports are byte-identical across repeated runs
 with the same inputs: the only run-dependent value is the timestamp in
 the ``generated_at`` header field.
 
-Scenarios are checked against the packaged ``scenario.schema.json``, the
-one source of truth for their shape.  On the first scenario loaded, the
-schema is compiled into a plain-Python predicate
-(``schemacheck.compile_schema``) that gives jsonschema's verdict on every
-document; a valid document is checked by that predicate alone and never
+Set-up is paid once per process: ``main`` parses with one argparse parser,
+built on its first call.  Scenarios are checked against the packaged
+``scenario.schema.json``, the one source of truth for their shape.  On
+the first scenario loaded, the schema is compiled into a plain-Python
+predicate (``schemacheck.compile_schema``) that gives jsonschema's verdict
+on every document and tests the exact types ``json.load`` makes before
+any other; a valid document is checked by that predicate alone and never
 imports jsonschema.  jsonschema explains a document the predicate
 rejects: one validator, built once per process, finds the ``best_match``
 error that becomes the input error.  Should jsonschema find no error, the
@@ -474,6 +476,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """``main``'s parser and its actions by destination, built once per
+    process.  Sharing it is safe: ``parse_args`` writes only to the
+    namespace it returns, ``prog`` is fixed, and usage and errors read
+    ``sys.stderr`` and ``COLUMNS`` when they are printed."""
+    parser = build_parser()
+    return parser, {action.dest: action for action in parser._actions}
+
+
 # What a flag holds when neither the command line nor the scenario's
 # commands section gives it; every other flag stays None.
 DEFAULTS = {"mode": "consecutive", "interval": "compact", "horizon": 1, "to_it": False,
@@ -496,13 +508,13 @@ def _json_type(value):
             str: "a string"}.get(type(value))
 
 
-def _fill_defaults(parser, args, sc: Scenario):
+def _fill_defaults(actions, args, sc: Scenario):
     """Fill the flags absent from the command line (every flag parses to
     None when absent) from the scenario's section for the verb, then from
     DEFAULTS: explicit command-line flags win.  Each value in the section
-    must have the JSON type its flag takes (see ``_takes``)."""
+    must have the JSON type its flag takes (see ``_takes``); ``actions``
+    maps each flag's destination to its parser action."""
     section = sc.commands.get(args.verb, {})
-    actions = {action.dest: action for action in parser._actions}
     for key, value in section.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
@@ -520,11 +532,11 @@ def _fill_defaults(parser, args, sc: Scenario):
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, actions = _parser()
     args = parser.parse_args(argv)
     try:
         sc = load_scenario(args.scenario)
-        _fill_defaults(parser, args, sc)
+        _fill_defaults(actions, args, sc)
         ok, result = VERBS[args.verb](sc, args)
         path = write_report(args, args.verb, sc.name, ok, result)
     except CausalotError as err:

@@ -209,8 +209,8 @@ class CausalCurve:
             if abs(hi - self.domain.b) > GRID_ATOL:
                 raise InputError("half-line curve must end at the domain endpoint")
         if self.pace is not None:
-            if self.pace <= 0:
-                raise InputError(f"pace must be positive, got {self.pace}")
+            if not 0 < self.pace < math.inf:  # False for NaN
+                raise InputError(f"pace must be positive and finite, got {self.pace}")
             tf = self.time_function or canonical_time()
             if pieces is None:
                 values = tuple(tf.value(st, e) for _, e in self.breakpoints)

@@ -9,6 +9,13 @@ do not equate ``True`` with ``1``, and a NaN passes ``minimum`` and
 type, as in jsonschema.  Any other keyword raises ``ValueError`` at
 compile time, so a schema that outgrows the compiler fails at once
 instead of being checked less strictly.
+
+The predicate is built for documents that ``json.load`` makes: type tests
+try the exact types ``float``, ``int``, ``str``, ``list`` and ``dict``
+first, a ``type`` next to object or array keywords is tested once, and a
+``oneOf`` of disjoint types runs only the option of the instance's type.
+Any other instance, such as a ``Fraction`` or a ``dict`` subclass in a
+document built in memory, falls back to the general tests.
 """
 
 from __future__ import annotations
@@ -24,10 +31,17 @@ _DEFS = "#/$defs/"
 
 
 def _is_number(x):
+    # the exact types json.load makes first; the ABC test for the rest
+    if type(x) is float or type(x) is int:
+        return True
     return isinstance(x, Number) and not isinstance(x, bool)
 
 
 def _is_integer(x):
+    if type(x) is int:
+        return True
+    if type(x) is float:
+        return x.is_integer()
     if isinstance(x, bool):
         return False
     return isinstance(x, int) or (isinstance(x, float) and x.is_integer())
@@ -68,10 +82,11 @@ def _scalars(values, keyword):
     return tuple(values)
 
 
-def _object(required, properties, additional):
+def _object(required, properties, additional, typed):
+    """The object keywords; ``typed`` folds in ``type: object``."""
     def check(x):
         if not isinstance(x, dict):
-            return True
+            return not typed
         for key in required:
             if key not in x:
                 return False
@@ -83,12 +98,13 @@ def _object(required, properties, additional):
     return check
 
 
-def _array(prefix, rest, lo, hi):
+def _array(prefix, rest, lo, hi, typed):
+    """The array keywords; ``typed`` folds in ``type: array``."""
     n = len(prefix)
 
     def check(x):
         if not isinstance(x, list):
-            return True
+            return not typed
         if not lo <= len(x) <= hi:
             return False
         for f, value in zip(prefix, x):
@@ -99,6 +115,32 @@ def _array(prefix, rest, lo, hi):
                 if not rest(value):
                     return False
         return True
+    return check
+
+
+# The Python types json.load makes for each JSON type.
+_EXACT = {"array": (list,), "integer": (int, float), "number": (int, float),
+          "object": (dict,), "string": (str,)}
+
+
+def _one_of(schemas, options):
+    """``oneOf``: exactly one option holds.  When every option has a type
+    and no two types share a Python type (``integer`` and ``number`` do), an
+    instance of a type json.load makes can satisfy only the option of its
+    type, and only that option runs; any other instance counts them all."""
+    def count(x):
+        return sum(1 for f in options if f(x)) == 1
+
+    types = [s.get("type") if isinstance(s, dict) else None for s in schemas]
+    if None in types:
+        return count
+    by_type = {py: f for t, f in zip(types, options) for py in _EXACT[t]}
+    if len(by_type) < sum(len(_EXACT[t]) for t in types):
+        return count
+
+    def check(x):
+        f = by_type.get(type(x))
+        return count(x) if f is None else f(x)
     return check
 
 
@@ -128,10 +170,15 @@ def compile_schema(schema):
         if unknown:
             raise ValueError(f"unsupported schema keywords {sorted(unknown)}")
         checks = []
+        kind = s.get("type")
+        objects = s.keys() & {"required", "properties", "additionalProperties"}
+        arrays = s.keys() & {"prefixItems", "items", "minItems", "maxItems"}
         if "type" in s:
-            if not isinstance(s["type"], str) or s["type"] not in TYPES:
-                raise ValueError(f"unsupported type {s['type']!r}")
-            checks.append(TYPES[s["type"]])
+            if not isinstance(kind, str) or kind not in TYPES:
+                raise ValueError(f"unsupported type {kind!r}")
+            # folded into the object or array check below, if there is one
+            if not (kind == "object" and objects or kind == "array" and arrays):
+                checks.append(TYPES[kind])
         if "const" in s:
             value, = _scalars([s["const"]], "const")
             checks.append(lambda x: _equal(x, value))
@@ -144,18 +191,19 @@ def compile_schema(schema):
                 raise ValueError(f"unsupported $ref {s['$ref']!r}")
             checks.append(build(defs[name]))
         if "oneOf" in s:
-            options = [build(sub) for sub in s["oneOf"]]
-            checks.append(lambda x: sum(1 for f in options if f(x)) == 1)
-        if s.keys() & {"required", "properties", "additionalProperties"}:
+            checks.append(_one_of(s["oneOf"], [build(sub) for sub in s["oneOf"]]))
+        if objects:
             checks.append(_object(
                 tuple(s.get("required", ())),
                 {k: build(sub) for k, sub in s.get("properties", {}).items()},
-                build(s["additionalProperties"]) if "additionalProperties" in s else None))
-        if s.keys() & {"prefixItems", "items", "minItems", "maxItems"}:
+                build(s["additionalProperties"]) if "additionalProperties" in s else None,
+                kind == "object"))
+        if arrays:
             checks.append(_array(
                 [build(sub) for sub in s.get("prefixItems", ())],
                 build(s["items"]) if "items" in s else None,
-                s.get("minItems", 0), s.get("maxItems", float("inf"))))
+                s.get("minItems", 0), s.get("maxItems", float("inf")),
+                kind == "array"))
         if "minimum" in s:
             low = s["minimum"]
             checks.append(lambda x: not _is_number(x) or not x < low)

@@ -522,6 +522,57 @@ def test_malformed_flag_exits_1(tmp_path, capsys, flag):
     assert not reports.exists()
 
 
+# One process's calls, in order: a malformed command line between valid ones
+# must leave nothing behind in the parser that the next call reads.
+ONE_PROCESS = [
+    ("minkowski_branching.json", "validate"),
+    ("minkowski_branching.json", "synthesize", "--horizon", "x"),
+    ("minkowski_branching.json", "synthesize", "--to-IT"),
+    ("static_graph.json", "synthesize", "--interval", "future", "--horizon", "2"),
+    ("minkowski_branching.json", "validate"),
+    ("static_graph.json", "synthesize"),
+]
+
+
+def _calls(tmp_path, capsys):
+    """Run ONE_PROCESS through ``main``: for each call its exit code, stdout,
+    stderr, and report bytes with ``generated_at`` masked (None when it
+    writes no report)."""
+    reports = tmp_path / "reports"
+    out = []
+    for name, verb, *flags in ONE_PROCESS:
+        path = reports / f"report-{verb}.json"
+        if path.exists():
+            path.unlink()
+        try:
+            code = main([scenario(name), verb, *flags, "--report-dir", str(reports)])
+        except SystemExit as exit_:
+            code = exit_.code
+        stdout, stderr = capsys.readouterr()
+        body = re.sub(rb'"generated_at": "[^"]*"', b'"generated_at": ""',
+                      path.read_bytes()) if path.exists() else None
+        out.append((code, stdout, stderr, body))
+    return out
+
+
+def test_calls_in_one_process_match_calls_through_a_fresh_parser(tmp_path, capsys,
+                                                                 monkeypatch):
+    shared = _calls(tmp_path, capsys)
+    assert causalot.cli._parser() is causalot.cli._parser()
+    assert [code for code, *_ in shared] == [0, 1, 1, 0, 0, 0]
+    for code, stdout, stderr, body in shared:
+        if code == 1:
+            assert stdout == "" and body is None
+            assert stderr.startswith("usage: causalot ") and "causalot: error: " in stderr
+        else:
+            assert stderr == "" and body is not None
+    assert shared[0] == shared[4] and shared[3] != shared[5]
+    # the same calls, each through a parser of its own
+    monkeypatch.setattr(causalot.cli, "_parser", causalot.cli._parser.__wrapped__)
+    assert _calls(tmp_path, capsys) == shared
+    assert causalot.cli.build_parser() is not causalot.cli.build_parser()
+
+
 @pytest.mark.parametrize("a, b", [("nan", "1"), ("0", "nan"), ("-inf", "1")])
 def test_non_finite_interval_endpoint_exits_1(tmp_path, capsys, a, b):
     # a NaN endpoint used to pass every comparison and synthesize on the

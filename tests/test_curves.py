@@ -186,6 +186,21 @@ def test_interval_endpoints_must_be_finite(build, v):
         build(v)
 
 
+@pytest.mark.parametrize("pace, breakpoints", [
+    # NaN passes `pace <= 0` and every affinity comparison
+    (math.nan, [(0.0, (0.0, 0.0)), (1.0, (1.0, 0.0))]),
+    # one breakpoint: inf is checked only against itself (inf * 0 is NaN)
+    (math.inf, [(0.0, (0.0, 0.0))]),
+    (-math.inf, [(0.0, (0.0, 0.0))]),
+    (0.0, [(0.0, (0.0, 0.0))]),
+])
+def test_a_pace_must_be_positive_and_finite(mink, pace, breakpoints):
+    b = breakpoints[-1][0]
+    bps = [(tau, mink.event(*e)) for tau, e in breakpoints]
+    with pytest.raises(InputError, match=f"pace must be positive and finite, got {pace}"):
+        CausalCurve(mink, Interval.compact(0.0, b), bps, pace=pace, time_function=T0)
+
+
 # -- reparametrize -------------------------------------------------------------------
 
 def test_reparametrize_identity(mink):

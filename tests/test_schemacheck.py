@@ -1,8 +1,11 @@
 import copy
+import enum
 import json
 import math
 import os
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -177,4 +180,52 @@ def test_keyword_semantics_match_jsonschema(schema):
     check = compile_schema(schema)
     for value in SCALARS + CONTAINERS + [{"kind": "compact", "a": 0.5}, ["A", 1, 2.0],
                                          [[], [[1, 2], []]], [[1, 2], [[1, 2], [3, 4]]]]:
+        assert check(value) == validator.is_valid(value), value
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Level(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
+# numbers and objects of types json.load never makes, so that the compiled
+# predicate's exact-type fast paths miss and its fallbacks decide
+OFF_FAST_PATH = [Fraction(1, 2), Fraction(2), Fraction(-1, 3), Decimal("1.5"), Decimal("2"),
+                 Decimal("-1"), _Float(0.5), _Float(2.0), _Float(-1.0),
+                 _Float(math.nan), _Int(0), _Int(1), _Int(-3), *_Level,
+                 _Dict(kind="compact"), _Dict(kind="compact", a=0.5), _Dict(kind=_Float(1.0)),
+                 _Dict(tau=0.0), ["A", Fraction(1, 2)], ["A", _Level.ONE, _Float(2.0)],
+                 [_Dict(), _Dict(kind="dyadic")], [Decimal("1.5")], [_Int(1), _Float(1.5)]]
+ONE_OF_SCHEMAS = [
+    # pairwise disjoint types: only the option of the instance's type runs
+    {"oneOf": [{"type": "integer", "minimum": 1}, {"type": "string"},
+               {"type": "array", "prefixItems": [{"type": "string"}], "minItems": 1},
+               {"type": "object", "required": ["kind"]}]},
+    # integer lies inside number: every option is counted
+    {"oneOf": [{"type": "number"}, {"type": "integer"}, {"type": "array"}]},
+]
+
+
+@pytest.mark.parametrize("schema", KEYWORD_SCHEMAS + ONE_OF_SCHEMAS, ids=json.dumps)
+def test_values_off_the_fast_path_match_jsonschema(schema):
+    # the oneOf dispatch meets the plain values too, and a type that the
+    # dispatch must not trust (1 is both an integer and a number)
+    pool = SCALARS + CONTAINERS + OFF_FAST_PATH if schema in ONE_OF_SCHEMAS else OFF_FAST_PATH
+    schema = {"$schema": "https://json-schema.org/draft/2020-12/schema", **schema}
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    check = compile_schema(schema)
+    for value in pool:
         assert check(value) == validator.is_valid(value), value
