@@ -319,16 +319,6 @@ class CausalCurve:
         return CausalCurve(self.spacetime, Interval.compact(a, b), pts,
                            pace=self.pace, time_function=self.time_function)
 
-    def with_domain(self, domain):
-        """Rewrap the same breakpoints over a different interval kind (the
-        window convention supplies the values beyond the breakpoints)."""
-        out = CausalCurve(self.spacetime, domain, self.breakpoints,
-                          pace=self.pace, time_function=self.time_function)
-        if self._key is not None:
-            out._key = (domain.kind,) + self._key[1:]
-        out._leaves = self._leaves
-        return out
-
     def sort_key(self):
         """The merge order of curves: domain kind, breakpoint count, then
         the breakpoints' (parameter, event key) tuples; computed once."""
@@ -374,9 +364,9 @@ def _increasing_chain(st, tf, events):
     return chain, values
 
 
-def _compact_curve(st, tf, events, a, b):
-    """The body of ``canonicalize_compact`` for ``a < b`` and a valid ``tf``:
-    one refinement of the path's legs, one validated curve."""
+def _compact_curve(st, tf, events, a, b, domain):
+    """The body of ``canonicalize_compact`` (``a < b``, ``tf`` valid) over
+    ``domain``, [a, b] or a half-line beyond it: one refinement, one curve."""
     chain, values = _increasing_chain(st, tf, events)
     if len(chain) < 2:
         raise PreconditionError("degenerate path: a single event cannot span [a, b]")
@@ -386,7 +376,7 @@ def _compact_curve(st, tf, events, a, b):
     for e, v in zip(chain[1:-1], values[1:-1]):
         pts.append((a + (b - a) * (v - values[0]) / span, e))
     pts.append((b, chain[-1]))
-    return CausalCurve(st, Interval.compact(a, b), pts, pace=pace, time_function=tf)
+    return CausalCurve(st, domain, pts, pace=pace, time_function=tf)
 
 
 def canonicalize_compact(st, tf: TimeFunction, path: RawPath, a, b) -> CausalCurve:
@@ -402,7 +392,7 @@ def canonicalize_compact(st, tf: TimeFunction, path: RawPath, a, b) -> CausalCur
         raise InputError(f"target interval needs a < b, got [{a}, {b}]")
     if not validate_tf(st, tf):
         raise InputError("time function is not valid on this spacetime")
-    return _compact_curve(st, tf, path.events, a, b)
+    return _compact_curve(st, tf, path.events, a, b, Interval.compact(a, b))
 
 
 def canonicalize_noncompact(st, tf: TimeFunction, path: RawPath, request: Interval,

@@ -22,8 +22,8 @@ unchanged and normalizes the others
 (:meth:`causalot.spacetime.Spacetime.canonical_event`), groups exactly
 equal atoms in O(N), and sorts and merges only the D distinct ones, in
 O(D log D); only the member lists of merged distinct atoms are sorted.
-A curve measure built by a coupling lift, by :func:`concat_measures` or
-by synthesis's rewrap onto a half-line keeps its ordered slab windows
+A curve measure built by a coupling lift, onto its slab or the half-line
+beyond it, or by :func:`concat_measures` keeps its ordered slab windows
 (``_windows``), and each glued curve keeps the lifted curves it was
 glued from, one per window (``_leaves``, see
 :func:`causalot.curves.concat`).  An evaluation pushforward at a time in

@@ -566,4 +566,4 @@ def causal_geodesic(st, p, q):
     if q.t <= p.t:
         raise PreconditionError(
             f"degenerate pair: distinct events {p}, {q} on one time slice")
-    return _compact_curve(st, canonical_time(), (p, q), p.t, q.t)
+    return _compact_curve(st, canonical_time(), (p, q), p.t, q.t, Interval.compact(p.t, q.t))

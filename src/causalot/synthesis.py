@@ -14,9 +14,9 @@ Three engines serve the interval requests: :func:`synthesize_compact`
 a compact interval on a dyadic mesh, :func:`synthesize_slabs` a
 half-line or the full line on unit slabs, and :func:`synthesize_open` a
 bounded interval with open ends on a geometric mesh accumulating at
-them.  Unbounded intervals are handled at a finite horizon of unit slabs
-with the curves' static window extension; truncating a deeper horizon
-projects exactly onto a shallower one by construction
+them.  Unbounded intervals are handled at a finite horizon of unit slabs,
+the outer slab lifted onto its half-line, where curves extend statically;
+a deeper horizon projects exactly onto a shallower one by construction
 (:func:`causalot.measures.concat_measures`).  The three engines run
 through one fold path and check its result before they return: every
 curve is time-affine, and every mesh marginal equals its input slice.
@@ -58,14 +58,22 @@ def lift_coupling(st, tf, omega: Coupling, a, b) -> CurveMeasure:
     the evaluation marginals of the result are the coupling's marginals.
     Each curve is built and validated once, straight from the refined
     chain of (p, q), and the time function is validated once per call.
+    Only a coupling on another spacetime is checked for causality again.
     The result has one slab window, [a, b], and each of its curves is its
     own one leaf there (see :func:`causalot.measures.marginal_at`).
     """
+    return _lift(st, tf, omega, a, b)
+
+
+def _lift(st, tf, omega, a, b, past=False, future=False):
+    """The lift onto [a, b], (-inf, b] with ``past`` or [a, +inf) with ``future``."""
     a, b = float(a), float(b)
     if a >= b:
         raise InputError(f"lift needs a < b, got [{a}, {b}]")
     if not validate_tf(st, tf):
         raise InputError("time function is not valid on this spacetime")
+    domain = (Interval.past(b) if past else Interval.future(a) if future
+              else Interval.compact(a, b))
     atoms = []
     for (p, q), w in omega.atoms:
         vp = tf.value(st, p)
@@ -74,48 +82,47 @@ def lift_coupling(st, tf, omega: Coupling, a, b) -> CurveMeasure:
             raise PreconditionError(f"left atom {p} not on the level set {a} (value {vp})")
         if abs(vq - b) > GEOM_ATOL:
             raise PreconditionError(f"right atom {q} not on the level set {b} (value {vq})")
-        if not st.causally_precedes(p, q):
+        if omega.spacetime is not st and not st.causally_precedes(p, q):
             raise PreconditionError(f"non-causal coupling atom ({p}, {q})")
         if q.t <= p.t:  # a tilted time function can still increase here
             raise PreconditionError(f"degenerate coupling atom ({p}, {q}): no time passes")
-        atoms.append((_compact_curve(st, tf, (p, q), a, b), w))
+        atoms.append((_compact_curve(st, tf, (p, q), a, b, domain), w))
     sigma = CurveMeasure(st, atoms)
     sigma._windows = ((a, b),)
     return sigma
 
 
-def _fold_slabs(st, tf, entries):
+def _fold_slabs(st, tf, entries, past, future):
     """Fold witness-coupling lifts over consecutive slices into one curve
-    measure on the spanned compact interval; each glue restricts back to
-    the previous fold by :func:`causalot.measures.concat_measures`."""
+    measure, the first lift onto its past half-line with ``past``, the last
+    onto its future one with ``future``; each glue restricts back to the
+    previous fold by :func:`causalot.measures.concat_measures`."""
     sigma = None
-    for (s, mu), (t, nu) in zip(entries, entries[1:]):
+    for k, ((s, mu), (t, nu)) in enumerate(zip(entries, entries[1:])):
         atoms, cut = _decide(st, mu, nu)
         if cut is not None:
             raise NonCausalEvolutionError(s, t, cut)
-        piece = lift_coupling(st, tf, Coupling(st, atoms), s, t)
+        piece = _lift(st, tf, Coupling(st, atoms), s, t, past and k == 0,
+                      future and k == len(entries) - 2)
         sigma = piece if sigma is None else concat_measures(sigma, piece)
     return sigma
 
 
-def _synthesize(st, tf, entries, split=None, domains=(None, None)):
+def _synthesize(st, tf, entries, split=None, kind=Interval.COMPACT):
     """Fold the entries into one curve measure and check its paces and mesh marginals.
 
     With ``split``, the entries up to and from ``entries[split]`` are folded
-    separately and the two folds are glued there.  Each fold is rewrapped
-    onto its entry of ``domains`` unless that entry is None, keeping its
-    slab windows (each curve keeps its leaves, see ``with_domain``).
+    separately and the two folds are glued there; ``kind`` is the interval
+    kind of the result, and each unbounded end's outer slab is lifted onto
+    its half-line (see ``_fold_slabs``).
     """
-    parts = [entries] if split is None else [entries[:split + 1], entries[split:]]
-    folds = []
-    for part, domain in zip(parts, domains):
-        sigma = _fold_slabs(st, tf, part)
-        if domain is not None:
-            windows = sigma._windows
-            sigma = CurveMeasure(st, [(c.with_domain(domain), w) for c, w in sigma.atoms])
-            sigma._windows = windows
-        folds.append(sigma)
-    sigma = folds[0] if split is None else concat_measures(*folds)
+    past = kind in (Interval.PAST, Interval.LINE)
+    future = kind in (Interval.FUTURE, Interval.LINE)
+    if split is None:
+        sigma = _fold_slabs(st, tf, entries, past, future)
+    else:
+        sigma = concat_measures(_fold_slabs(st, tf, entries[:split + 1], past, False),
+                                _fold_slabs(st, tf, entries[split:], False, future))
     if sigma._affine_in is None:
         raise VerificationError(
             "synthesized curves are not time-affine: a glued slab lift leaves the "
@@ -125,6 +132,13 @@ def _synthesize(st, tf, entries, split=None, domains=(None, None)):
             raise VerificationError(
                 f"synthesized marginal at {t} does not match the input slice")
     return sigma
+
+
+def _check_horizon(horizon):
+    if not isinstance(horizon, int) or isinstance(horizon, bool):  # as for a mesh depth
+        raise InputError(f"horizon must be an integer, got {horizon!r}")
+    if horizon < 1:
+        raise InputError(f"horizon must be >= 1, got {horizon}")
 
 
 def _grid_zero(times, what):
@@ -163,8 +177,7 @@ def synthesize_slabs(st, tf, evo: Evolution, horizon, direction="both") -> Curve
     continue statically; a deeper horizon restricts exactly to a shallower
     one (:func:`causalot.measures.concat_measures`).
     """
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {horizon}")
+    _check_horizon(horizon)
     if direction not in ("forward", "backward", "both"):
         raise InputError(f"unknown direction {direction!r}")
     if evo.mesh.kind != MeshSpec.INTEGER:
@@ -173,19 +186,16 @@ def synthesize_slabs(st, tf, evo: Evolution, horizon, direction="both") -> Curve
     times = evo.times
     if direction == "both":
         center = _grid_zero(times, "two-sided synthesis")
-        if center < horizon or len(times) - 1 - center < horizon:
-            raise InputError(
-                f"grid supports horizons up to {min(center, len(times) - 1 - center)}, "
-                f"requested {horizon}")
+        max_h = min(center, len(times) - 1 - center)
+        if max_h < horizon:
+            raise InputError(f"grid supports horizons up to {max_h}, requested {horizon}")
         return _synthesize(st, tf, evo.entries[center - horizon:center + horizon + 1],
-                           split=horizon, domains=(Interval.past(0.0), Interval.future(0.0)))
+                           split=horizon, kind=Interval.LINE)
     if len(times) < horizon + 1:
         raise InputError(f"grid has {len(times)} times, need {horizon + 1}")
     if direction == "forward":
-        entries = evo.entries[:horizon + 1]
-        return _synthesize(st, tf, entries, domains=(Interval.future(entries[0][0]),))
-    entries = evo.entries[-(horizon + 1):]
-    return _synthesize(st, tf, entries, domains=(Interval.past(entries[-1][0]),))
+        return _synthesize(st, tf, evo.entries[:horizon + 1], kind=Interval.FUTURE)
+    return _synthesize(st, tf, evo.entries[-(horizon + 1):], kind=Interval.PAST)
 
 
 def extract_coupling(sigma: CurveMeasure, s, t) -> Coupling:
@@ -260,7 +270,7 @@ def observer_invariance_report(st, tf1, tf2, evo: Evolution, horizon=None) -> In
     times = evo.times
     center = _grid_zero(times, "observer check")
     max_h = min(center, len(times) - 1 - center)
-    horizon = max_h if horizon is None else int(horizon)
+    horizon = max_h if horizon is None else horizon
     sigma1 = synthesize_slabs(st, tf1, evo, horizon, "both")
     ups1 = to_time_parametrized(st, tf1, sigma1)
     moved = pushforward_reparametrize(ups1, tf1, tf2)
@@ -316,8 +326,7 @@ def synthesize_open(st, tf, evo: Evolution, a, b, horizon, side) -> CurveMeasure
     ``both`` the two halves meet at the midpoint), and the compact fold
     runs over them, split at the midpoint with ``both``.
     """
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {horizon}")
+    _check_horizon(horizon)
     if side not in ("right", "left", "both"):
         raise InputError(f"unknown side {side!r}")
     iv = Interval.compact(a, b)

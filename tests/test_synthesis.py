@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from collections import Counter
 
@@ -11,6 +12,7 @@ from causalot import (CausalCurve, Coupling, CurveMeasure, Event, Evolution, Inp
                       TimeFunction, canonical_time,
                       canonicalize_noncompact, causal_geodesic, check_evolution,
                       concat_measures, disintegrate, dyadic_times, extract_coupling,
+                      find_causal_coupling,
                       geometric_times, is_time_parametrized, lift_coupling,
                       marginal_at, observer_invariance_report,
                       pushforward_reparametrize, slice_measures_equal,
@@ -68,6 +70,17 @@ def test_lift_rejects_off_level_atoms(mink):
     omega = Coupling(mink, [((mink.event(0, 0.0), mink.event(1, 0.0)), 1.0)])
     with pytest.raises(Exception, match="level"):
         lift_coupling(mink, T0, omega, 0.0, 2.0)
+
+
+def test_lift_checks_the_causality_of_a_coupling_on_another_spacetime(mink):
+    # a Coupling on the lift's own spacetime is causal by construction; one
+    # built with a looser slack may hold a pair that mink calls superluminal
+    loose = Spacetime("minkowski-1+1", eps_caus=0.25)
+    pair = (loose.event(0, 0.0), loose.event(1, 1.2))
+    omega = Coupling(loose, [(pair, 1.0)])
+    with pytest.raises(PreconditionError, match="non-causal coupling atom"):
+        lift_coupling(mink, T0, omega, 0.0, 1.0)
+    assert lift_coupling(loose, T0, omega, 0.0, 1.0).atoms[0][0].at(1.0) == pair[1]
 
 
 @pytest.mark.parametrize("tf, q, b", [
@@ -436,6 +449,20 @@ def test_open_synthesis_refuses_a_horizon_below_one(mink, side, horizon):
         synthesize_open(mink, T0, evo, 0.0, 1.0, horizon, side)
 
 
+@pytest.mark.parametrize("horizon", [2.0, 1.5, True, "2"])
+@pytest.mark.parametrize("engine", ["slabs", "open", "observer"])
+def test_engines_refuse_a_horizon_that_is_not_an_integer(mink, engine, horizon):
+    # a bool is not an integer here, as for a mesh depth
+    grid = grid_evolution(mink, -2, 2, lambda k: delta(mink, k, 0.0))
+    entries = [(t, delta(mink, t, 0.0)) for t in geometric_times(0.0, 1.0, 2)]
+    geometric = Evolution(mink, entries, T0, MeshSpec("explicit"))
+    run = {"slabs": lambda: synthesize_slabs(mink, T0, grid, horizon, "both"),
+           "open": lambda: synthesize_open(mink, T0, geometric, 0.0, 1.0, horizon, "right"),
+           "observer": lambda: observer_invariance_report(mink, T0, T0, grid, horizon)}[engine]
+    with pytest.raises(InputError, match=re.escape(f"horizon must be an integer, got {horizon!r}")):
+        run()
+
+
 def test_nan_mesh_times_match_nothing(mink):
     from causalot.synthesis import _match_times
     with pytest.raises(InputError, match="do not match the right-open mesh"):
@@ -628,7 +655,8 @@ def _branching_evolution(rng, st, tf, times, mesh):
         sites = sorted({half * rng.randint(0, 8) / 8 for _ in range(3)})
     else:
         edges = sorted((a, b) for (a, b), length in st.edges.items() if length <= 1.0)
-        assume(edges)
+        if not edges:  # assume only on failure, so that a plain test may call this
+            assume(False)
         a, b = rng.choice(edges)
         sites = [a, b, (a, b, st.edges[(a, b)] / 2)]
     entries = []
@@ -685,6 +713,73 @@ def test_factored_pushforwards_match_the_plain_path_on_interior_atoms(chain_grap
                              direction)
     assert all(len(c._leaves) == 2 for c, _ in sigma.atoms)
     assert _assert_leaves_match_plain(sigma, _probe_times(sigma)) > 0
+
+
+def _rewrapped_slabs(st, tf, evo, horizon, direction):
+    """Slab synthesis by rewrapping compact folds, the oracle for lifting the
+    end slabs onto their half-lines: the folds of public lifts, split at
+    the grid time 0 for ``both``, each curve rebuilt over its half-line
+    with its breakpoints, pace, time function and leaves, and each fold's
+    measure merged again with its slab windows."""
+    entries = evo.entries
+    if direction == "both":
+        center = [t for t, _ in entries].index(0.0)
+        entries = entries[center - horizon:center + horizon + 1]
+        parts = [(entries[:horizon + 1], Interval.past(0.0)),
+                 (entries[horizon:], Interval.future(0.0))]
+    elif direction == "forward":
+        entries = entries[:horizon + 1]
+        parts = [(entries, Interval.future(entries[0][0]))]
+    else:
+        entries = entries[-(horizon + 1):]
+        parts = [(entries, Interval.past(entries[-1][0]))]
+    folds = []
+    for part, half_line in parts:
+        sigma = None
+        for (s, mu), (t, nu) in zip(part, part[1:]):
+            piece = lift_coupling(st, tf, find_causal_coupling(st, mu, nu), s, t)
+            sigma = piece if sigma is None else concat_measures(sigma, piece)
+        atoms = []
+        for c, w in sigma.atoms:
+            rebuilt = CausalCurve(st, half_line, c.breakpoints, pace=c.pace,
+                                  time_function=c.time_function)
+            rebuilt._leaves = c._leaves
+            atoms.append((rebuilt, w))
+        rewrapped = CurveMeasure(st, atoms)
+        rewrapped._windows = sigma._windows
+        folds.append(rewrapped)
+    return folds[0] if len(folds) == 1 else concat_measures(*folds)
+
+
+def _curve_bits(c):
+    return (_bits(c.breakpoints), _bits(c.pace), id(c.time_function),
+            (c.domain.kind, _bits(c.domain.a), _bits(c.domain.b)))
+
+
+@pytest.mark.parametrize("backend", ["minkowski", "tilted", "graph"])
+@pytest.mark.parametrize("direction", ["forward", "backward", "both"])
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+def test_half_line_synthesis_matches_the_rewrapped_folds(backend, direction, horizon):
+    # horizon 1 forward or backward lifts one slab that is both the first
+    # and the last of its fold
+    rng = rng_for(29)
+    if backend == "graph":
+        st = random_graph(rng, n_vertices=4, far=False)
+    else:
+        st = Spacetime("minkowski-1+1")
+    tf = TimeFunction(slope=0.3) if backend == "tilted" else T0
+    times = [float(k) for k in range(-3, 4)]
+    evo = _branching_evolution(rng, st, tf, times, MeshSpec("integer"))
+    sigma = synthesize_slabs(st, tf, evo, horizon, direction)
+    old = _rewrapped_slabs(st, tf, evo, horizon, direction)
+    assert sigma.domain == old.domain
+    assert [(_curve_bits(c), w.hex()) for c, w in sigma.atoms] == \
+        [(_curve_bits(c), w.hex()) for c, w in old.atoms]
+    assert sigma._windows == old._windows
+    assert len(sigma._windows) == horizon * (2 if direction == "both" else 1)
+    # a one-slab measure's curves are their own leaves
+    through_leaves = _assert_leaves_match_plain(sigma, _probe_times(sigma))
+    assert (through_leaves > 0) == (len(sigma._windows) > 1)
 
 
 def _merging_glue_pieces():
