@@ -508,9 +508,10 @@ class EvolutionReport:
 def check_evolution(st, evo: Evolution, mode="consecutive") -> EvolutionReport:
     """Decide whether an evolution is causal.
 
-    ``consecutive`` checks each neighbouring pair of slices; ``all-pairs``
-    checks every ordered pair.  The report carries a min-cut witness for
-    the first failing pair.
+    ``consecutive`` checks each neighbouring pair of slices, K - 1 steps for
+    K slices; ``all-pairs`` checks every ordered pair and each slice against
+    itself, K(K + 1)/2 steps.  The report carries a min-cut witness for the
+    first failing pair.
 
     Consecutive pairs would suffice for the exact causal relation, which
     is transitive, since witness couplings compose through the shared

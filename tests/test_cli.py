@@ -42,6 +42,25 @@ def test_validate_bundled_scenarios(tmp_path):
         assert doc["status"] == "ok"
 
 
+# The exit code of every verb in each bundled scenario's commands section,
+# run with no flags.
+BUNDLED_COMMANDS = {
+    "static_graph.json": {"check-coupling": 2, "check-evolution": 0, "synthesize": 0},
+    "minkowski_branching.json": {"check-evolution": 2, "synthesize": 0, "bounds-report": 0},
+    "tilted_observer.json": {"invariance-check": 0, "synthesize": 0, "check-evolution": 0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_COMMANDS))
+def test_every_bundled_command_exits_with_its_code(tmp_path, name):
+    codes = BUNDLED_COMMANDS[name]
+    assert set(load_scenario(scenario(name)).commands) == set(codes)
+    for verb, code in codes.items():
+        assert run(tmp_path, scenario(name), verb) == code, verb
+        doc = report(tmp_path, verb)
+        assert (doc["verb"], doc["status"]) == (verb, "ok" if code == 0 else "verification-failed")
+
+
 def test_check_evolution_superluminal_exits_2(tmp_path):
     code = run(tmp_path, scenario("minkowski_branching.json"), "check-evolution")
     assert code == 2
@@ -348,9 +367,10 @@ else:
     raise AssertionError("a scenario without a spacetime was accepted")
 assert "jsonschema" in sys.modules
 """
-    src = os.path.join(ROOT, "src")
+    # the subprocess imports the causalot this test imported, installed or not
+    package_root = os.path.dirname(os.path.dirname(causalot.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", code, os.path.join(SCENARIOS, "*.json")],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -507,6 +527,19 @@ def test_dyadic_mesh_without_its_parameters_exits_1(tmp_path, capsys, verb, fiel
     assert not reports.exists() or os.listdir(reports) == []
 
 
+def test_a_declared_dyadic_depth_of_60_fails_validate(tmp_path):
+    # refused by the count of its times, without building 2**60 + 1 of them
+    def deepen(doc):
+        for evolution in doc["evolutions"].values():
+            evolution["mesh"]["depth"] = 60
+
+    path = _scenario_copy(tmp_path, "minkowski_branching.json", deepen)
+    assert run(tmp_path, path, "validate") == 2
+    evolutions = report(tmp_path, "validate")["result"]["evolutions"]
+    assert evolutions and not any(entry["ok"] for entry in evolutions.values())
+    assert all("at depth 60" in entry["error"] for entry in evolutions.values())
+
+
 @pytest.mark.parametrize("flag", [["--horizon", "x"], ["--a", "-inf"], ["--to-IT"]])
 def test_malformed_flag_exits_1(tmp_path, capsys, flag):
     # argparse exits 2, the code of a failed verification, on a malformed
@@ -621,6 +654,12 @@ def _geometric_scenario(tmp_path, synthesize):
     ("geometric", ["--evolution", "right", "--interval", "right-open", "--horizon", "3"]),
     ("geometric", ["--evolution", "left", "--interval", "left-open", "--horizon", "3"]),
     ("geometric", ["--evolution", "both", "--interval", "open", "--horizon", "2"]),
+    # horizon 1 lifts one slab that is both first and last
+    ("static_graph.json", ["--interval", "future", "--horizon", "1"]),
+    ("static_graph.json", ["--interval", "future", "--horizon", "2"]),
+    ("static_graph.json", ["--interval", "past", "--horizon", "1"]),
+    ("static_graph.json", ["--interval", "past", "--horizon", "2"]),
+    ("static_graph.json", ["--interval", "line", "--horizon", "1"]),
 ])
 def test_every_synthesis_request_exits_0(tmp_path, name, flags):
     if name == "geometric":
@@ -632,6 +671,12 @@ def test_every_synthesis_request_exits_0(tmp_path, name, flags):
     result = report(tmp_path, "synthesize")["result"]
     assert result["synthesized"] is True
     assert result["max_mesh_marginal_distance"] == 0.0
+    # every curve lives on the requested interval and keeps its pace
+    kind = flags[flags.index("--interval") + 1]
+    curves = [curve for curve, _ in result["curve_measure"]["atoms"]]
+    assert curves and all(curve["pace"] is not None for curve in curves)
+    if kind in ("future", "past", "line"):
+        assert {curve["domain"]["kind"] for curve in curves} == {kind}
 
 
 @pytest.mark.parametrize("flags, section, message", [
@@ -701,3 +746,23 @@ def test_a_deficit_at_the_mass_bound_exits_2(tmp_path):
     assert run(tmp_path, path, "synthesize", "--evolution", "probe",
                "--interval", "future", "--horizon", "1") == 2
     assert report(tmp_path, "synthesize")["result"]["witness"]["events"] == cut
+
+
+def test_a_glue_beyond_the_curve_cap_exits_1(tmp_path, capsys):
+    # 17 slices at the integer times -8..8, eight sites each in [0, 0.875],
+    # so every site pair of neighbouring slices is causal; the two weight
+    # vectors alternate and their partial sums interleave, so each witness
+    # splits mass into 15 pieces and the final glue at horizon 8 would
+    # build 344,701 curves, which the full-size cap refuses before building one
+    xs = [i / 8 for i in range(8)]
+    weights = [[1 / 8] * 8, [1 / 16] + [1 / 8] * 6 + [3 / 16]]
+    slices = [{"tau": float(k), "atoms": [[x, w] for x, w in zip(xs, weights[k % 2])]}
+              for k in range(-8, 9)]
+    path = _write_scenario(tmp_path, {"evolutions": {"wide": {
+        "time_function": "T0", "mesh": {"kind": "integer"}, "slices": slices}}})
+    reports = tmp_path / "reports"
+    assert main([path, "synthesize", "--evolution", "wide", "--interval", "line",
+                 "--horizon", "8", "--report-dir", str(reports)]) == 1
+    assert capsys.readouterr().err == ("error: gluing at 0.0 would build 344701 curves, "
+                                       "more than the cap of 100000\n")
+    assert not reports.exists() or os.listdir(reports) == []

@@ -495,6 +495,30 @@ def test_consecutive_causality_composes_at_the_tolerance_edge():
             synthesize_slabs(st, T0, evo, 2, "forward")
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a decision reads two slices of unit mass within MASS_ATOL "
+                          "on one scale, while synthesis compares their witness's "
+                          "marginals with them atom by atom at MASS_ATOL")
+def test_synthesis_succeeds_exactly_when_the_evolution_is_causal_at_the_mass_edge():
+    # Dirac slices at x = 0 whose masses differ by 1.8e-12, each within
+    # MASS_ATOL of 1: the decisions call every pair causal, while synthesis
+    # refuses at horizon 1 by its closing marginal check and at horizon 2
+    # by its junction check
+    st = Spacetime("minkowski-1+1", eps_caus=0.0)
+    masses = (1 - 0.9e-12, 1 + 0.9e-12, 1 - 0.9e-12)
+    evo = Evolution(st, [(float(t), SliceMeasure(st, [(st.event(t, 0.0), m)]))
+                         for t, m in enumerate(masses)], T0, MeshSpec("integer"))
+    causal = check_evolution(st, evo).causal
+    assert check_evolution(st, evo, "all-pairs").causal == causal
+    for horizon in (1, 2):
+        try:
+            synthesize_slabs(st, T0, evo, horizon, "forward")
+            refusal = None
+        except (PreconditionError, VerificationError) as err:
+            refusal = err
+        assert (refusal is None) == causal, (horizon, causal, refusal)
+
+
 def test_plan_left_open_geometric(mink):
     wanted = [1.0 - t for t in geometric_times(0.0, 1.0, 3)][::-1]
     entries = [(t, delta(mink, t, 0.0)) for t in wanted]
