@@ -43,8 +43,8 @@ from .spacetime import GEOM_ATOL, Spacetime, causal_lipschitz_constant
 from .timefunc import TimeFunction, canonical_time, validate as validate_tf
 from .curves import (CausalCurve, Interval, bilipschitz_report, curves_close, reparametrize,
                      verify_causal)
-from .measures import (Coupling, CurveMeasure, SliceMeasure, marginal_at,
-                       pushforward_reparametrize, transport_distance)
+from .measures import (CurveMeasure, SliceMeasure, marginal_at, pushforward_reparametrize,
+                       transport_distance)
 from .coupling import Evolution, MeshSpec, _decide, check_evolution
 from .schemacheck import compile_schema
 from .synthesis import (NonCausalEvolutionError, observer_invariance_report,
@@ -255,10 +255,9 @@ def _verb_check_coupling(sc: Scenario, args):
     st = sc.spacetime
     mu = _named(sc.measures, args.mu, "measure")
     nu = _named(sc.measures, args.nu, "measure")
-    atoms, cut = _decide(st, mu, nu)
+    omega, cut = _decide(st, mu, nu)
     if cut is not None:
         return False, {"feasible": False, "violated_subset": cut.to_dict()}
-    omega = Coupling(st, atoms)
     return True, {"feasible": True, "coupling": _coupling_out(omega)}
 
 

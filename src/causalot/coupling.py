@@ -25,6 +25,12 @@ graph has one representation, ascending index rows: ``rows[i]`` lists the
 right atoms that left atom i reaches, a ``range`` on the run route.  Max
 flow, the cut witness, the Strassen check and W1's tight arcs all read
 the rows as they are.
+
+Cost: a decision takes time linear in its arcs plus its BFS rounds.  The
+flow is kept as sparse as the rows, one ``{j: units}`` dict per left
+atom, so nothing is allocated or summed per pair off the arcs, and the
+witness coupling is built once from the flow, without checking again
+what the decision guarantees (:func:`_witness_coupling`).
 """
 
 from __future__ import annotations
@@ -235,11 +241,13 @@ def _max_flow(instance: _Instance):
     with integer capacities; deterministic arc ordering by atom index.
 
     The arcs are the instance's index rows, scanned as they are.  Returns
-    (value, flows, reachable) where flows[i][j] is the flow pushed along
-    the admissible arc i -> j (a dense m x n integer matrix, zero off the
-    arcs) and reachable is the set of left atoms reachable from the
-    source in the final residual graph (a min-cut witness when the flow
-    is not saturating).  The flow starts from zero.
+    (value, flows, reachable) where flows[i] is a dict ``{j: units}`` of
+    the non-zero flows on the admissible arcs i -> j, value is the total
+    of the used supplies, and reachable is the set of left atoms reachable
+    from the source in the final residual graph (a min-cut witness when
+    the flow is not saturating).  The flow starts from zero, and nothing
+    is allocated or summed per (i, j) pair off the arcs, so a solve costs
+    time linear in the arcs plus its BFS rounds.
 
     The augmenting paths found first are direct arcs, and one greedy pass
     pushes them all before the first BFS.  Each BFS queues the left atoms
@@ -262,7 +270,7 @@ def _max_flow(instance: _Instance):
     n = len(demand)
     arcs = instance.adjacency
     carriers = [[] for _ in range(n)]
-    flows = [[0] * n for _ in range(m)]
+    flows = [{} for _ in range(m)]
     used_supply, used_demand = [0] * m, [0] * n
     for i in range(m):
         free = supply[i]
@@ -308,8 +316,7 @@ def _max_flow(instance: _Instance):
                         queue.append(i)
         if found is None:
             reachable = {v for v in parent if v < m}
-            value = sum(sum(row) for row in flows)
-            return value, flows, reachable
+            return sum(used_supply), flows, reachable
         # bottleneck along the augmenting path
         path = []
         v = found
@@ -328,13 +335,18 @@ def _max_flow(instance: _Instance):
         for k in range(len(path) - 1):
             v, w = path[k], path[k + 1]
             if v < m <= w:
-                if not flows[v][w - m]:
-                    insort(carriers[w - m], v)
-                flows[v][w - m] += bottleneck
+                row, j = flows[v], w - m
+                if j not in row:
+                    insort(carriers[j], v)
+                    row[j] = bottleneck
+                else:
+                    row[j] += bottleneck
             elif w < m <= v:
-                flows[w][v - m] -= bottleneck
-                if not flows[w][v - m]:
-                    carriers[v - m].remove(w)
+                row, j = flows[w], v - m
+                row[j] -= bottleneck
+                if not row[j]:
+                    del row[j]
+                    carriers[j].remove(w)
 
 
 def _transport_exact(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
@@ -368,7 +380,7 @@ def _transport_exact(st, mu: SliceMeasure, nu: SliceMeasure) -> float:
             u[i] += delta
         for j in right:
             v[j] -= delta
-    total = sum(f * cij for row, c in zip(flows, cost) for f, cij in zip(row, c))
+    total = sum(f * c[j] for row, c in zip(flows, cost) for j, f in row.items())
     return total / (inst._unit_den * cost_scale)
 
 
@@ -389,23 +401,65 @@ class CutWitness:
 def _decide(st, mu: SliceMeasure, nu: SliceMeasure):
     """Decide whether mu causally precedes nu with one max flow.
 
-    Returns ``(atoms, None)``, the (event pair, weight) atoms of a causal
-    coupling, when the pair is feasible, and ``(None, CutWitness)`` when
-    it is not: the left atoms still reachable from the source in the final
-    residual graph outweigh their causal future.
+    Returns ``(coupling, None)``, a causal coupling of the pair, when it
+    is feasible, and ``(None, CutWitness)`` when it is not: the left atoms
+    still reachable from the source in the final residual graph outweigh
+    their causal future.  The coupling's atoms are the flow's arcs, read
+    in mu's order and, within a row, by right index; an arc whose flow
+    rounds to a float weight of 0.0 is left out, since it carries less
+    than the smallest float, which is rounding dust (see
+    :func:`_witness_coupling`).
     """
     inst = _Instance(mu, nu, _causal_adjacency(st, mu, nu))
     value, flows, reachable = _max_flow(inst)
     if not _deficient(inst.scale - value, inst):
-        atoms = [((p, nu.atoms[j][0]), inst.weight_from_units(row[j]))
-                 for (p, _), arcs, row in zip(mu.atoms, inst.adjacency, flows)
-                 for j in arcs if row[j]]
-        return atoms, None
+        return _witness_coupling(st, mu, nu, inst, flows), None
     left = sorted(reachable)
     future = sorted({j for i in left for j in inst.adjacency[i]})
     return None, CutWitness(tuple(mu.atoms[i][0] for i in left),
                             math.fsum(mu.atoms[i][1] for i in left),
                             math.fsum(nu.atoms[j][1] for j in future))
+
+
+def _witness_coupling(st, mu, nu, inst, flows):
+    """The coupling of a feasible decision's flow, built once.
+
+    Its atoms meet the precondition of :meth:`Coupling._trusted` by
+    construction: the events are mu's and nu's own canonical atoms; the
+    pairs are exactly distinct, and they come in key order, since mu's
+    atoms are sorted and j ascends in a row; and each row lists the right
+    atoms that pass :meth:`Spacetime.causally_precedes`'s comparison at
+    ``causal_tol``, on the graph over the same exact distance, rounded
+    once.  Neighbours in a merged measure are not close, so two
+    consecutive atoms can be close only across a gap: in one row, right
+    atoms j and j' > j + 1, or rows i and i' > i + 1 where the rows between
+    carry no flow.  Closeness is not transitive, so such a pair can be
+    close although the atoms between are not; the merge, which joins
+    neighbours in key order, then joins it.  Left atoms with tied keys,
+    which only graph points can have, would interleave their pairs in key
+    order.  In those cases the atoms go through ``Coupling(st, atoms)``,
+    whose merge decides, as it always has.
+    """
+    atoms, last, trusted = [], None, True
+    close = st.events_close
+    graph = st.backend == st.GRAPH
+    for i, ((p, _), row) in enumerate(zip(mu.atoms, flows)):
+        for j in sorted(row):
+            w = inst.weight_from_units(row[j])
+            if not w:
+                continue  # below the smallest float: rounding dust
+            q = nu.atoms[j][0]
+            if last is not None and trusted:
+                i0, j0 = last
+                if i0 == i:
+                    trusted = j == j0 + 1 or not close(nu.atoms[j0][0], q)
+                else:
+                    p0 = mu.atoms[i0][0]
+                    trusted = not (i > i0 + 1 and close(p0, p) and close(nu.atoms[j0][0], q)
+                                   or graph and st.event_key(p0) == st.event_key(p))
+            last = i, j
+            atoms.append(((p, q), w))
+    return Coupling._trusted(st, atoms) if trusted else Coupling(st, atoms)
 
 
 def find_causal_coupling(st, mu: SliceMeasure, nu: SliceMeasure):
@@ -416,8 +470,7 @@ def find_causal_coupling(st, mu: SliceMeasure, nu: SliceMeasure):
     as rounding dust, see :func:`_deficient`); the witness plan uses a
     fixed deterministic arc ordering so repeated runs reproduce it bit for bit.
     """
-    atoms, _ = _decide(st, mu, nu)
-    return None if atoms is None else Coupling(st, atoms)
+    return _decide(st, mu, nu)[0]
 
 
 def cut_witness(st, mu: SliceMeasure, nu: SliceMeasure):

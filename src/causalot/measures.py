@@ -4,8 +4,11 @@ All measures are finite lists of (atom, weight) pairs with weights
 summing to one.  One function, ``_merge``, decides both for every
 measure: atom identity is structural equality at ``GEOM_ATOL`` (1e-9),
 equal atoms are merged by weight addition (compensated summation
-throughout), and the total must lie within ``MASS_ATOL`` (1e-12) of one;
-each constructor calls it once.  Every comparison of atoms or weights
+throughout), and the total must lie within ``MASS_ATOL`` (1e-12) of one
+(``_weights``); each constructor calls it once.  The one exception is a
+decision's witness coupling, built by ``Coupling._trusted`` from atoms
+that the merge would leave as they are, which checks the weights alone.
+Every comparison of atoms or weights
 reads those two constants, with no per-call override.  Disintegration is
 exact discrete conditioning, and the concatenation of two curve measures
 over a shared junction marginal is the finite sum of fiberwise product
@@ -71,26 +74,19 @@ MAX_GLUED_CURVES = 100_000
 
 def _merge(items, key, close, groups=None):
     """Merge (atom, weight) pairs into a probability measure's atoms, sorted
-    by key: the one rule for atom identity and unit mass.
+    by key: the one rule for atom identity, with :func:`_weights` the one
+    rule for unit mass.
 
     Exactly equal atoms are grouped first: events and event pairs by value,
     curves by identity.  ``groups``, when given, is that grouping already
     made (an evaluation pushforward's): each distinct atom, in the order of
     its first pair, mapped to the increasing indices of the pairs equal to
     it.  The sort and the merge of neighbours that ``close(a, b)`` accepts
-    at ``GEOM_ATOL`` then run over the distinct atoms, and each merged atom's
-    weight is the ``math.fsum`` of all its weights, which does not depend on
-    their order.  A non-positive weight is refused first, then a total
-    farther than ``MASS_ATOL`` from one.  Returns ``(atoms, members)``:
-    ``members[n]`` lists, in increasing order, the indices of the pairs
-    merged into ``atoms[n]``.
+    at ``GEOM_ATOL`` then run over the distinct atoms.  Returns
+    ``(atoms, members)``: ``members[n]`` lists, in increasing order, the
+    indices of the pairs merged into ``atoms[n]``.
     """
     items = list(items)
-    # the error names the first non-positive or NaN weight in sort order
-    bad = [aw for aw in items if not aw[1] > 0]
-    if bad:
-        atom, w = min(bad, key=lambda aw: key(aw[0]))
-        raise InputError(f"weights must be positive, got {w} at {atom!r}")
     if groups is None:
         groups = _group_indices([atom for atom, _ in items])
     atoms, members, joined = [], [], set()
@@ -103,13 +99,31 @@ def _merge(items, key, close, groups=None):
             members.append(idx)
     for n in joined:
         members[n].sort()
-    # a single weight is its own fsum
-    weights = [math.fsum([items[i][1] for i in idx]) if len(idx) > 1 else items[idx[0]][1]
-               for idx in members]
+    return tuple(zip(atoms, _weights(items, key, members))), members
+
+
+def _weights(items, key, members=None):
+    """The weights of a measure's atoms from its (atom, weight) pairs, under
+    the one unit-mass rule: a non-positive weight is refused first, then a
+    total farther than ``MASS_ATOL`` from one.  Each atom weighs the
+    ``math.fsum`` of its ``members``' weights, which does not depend on
+    their order; without ``members`` each pair is its own atom.
+    """
+    # the error names the first non-positive or NaN weight in sort order
+    bad = [aw for aw in items if not aw[1] > 0]
+    if bad:
+        atom, w = min(bad, key=lambda aw: key(aw[0]))
+        raise InputError(f"weights must be positive, got {w} at {atom!r}")
+    if members is None:
+        weights = [w for _, w in items]
+    else:
+        # a single weight is its own fsum
+        weights = [math.fsum([items[i][1] for i in idx]) if len(idx) > 1 else items[idx[0]][1]
+                   for idx in members]
     total = math.fsum(weights)
     if abs(total - 1.0) > MASS_ATOL:
         raise InputError(f"weights must sum to 1 within {MASS_ATOL}, got {total!r}")
-    return tuple(zip(atoms, weights)), members
+    return weights
 
 
 class SliceMeasure:
@@ -223,7 +237,14 @@ class CurveMeasure:
 
 class Coupling:
     """Joint measure on event pairs, whose marginals are read off its
-    atoms; every atom pair must be causally related."""
+    atoms; every atom pair must be causally related.
+
+    The constructor canonicalizes, merges (``_merge``) and checks the
+    causality of every atom.  A decision's witness
+    (:func:`causalot.coupling._decide`) is built instead by
+    :meth:`_trusted`, which checks only the weights: what else the
+    constructor checks holds by construction there.
+    """
 
     def __init__(self, st, atoms, _groups=None):
         # ``_groups`` as in SliceMeasure: pairs of canonical events, grouped
@@ -237,6 +258,27 @@ class Coupling:
         for (p, q), _ in self.atoms:
             if not st.causally_precedes(p, q):
                 raise InputError(f"atom pair ({p}, {q}) is not causally related")
+
+    @classmethod
+    def _trusted(cls, st, atoms):
+        """The coupling ``Coupling(st, atoms)`` builds, from atoms that its
+        checks would pass unchanged; only the unit-mass rule (``_weights``)
+        is checked.
+
+        Precondition: each atom is ``((p, q), w)`` with ``p`` and ``q``
+        canonical events (``st.canonical_event`` returns them as they are)
+        and ``w`` a float; the pairs are exactly distinct and in the order
+        that sorting by ``event_key(p) + event_key(q)`` leaves them in; no
+        two consecutive atoms are close (``events_close`` on both events);
+        and ``st.causally_precedes(p, q)`` holds for every pair.  The merge
+        then groups, sorts and joins nothing, so the atoms are the
+        constructor's.
+        """
+        _weights(atoms, lambda pq: st.event_key(pq[0]) + st.event_key(pq[1]))
+        self = cls.__new__(cls)
+        self.spacetime = st
+        self.atoms = tuple(atoms)
+        return self
 
     def marginal(self, side):
         st = self.spacetime

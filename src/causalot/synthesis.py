@@ -99,10 +99,10 @@ def _fold_slabs(st, tf, entries, past, future):
     previous fold by :func:`causalot.measures.concat_measures`."""
     sigma = None
     for k, ((s, mu), (t, nu)) in enumerate(zip(entries, entries[1:])):
-        atoms, cut = _decide(st, mu, nu)
+        omega, cut = _decide(st, mu, nu)
         if cut is not None:
             raise NonCausalEvolutionError(s, t, cut)
-        piece = _lift(st, tf, Coupling(st, atoms), s, t, past and k == 0,
+        piece = _lift(st, tf, omega, s, t, past and k == 0,
                       future and k == len(entries) - 2)
         sigma = piece if sigma is None else concat_measures(sigma, piece)
     return sigma

@@ -57,8 +57,10 @@ class TimeFunction:
         return self.slope is None and self.offsets is None
 
     def spatial_part(self, st: Spacetime, x):
-        """Value of f at the spatial point x."""
-        x = st.normalize_point(x)
+        """Value of f at the spatial point x; a point that is not canonical
+        is normalized first, and a malformed one refused."""
+        if not st._is_canonical(x):
+            x = st.normalize_point(x)
         if self.is_canonical:
             return 0.0
         if self.slope is not None:

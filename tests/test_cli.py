@@ -96,6 +96,27 @@ def test_check_coupling_witness(tmp_path):
     assert doc["result"]["violated_subset"]["nu_future_mass"] == 0.5
 
 
+def test_check_coupling_leaves_out_dust_arcs(tmp_path):
+    # nu's 5e-324 atom makes the flow send about 2**-1075 of mu's mass
+    # along (0, 0) -> (1, 0.5), a weight that rounds to 0.0: the verb
+    # reports the coupling without that arc
+    doc = {
+        "schema_version": 1,
+        "spacetime": {"backend": "minkowski-1+1", "tolerance": 0.0},
+        "measures": {
+            "mu": {"tau": 0.0, "atoms": [[0.0, 0.5], [0.25, 0.5]]},
+            "nu": {"tau": 1.0, "atoms": [[0.0, 0.5], [0.5, 0.5], [0.75, 5e-324]]},
+        },
+    }
+    path = tmp_path / "dust.json"
+    path.write_text(json.dumps(doc))
+    assert run(tmp_path, str(path), "check-coupling", "--mu", "mu", "--nu", "nu") == 0
+    result = report(tmp_path, "check-coupling")["result"]
+    assert result["feasible"] is True
+    assert [(p[1], q[1], w) for p, q, w in result["coupling"]["atoms"]] == \
+        [(0.0, 0.0, 0.5), (0.25, 0.5, 0.5), (0.25, 0.75, 5e-324)]
+
+
 def test_one_max_flow_per_decision(tmp_path, monkeypatch):
     # An infeasible pair is decided, and its cut found, by a single solve.
     solves = []

@@ -2,6 +2,7 @@ import math
 from collections import deque
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st_
@@ -14,7 +15,7 @@ from genrand import (inject_superluminal, random_backend, random_causal_evolutio
                      random_graph, random_slice_measure, rng_for)
 from causalot import coupling
 from causalot.coupling import _Instance, _causal_adjacency, _max_flow
-from causalot.spacetime import GEOM_ATOL
+from causalot.spacetime import GEOM_ATOL, Event
 
 T0 = canonical_time()
 
@@ -380,23 +381,39 @@ def _oracle_max_flow(instance):
                 flows[w][v - m] -= bottleneck
 
 
+def _dense(flows, n):
+    """``_max_flow``'s per-row ``{j: units}`` flows as an m x n matrix."""
+    return [[row.get(j, 0) for j in range(n)] for row in flows]
+
+
+def _sparse(result):
+    """The oracle's (value, flows, reachable) in ``_max_flow``'s form: each
+    row's non-zero flows as ``{j: units}``."""
+    value, flows, reachable = result
+    return value, [{j: f for j, f in enumerate(row) if f} for row in flows], reachable
+
+
 def _same_as_oracle(inst):
-    """``_max_flow`` and the oracle return the same (value, flows,
-    reachable); returns that result."""
-    got = _max_flow(inst)
+    """``_max_flow``, its flows densified, and the oracle return the same
+    (value, flows, reachable), and the sparse rows store no zero flow;
+    returns the densified result."""
+    value, flows, reachable = _max_flow(inst)
+    assert all(all(row.values()) for row in flows)
+    got = value, _dense(flows, len(inst.demand)), reachable
     assert got == _oracle_max_flow(inst)
     return got
 
 
 def _oracle_decide(st, mu, nu):
-    """``coupling._decide`` as it was before the greedy pass, on the oracle."""
+    """``coupling._decide``'s atoms and cut, read off the oracle's flow by a
+    full m x n scan; an arc whose weight rounds to 0.0 is dust, left out."""
     inst = _Instance(mu, nu, _causal_adjacency(st, mu, nu))
     value, flows, reachable = _oracle_max_flow(inst)
     if not coupling._deficient(inst.scale - value, inst):
-        atoms = [((p, q), float(Fraction(flows[i][j], inst._unit_den)))
-                 for i, (p, _) in enumerate(mu.atoms)
-                 for j, (q, _) in enumerate(nu.atoms) if flows[i][j] > 0]
-        return atoms, None
+        weighed = [((p, q), float(Fraction(flows[i][j], inst._unit_den)))
+                   for i, (p, _) in enumerate(mu.atoms)
+                   for j, (q, _) in enumerate(nu.atoms) if flows[i][j] > 0]
+        return [(pq, w) for pq, w in weighed if w > 0.0], None
     left = sorted(reachable)
     future = sorted({j for i in left for j in inst.adjacency[i]})
     return None, coupling.CutWitness(tuple(mu.atoms[i][0] for i in left),
@@ -526,13 +543,26 @@ def test_max_flow_is_exact_on_tiny_power_of_two_weights(data, tiny):
     assert [inst.weight_from_units(sum(row)) for row in flows] == [w for _, w in mu.atoms]
 
 
+class _Emitted:
+    """Stands in for ``Coupling`` in ``coupling``: holds the atoms a
+    decision hands to either constructor, unchecked, so that the supports
+    of ``_flow_pair``, which are not unit measures, can be decided."""
+
+    def __init__(self, st, atoms):
+        self.atoms = list(atoms)
+
+    _trusted = classmethod(lambda cls, st, atoms: cls(st, atoms))
+
+
 @settings(max_examples=400, deadline=None)
 @given(st_.data(), _KINDS)
 def test_decisions_match_plain_edmonds_karp(data, kind):
     # Coupling atoms (in order, weights as floats) and cut witnesses are
     # the ones read from the oracle's flow by a full m x n scan.
     st, mu, nu = data.draw(_flow_pair(kind))
-    assert coupling._decide(st, mu, nu) == _oracle_decide(st, mu, nu)
+    with mock.patch.object(coupling, "Coupling", _Emitted):
+        plan, cut = coupling._decide(st, mu, nu)
+    assert (None if plan is None else plan.atoms, cut) == _oracle_decide(st, mu, nu)
 
 
 def test_w1_matches_plain_edmonds_karp(monkeypatch):
@@ -548,7 +578,7 @@ def test_w1_matches_plain_edmonds_karp(monkeypatch):
                        random_slice_measure(rng, st, rng.choice([0.5, 1.0, 2.0]),
                                             max_atoms=6, tf=tf)))
     got = [transport_distance(*pair).hex() for pair in pairs]
-    monkeypatch.setattr(coupling, "_max_flow", _oracle_max_flow)
+    monkeypatch.setattr(coupling, "_max_flow", lambda inst: _sparse(_oracle_max_flow(inst)))
     assert got == [transport_distance(*pair).hex() for pair in pairs]
 
 
@@ -645,6 +675,210 @@ def test_every_entry_point_agrees_at_the_mass_bound(ticks):
     deficit, atol = mu_total - flow, Fraction(coupling.MASS_ATOL)
     feasible = deficit <= atol * mu_total and flow >= 1 - atol
     assert set(_verdicts(st, mu, nu).values()) == {feasible}
+
+
+# -- the witness coupling, built once -------------------------------------------------
+
+
+def _dust_pair(st):
+    """nu's 5e-324 atom leaves the scaled totals one unit apart, and the
+    saturating flow sends about 2**-1075 of mu's mass along (0, 0) -> (1, 0.5)."""
+    mu = SliceMeasure(st, [(st.event(0, 0.0), 0.5), (st.event(0, 0.25), 0.5)], tau=0.0)
+    nu = SliceMeasure(st, [(st.event(1, 0.0), 0.5), (st.event(1, 0.5), 0.5),
+                           (st.event(1, 0.75), 5e-324)], tau=1.0)
+    return mu, nu
+
+
+def test_a_witness_leaves_out_arcs_whose_weight_rounds_to_zero():
+    # That arc's weight rounds to 0.0, which no measure holds: it is dust,
+    # left out, and the pair that check_evolution calls causal couples.
+    st = Spacetime("minkowski-1+1", eps_caus=0.0)
+    mu, nu = _dust_pair(st)
+    evo = Evolution(st, [(0.0, mu), (1.0, nu)], T0, MeshSpec("integer"))
+    assert check_evolution(st, evo).causal
+    plan = find_causal_coupling(st, mu, nu)
+    assert [(p.x, q.x, w) for (p, q), w in plan.atoms] == \
+        [(0.0, 0.0, 0.5), (0.25, 0.5, 0.5), (0.25, 0.75, 5e-324)]
+    sigma = synthesize_slabs(st, T0, evo, 1, "forward")
+    assert sorted((c.at(0.0).x, c.at(1.0).x, w) for c, w in sigma.atoms) == \
+        [(0.0, 0.0, 0.5), (0.25, 0.5, 0.5), (0.25, 0.75, 5e-324)]
+
+
+def test_a_witness_is_not_checked_again(monkeypatch):
+    # A feasible decision on a one-time Minkowski pair builds its coupling
+    # from the measures' own canonical events over the rows' own causal
+    # comparison: it canonicalizes nothing and calls causally_precedes
+    # nowhere.  The public constructor still checks both.
+    st = Spacetime("minkowski-1+1")
+    mu = SliceMeasure(st, [(st.event(0.0, x / 4), 1 / 16) for x in range(16)])
+    nu = SliceMeasure(st, [(st.event(1.0, x / 4 + 1 / 8), 1 / 16) for x in range(16)])
+    calls = []
+    for name in ("causally_precedes", "canonical_event"):
+        method = getattr(Spacetime, name)
+        monkeypatch.setattr(Spacetime, name, lambda self, *args, name=name, method=method:
+                            calls.append(name) or method(self, *args))
+    assert len(find_causal_coupling(st, mu, nu).atoms) == 16
+    assert calls == []
+    with pytest.raises(InputError, match="is not causally related"):
+        Coupling(st, [((st.event(0.0, 0.0), st.event(1.0, 3.0)), 1.0)])
+    with pytest.raises(InputError, match="Minkowski point must be a real number"):
+        Coupling(st, [((Event(0.0, "west"), st.event(1.0, 0.0)), 1.0)])
+    assert set(calls) == {"causally_precedes", "canonical_event"}
+
+
+def test_the_trusted_constructor_keeps_the_weight_rule(mink):
+    # a zero, a NaN and a total short of one: refused with the public
+    # constructor's message
+    pair, far = ((mink.event(0.0, x), mink.event(1.0, x)) for x in (0.0, 2.0))
+    for weights in ((0.0, 1.0), (float("nan"), 1.0), (0.5, 0.25)):
+        atoms = list(zip((pair, far), weights))
+        with pytest.raises(InputError) as want:
+            Coupling(mink, atoms)
+        with pytest.raises(InputError) as got:
+            Coupling._trusted(mink, atoms)
+        assert str(got.value) == str(want.value)
+
+
+def _bits(plan):
+    # atoms, their order and every float bit (repr round-trips floats)
+    return [(repr(pq), w.hex()) for pq, w in plan.atoms]
+
+
+def _witness_route(st, mu, nu):
+    """Decide mu -> nu and, when feasible, compare the witness with
+    ``Coupling(st, atoms)`` on the oracle's atoms (``_oracle_decide``, the
+    same ones by ``test_decisions_match_plain_edmonds_karp``): the same
+    atoms in the same order with the same float bits, or the same
+    ``InputError``.  Returns the constructor the decision used:
+    ``"trusted"``, ``"public"``, or None for a cut."""
+    with mock.patch.object(coupling, "Coupling", wraps=Coupling) as spy:
+        try:
+            got = coupling._decide(st, mu, nu)
+        except InputError as err:
+            got = err
+    atoms, cut = _oracle_decide(st, mu, nu)
+    if cut is not None:
+        assert got == (None, cut)
+        return None
+    try:
+        want = Coupling(st, atoms)
+    except InputError as err:
+        assert isinstance(got, InputError) and str(got) == str(err)
+    else:
+        assert not isinstance(got, InputError) and got[1] is None
+        assert _bits(got[0]) == _bits(want)
+    return "public" if spy.called else "trusted"
+
+
+def test_a_join_across_a_gap_in_a_row_goes_through_the_merge():
+    # nu's atoms (1, 5) and (1 + 9e-10, 5 + 1e-10) are close but not
+    # neighbours, and (0, 5) sends to both: the merge joins them (ROADMAP
+    # item 5), so the witness is the public constructor's two atoms.
+    st = Spacetime("minkowski-1+1")
+    mu = SliceMeasure(st, [(st.event(0.0, 0.0), 0.4), (st.event(0.0, 5.0), 0.6)])
+    nu = SliceMeasure(st, [(st.event(1.0, 5.0), 0.3), (st.event(1 + 5e-10, 0.0), 0.4),
+                           (st.event(1 + 9e-10, 5 + 1e-10), 0.3)])
+    assert _witness_route(st, mu, nu) == "public"
+    assert [(p, q, w) for (p, q), w in find_causal_coupling(st, mu, nu).atoms] == \
+        [(st.event(0.0, 0.0), st.event(1 + 5e-10, 0.0), 0.4),
+         (st.event(0.0, 5.0), st.event(1.0, 5.0), 0.6)]
+
+
+# Vertex names with "|" give unequal edge points one sort key:
+# ("a", "b|c", off) and ("a|b", "c", off) both read "a|b|c" at off.
+TIED = Spacetime("static-graph", vertices=["a", "a|b", "b|c", "c"],
+                 edges=[("a", "b|c", 2.0), ("a|b", "c", 2.0), ("a", "a|b", 1.0),
+                        ("b|c", "c", 1.0)])
+_TIED_POINTS = st_.one_of(st_.sampled_from(sorted(TIED.vertices)), st_.tuples(
+    st_.sampled_from([("a", "b|c"), ("a|b", "c")]),
+    st_.sampled_from([0.25, 0.5, 1.5])).map(lambda e: (*e[0], e[1])))
+_TINY = st_.sampled_from([2.0 ** -52, 2.0 ** -600, 2.0 ** -1022, 3 * 5e-324, 5e-324])
+
+
+@st_.composite
+def _pushed_pair(draw, st, left, right_of):
+    """Unit measures on the left events and on right events drawn by
+    ``right_of(p)`` next to them: each left atom's weight k / K is split
+    over one or two of its right events, and either side may gain an atom
+    of a tiny weight, a power of two down to 2**-1074."""
+    ks = draw(st_.lists(st_.integers(1, 64), min_size=len(left), max_size=len(left)))
+    mu_atoms, nu_atoms = [], []
+    for p, k in zip(left, ks):
+        w = k / sum(ks)
+        mu_atoms.append((p, w))
+        cut = draw(st_.sampled_from([1.0, 0.5, 0.25, 2.0 ** -30]))
+        nu_atoms.append((draw(right_of(p)), w * cut))
+        if cut < 1.0:
+            nu_atoms.append((draw(right_of(p)), w - w * cut))
+    for atoms, events in ((mu_atoms, left), (nu_atoms, [q for q, _ in nu_atoms])):
+        if draw(st_.booleans()):
+            atoms.append((draw(st_.sampled_from(events)), draw(_TINY)))
+    return SliceMeasure(st, mu_atoms), SliceMeasure(st, nu_atoms)
+
+
+@st_.composite
+def _witness_pair(draw, kind):
+    """A spacetime and a slice pair for the witness oracle: Minkowski right
+    events on the light cones of left ones, at ``d`` or ``d + tol`` moved
+    up to three ulps either way, on one time or at mixed times; graph
+    points on vertices and inside edges with tied sort keys, right times
+    ``d``, ``d +/- tol`` or ``d +/- 1 ulp`` after a left event; the
+    item 5 join, in a row and across rows that carry no flow; and the dust
+    pair."""
+    if kind == "dust":
+        st = Spacetime("minkowski-1+1", eps_caus=0.0)
+        return (st, *_dust_pair(st))
+    if kind == "join":
+        # (0, x) sends to nu's first and third atoms, which are close
+        st = Spacetime("minkowski-1+1")
+        x = draw(st_.sampled_from([2.0, 5.0, 7.5]))
+        a = draw(st_.integers(1, 63)) / 64
+        c = (1.0 - a) * draw(st_.sampled_from([0.25, 0.5, 0.75]))
+        d1 = draw(st_.sampled_from([1e-10, 5e-10]))
+        d2 = draw(st_.sampled_from([6e-10, 9e-10]))
+        dx = draw(st_.sampled_from([-9e-10, -1e-10, 0.0, 1e-10, 9e-10]))
+        mu = SliceMeasure(st, [(st.event(0.0, 0.0), a), (st.event(0.0, x), 1.0 - a)])
+        nu = SliceMeasure(st, [(st.event(1.0, x), c), (st.event(1.0 + d1, 0.0), a),
+                               (st.event(1.0 + d2, x + dx), 1.0 - a - c)])
+        return st, mu, nu
+    if kind == "left-join":
+        # mu's first and third atoms are close, and its second, of dust
+        # mass, reaches nothing: both send to nu's first atom
+        st = Spacetime("minkowski-1+1")
+        x = draw(st_.sampled_from([2.0, 5.0, 7.5]))
+        dust = draw(st_.sampled_from([1e-13, 2.0 ** -60, 5e-324]))
+        a = draw(st_.integers(1, 63)) / 64
+        mu = SliceMeasure(st, [(st.event(0.0, x), a), (st.event(5e-10, 0.0), dust),
+                               (st.event(9e-10, x + 1e-10), 1.0 - a - dust)])
+        nu = SliceMeasure(st, [(st.event(1.0, x), 1.0 - a * 0.5), (st.event(1.0, x + 0.5), a * 0.5)])
+        return st, mu, nu
+    if kind == "graph":
+        st = TIED
+        left = [st.event(0.0, x) for x in draw(st_.lists(_TIED_POINTS, min_size=1, max_size=6))]
+
+        @st_.composite
+        def right_of(draw, p):
+            y = draw(_TIED_POINTS)
+            d = st.optical_distance(p.x, y)
+            t = p.t + d + draw(st_.sampled_from([0.0, st.causal_tol, -st.causal_tol]))
+            return st.event(_ulps(t, draw(st_.integers(-1, 1))), y)
+        return (st, *draw(_pushed_pair(st, left, right_of)))
+    st = Spacetime("minkowski-1+1", eps_caus=draw(_EPS_CAUS))
+    taus = [0.0] if kind == "one-time" else [0.0, 0.0, 2.0 ** -40, 0.5]
+    left = [st.event(-draw(st_.sampled_from(taus)), x)
+            for x in draw(st_.lists(_POSITIONS, min_size=1, max_size=6))]
+    t = draw(_DTS) if kind == "one-time" else None
+    return (st, *draw(_pushed_pair(st, left, lambda p: _boundary_events(st, [p], t))))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st_.data(), st_.sampled_from(["one-time", "mixed-time", "graph", "join", "left-join",
+                                     "dust"]))
+def test_the_trusted_witness_is_the_public_constructors(data, kind):
+    st, mu, nu = data.draw(_witness_pair(kind))
+    route = _witness_route(st, mu, nu)
+    if kind in ("join", "left-join", "dust"):
+        assert route == ("trusted" if kind == "dust" else "public")
 
 
 def test_monotone_embedding(mink):

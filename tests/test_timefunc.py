@@ -116,3 +116,30 @@ def test_slope_validation_threshold(k):
     mink = Spacetime("minkowski-1+1")
     rep = validate_time_function(mink, TimeFunction(slope=k))
     assert rep.ok == (abs(k) <= 1.0 - 1e-9)
+
+
+def test_spatial_part_normalizes_only_points_that_are_not_canonical(mink, edge_graph,
+                                                                     monkeypatch):
+    # A canonical point is used as it is; any other point is normalized
+    # first, so a malformed one still raises whatever the time function.
+    slope = TimeFunction(slope=0.5)
+    ramp = TimeFunction(offsets={"A": 0.25, "B": 1.25}, spacetime=edge_graph)
+    for st, tf, bad in ((mink, canonical_time(), "west"), (mink, slope, "west"),
+                        (mink, slope, float("nan")), (edge_graph, canonical_time(), "Z"),
+                        (edge_graph, ramp, "Z"), (edge_graph, ramp, ("A", "B", 2.5)),
+                        (edge_graph, ramp, ("A", "Z", 0.5))):
+        with pytest.raises(InputError):
+            tf.spatial_part(st, bad)
+    assert slope.spatial_part(mink, 3) == 1.5  # an int is normalized to 3.0
+    assert ramp.spatial_part(edge_graph, ("B", "A", 1.5)) == 0.5  # ("A", "B", 0.5)
+    assert ramp.spatial_part(edge_graph, ("A", "B", 0.0)) == 0.25  # vertex A
+    calls = []
+    normalize = Spacetime.normalize_point
+    monkeypatch.setattr(Spacetime, "normalize_point",
+                        lambda self, x: calls.append(x) or normalize(self, x))
+    assert slope.spatial_part(mink, 3.0) == 1.5
+    assert ramp.spatial_part(edge_graph, ("A", "B", 0.5)) == 0.5
+    assert ramp.spatial_part(edge_graph, "B") == 1.25
+    assert calls == []
+    assert ramp.spatial_part(edge_graph, ("B", "A", 1.5)) == 0.5
+    assert calls == [("B", "A", 1.5)]
