@@ -426,23 +426,21 @@ def _witness_coupling(st, mu, nu, inst, flows):
 
     Its atoms meet the precondition of :meth:`Coupling._trusted` by
     construction: the events are mu's and nu's own canonical atoms; the
-    pairs are exactly distinct, and they come in key order, since mu's
-    atoms are sorted and j ascends in a row; and each row lists the right
-    atoms that pass :meth:`Spacetime.causally_precedes`'s comparison at
-    ``causal_tol``, on the graph over the same exact distance, rounded
-    once.  Neighbours in a merged measure are not close, so two
-    consecutive atoms can be close only across a gap: in one row, right
-    atoms j and j' > j + 1, or rows i and i' > i + 1 where the rows between
-    carry no flow.  Closeness is not transitive, so such a pair can be
-    close although the atoms between are not; the merge, which joins
-    neighbours in key order, then joins it.  Left atoms with tied keys,
-    which only graph points can have, would interleave their pairs in key
-    order.  In those cases the atoms go through ``Coupling(st, atoms)``,
-    whose merge decides, as it always has.
+    pairs are exactly distinct, and they come in key order, since the keys
+    of mu's atoms strictly increase (sort keys are total) and j ascends in
+    a row; and each row lists the right atoms that pass
+    :meth:`Spacetime.causally_precedes`'s comparison at ``causal_tol``, on
+    the graph over the same exact distance, rounded once.  Neighbours in a
+    merged measure are not close, so two consecutive atoms can be close
+    only across a gap: in one row, right atoms j and j' > j + 1, or rows i
+    and i' > i + 1 where the rows between carry no flow.  Closeness is not
+    transitive, so such a pair can be close although the atoms between are
+    not; the merge, which joins neighbours in key order, then joins it.  In
+    that case the atoms go through ``Coupling(st, atoms)``, whose merge
+    decides, as it always has.
     """
     atoms, last, trusted = [], None, True
     close = st.events_close
-    graph = st.backend == st.GRAPH
     for i, ((p, _), row) in enumerate(zip(mu.atoms, flows)):
         for j in sorted(row):
             w = inst.weight_from_units(row[j])
@@ -454,9 +452,8 @@ def _witness_coupling(st, mu, nu, inst, flows):
                 if i0 == i:
                     trusted = j == j0 + 1 or not close(nu.atoms[j0][0], q)
                 else:
-                    p0 = mu.atoms[i0][0]
-                    trusted = not (i > i0 + 1 and close(p0, p) and close(nu.atoms[j0][0], q)
-                                   or graph and st.event_key(p0) == st.event_key(p))
+                    trusted = not (i > i0 + 1 and close(mu.atoms[i0][0], p)
+                                   and close(nu.atoms[j0][0], q))
             last = i, j
             atoms.append(((p, q), w))
     return Coupling._trusted(st, atoms) if trusted else Coupling(st, atoms)

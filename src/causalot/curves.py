@@ -185,6 +185,10 @@ class CausalCurve:
         breakpoint, kept by every time-affine curve).
         """
         st = self.spacetime
+        if pieces is None:  # a glued curve's parameters are its pieces'
+            for tau in self._params:
+                if not math.isfinite(tau):
+                    raise InputError(f"breakpoint parameter {tau} is not finite")
         if not self.breakpoints:
             raise InputError("a curve needs at least one breakpoint")
         start = 0 if pieces is None else len(pieces[0].breakpoints) - 1
@@ -320,18 +324,27 @@ class CausalCurve:
                            pace=self.pace, time_function=self.time_function)
 
     def sort_key(self):
-        """The merge order of curves: domain kind, breakpoint count, then
-        the breakpoints' (parameter, event key) tuples; computed once."""
+        """The merge order of curves, a total one: curves with unequal
+        domain kinds, breakpoints or paces get unequal keys (see
+        :func:`_curve_key`); computed once."""
         if self._key is None:
             st = self.spacetime
-            self._key = (self.domain.kind, len(self.breakpoints),
-                         tuple((tau,) + st.event_key(e) for tau, e in self.breakpoints))
+            self._key = _curve_key(self, tuple((tau,) + st.event_key(e)
+                                               for tau, e in self.breakpoints))
         return self._key
 
     def __repr__(self):
         lo, hi = self.window
         return (f"CausalCurve({self.domain}, {len(self.breakpoints)} breakpoints "
                 f"on [{lo}, {hi}], pace={self.pace})")
+
+
+def _curve_key(curve, steps):
+    """A curve's sort key from its breakpoints' (parameter, event key)
+    tuples ``steps``: domain kind, breakpoint count, ``steps``, then the
+    pace, with None below every pace (a pace is positive)."""
+    return (curve.domain.kind, len(steps), steps,
+            -math.inf if curve.pace is None else curve.pace)
 
 
 def curves_close(c1: CausalCurve, c2: CausalCurve):
@@ -409,8 +422,8 @@ def canonicalize_noncompact(st, tf: TimeFunction, path: RawPath, request: Interv
     if not validate_tf(st, tf):
         raise InputError("time function is not valid on this spacetime")
     rate = float(rate)
-    if rate <= 0:
-        raise InputError(f"rate must be positive, got {rate}")
+    if not 0 < rate < math.inf:  # False for NaN
+        raise InputError(f"rate must be positive and finite, got {rate}")
     lower_unbounded = path.extend_past
     upper_unbounded = path.extend_future
     expected = {
@@ -525,7 +538,7 @@ def concat(c1: CausalCurve, c2: CausalCurve) -> CausalCurve:
             tf = c1.time_function
     out = CausalCurve(st, domain, pts, pace=pace, time_function=tf, _pieces=(c1, c2))
     # the pieces' keys share their breakpoint tuples with the glued key
-    out._key = (domain.kind, len(pts), c1.sort_key()[2] + c2.sort_key()[2][1:])
+    out._key = _curve_key(out, c1.sort_key()[2] + c2.sort_key()[2][1:])
     if (c1._leaves is not None and c2._leaves is not None
             and c1._params[-1] == c2._params[0] and e1 is e2):
         out._leaves = (c1._leaves or (c1,)) + (c2._leaves or (c2,))

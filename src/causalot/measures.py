@@ -85,6 +85,13 @@ def _merge(items, key, close, groups=None):
     at ``GEOM_ATOL`` then run over the distinct atoms.  Returns
     ``(atoms, members)``: ``members[n]`` lists, in increasing order, the
     indices of the pairs merged into ``atoms[n]``.
+
+    ``key`` is total (``point_key``, ``CausalCurve.sort_key``): unequal
+    atoms get unequal keys, so the sorted order, and with it the atoms by
+    value and their weights, does not depend on the order of ``items``.
+    Which object stands for a group is the first listed: of events equal
+    by value (x = 0.0 and -0.0), or of curves that differ only in their
+    time function, which is not in the key.
     """
     items = list(items)
     if groups is None:
@@ -235,6 +242,14 @@ class CurveMeasure:
         return f"CurveMeasure({len(self.atoms)} atoms on {self.domain})"
 
 
+def _pair_key(st):
+    """The sort key of event pairs, ``event_key(p) + event_key(q)``: total,
+    as event keys are, and decided on p's key unless p's keys are equal
+    (see :meth:`causalot.spacetime.Spacetime.point_key`)."""
+    event_key = st.event_key
+    return lambda pq: event_key(pq[0]) + event_key(pq[1])
+
+
 class Coupling:
     """Joint measure on event pairs, whose marginals are read off its
     atoms; every atom pair must be causally related.
@@ -248,7 +263,7 @@ class Coupling:
 
     def __init__(self, st, atoms, _groups=None):
         # ``_groups`` as in SliceMeasure: pairs of canonical events, grouped
-        key = lambda pq: st.event_key(pq[0]) + st.event_key(pq[1])
+        key = _pair_key(st)
         close = lambda a, b: st.events_close(a[0], b[0]) and st.events_close(a[1], b[1])
         self.spacetime = st
         if _groups is None:
@@ -267,14 +282,13 @@ class Coupling:
 
         Precondition: each atom is ``((p, q), w)`` with ``p`` and ``q``
         canonical events (``st.canonical_event`` returns them as they are)
-        and ``w`` a float; the pairs are exactly distinct and in the order
-        that sorting by ``event_key(p) + event_key(q)`` leaves them in; no
-        two consecutive atoms are close (``events_close`` on both events);
-        and ``st.causally_precedes(p, q)`` holds for every pair.  The merge
-        then groups, sorts and joins nothing, so the atoms are the
-        constructor's.
+        and ``w`` a float; the pair keys (``_pair_key``, a total order)
+        strictly increase; no two consecutive atoms are close
+        (``events_close`` on both events); and ``st.causally_precedes(p,
+        q)`` holds for every pair.  The merge then groups, sorts and joins
+        nothing, so the atoms are the constructor's.
         """
-        _weights(atoms, lambda pq: st.event_key(pq[0]) + st.event_key(pq[1]))
+        _weights(atoms, _pair_key(st))
         self = cls.__new__(cls)
         self.spacetime = st
         self.atoms = tuple(atoms)

@@ -258,13 +258,22 @@ class Spacetime:
         return (a, b, off)
 
     def point_key(self, x):
-        """Total-order sort key for spatial points (backend-consistent)."""
+        """Total-order sort key for canonical spatial points: unequal points
+        get unequal keys.
+
+        A Minkowski point or a vertex reads ``(0, x, "", 0.0)`` or
+        ``(0, 0.0, v, 0.0)``; an edge-interior point ``(1, 0.0, a|b, off,
+        a)``, whose last element tells ``("a|b", "c", off)`` from ``("a",
+        "b|c", off)``.  Keys of unequal lengths differ at the kind flag, so
+        a comparison is decided before one of them ends, and a key joined
+        after another (a coupling's pair key) is compared only once the
+        first keys are equal."""
         if self.backend == self.MINKOWSKI:
             return (0, x, "", 0.0)
         if isinstance(x, str):
             return (0, 0.0, x, 0.0)
         a, b, off = x
-        return (1, 0.0, a + "|" + b, off)
+        return (1, 0.0, a + "|" + b, off, a)
 
     def points_close(self, x, y):
         if self.backend == self.MINKOWSKI:

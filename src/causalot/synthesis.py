@@ -24,6 +24,7 @@ curve is time-affine, and every mesh marginal equals its input slice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 from .errors import InputError, PreconditionError, VerificationError
@@ -303,11 +304,22 @@ def observer_invariance_report(st, tf1, tf2, evo: Evolution, horizon=None) -> In
 
 def geometric_times(a, b, n):
     """Times ``b + (a - b) / 2**i`` for i = 0..n: a geometric approach to b
-    from inside [a, b)."""
+    from inside [a, b).
+
+    Each time is ``b + ldexp(a - b, -i)``, whose one rounding is the sum's.
+    From some depth on that sum rounds to b (at 54 on [0, 1]), so a depth
+    whose last time is not below b is refused, naming the deepest that is.
+    """
     a, b = float(a), float(b)
     if a >= b:
         raise InputError(f"need a < b, got [{a}, {b}]")
-    return [b + (a - b) / (1 << i) for i in range(n + 1)]
+    if not b + math.ldexp(a - b, -n) < b:
+        deepest = 0
+        while b + math.ldexp(a - b, -deepest - 1) < b:
+            deepest += 1
+        raise InputError(f"a geometric mesh {n} halvings deep reaches {b} in floating "
+                         f"point on [{a}, {b}); the deepest that stays below it is {deepest}")
+    return [b + math.ldexp(a - b, -i) for i in range(n + 1)]
 
 
 def _match_times(actual, wanted, what):

@@ -421,6 +421,8 @@ def test_non_json_number_tokens_exit_1(tmp_path, capsys, name, literal, replacem
      "offset of vertex 'C' must be finite, got inf"),
     ("minkowski_branching.json", '"slope": 0.5', '"slope": 1e999',
      "time function slope must be finite, got inf"),
+    ("minkowski_branching.json", '[1.0, 1.0, 0.5]', '[1e999, 1.0, 0.5]',
+     "breakpoint parameter inf is not finite"),
     # finite offsets whose difference along the edge A-B overflows
     ("static_graph.json", '"A": 0.0, "B": 0.5', '"A": 1.5e308, "B": -1.5e308',
      "offsets 1.5e+308 of 'A' and -1.5e+308 of 'B' differ beyond the float "
@@ -714,6 +716,11 @@ def test_every_synthesis_request_exits_0(tmp_path, name, flags):
     ([], {"interval": "sideways"}, "unknown interval request 'sideways'"),
     (["--interval", "right-open", "--a", "0", "--b", "1", "--horizon", "0"], {},
      "horizon must be >= 1, got 0"),
+    # past depth 53 the mesh of [0, 1] reaches 1.0; 2000 used to overflow
+    # 2**i as a float and end in a traceback
+    *((["--interval", "right-open", "--a", "0", "--b", "1", "--horizon", str(n)], {},
+       f"a geometric mesh {n} halvings deep reaches 1.0 in floating point on "
+       "[0.0, 1.0); the deepest that stays below it is 53") for n in (54, 2000)),
 ])
 def test_synthesis_request_errors_exit_1(tmp_path, capsys, flags, section, message):
     path = _geometric_scenario(tmp_path, {"evolution": "right", "horizon": 3, **section})

@@ -677,6 +677,130 @@ def test_every_entry_point_agrees_at_the_mass_bound(ticks):
     assert set(_verdicts(st, mu, nu).values()) == {feasible}
 
 
+# -- an exact oracle on convex supports, of any size -------------------------------------
+
+
+def _runs(st, mu, nu):
+    """Each left atom's run ``(lo, hi)`` of right atoms, from
+    ``causally_precedes`` itself; None for a left atom that reaches none.
+    With both sides on one Minkowski time each, the runs are contiguous and
+    their ends never decrease."""
+    runs = []
+    for p, _ in mu.atoms:
+        hits = [j for j, (q, _) in enumerate(nu.atoms) if st.causally_precedes(p, q)]
+        assert hits == list(range(hits[0], hits[-1] + 1)) if hits else True
+        runs.append((hits[0], hits[-1] + 1) if hits else None)
+    ends = [run for run in runs if run is not None]
+    assert all(a <= c and b <= d for (a, b), (c, d) in zip(ends, ends[1:]))
+    return runs
+
+
+def _glover_deficit(runs, supply, demand):
+    """The exact deficit of a maximum flow on a convex bipartite graph, by
+    Glover's rule (1967): the right atoms in order, each filled from the
+    left atoms whose runs hold it, the run that ends first first."""
+    free = list(supply)
+    for j, d in enumerate(demand):
+        holders = sorted((run[1], i) for i, run in enumerate(runs)
+                         if run is not None and run[0] <= j < run[1] and free[i])
+        for _, i in holders:
+            push = min(free[i], d)
+            free[i] -= push
+            d -= push
+            if not d:
+                break
+    return sum(free)
+
+
+def _convex_oracle(st, mu, nu):
+    """``(feasible, runs, supply, demand, deficit)``, decided in exact
+    integers without the adjacency's bisection or the max flow: the masses
+    over one power-of-two denominator, nu's balanced to mu's total by
+    cross-multiplying, and the deficit forgiven as ``_deficient`` forgives
+    it, when it is at most ``MASS_ATOL`` of the mass and the flow carries
+    at least ``1 - MASS_ATOL`` of mu's."""
+    ws = [Fraction(w) for _, w in mu.atoms + nu.atoms]
+    den = max(w.denominator for w in ws)
+    ints = [int(w * den) for w in ws]
+    m = len(mu.atoms)
+    mu_total, nu_total = sum(ints[:m]), sum(ints[m:])
+    supply = [w * nu_total for w in ints[:m]]
+    demand = [w * mu_total for w in ints[m:]]
+    runs = _runs(st, mu, nu)
+    deficit = _glover_deficit(runs, supply, demand)
+    scale, atol = mu_total * nu_total, Fraction(coupling.MASS_ATOL)
+    feasible = (Fraction(deficit, scale) <= atol
+                and Fraction(scale - deficit, nu_total * den) >= 1 - atol)
+    return feasible, runs, supply, demand, deficit
+
+
+@st_.composite
+def _convex_pair(draw):
+    """One-time Minkowski slices of up to 200 atoms a side.  ``pushed``:
+    each left atom sends its mass, whole or split, to right atoms whose
+    distance d from it lies at dt + tol, dt or dt - tol, moved up to two
+    ulps, or at dt + 2 tol; either side may gain atoms of tiny weights down
+    to 2**-1074.  ``bound``: a left atom that reaches nothing carries
+    MASS_ATOL or its float neighbours, the rest of the pair is balanced
+    exactly, and a tiny atom may sit beside it on either side: deficits
+    at MASS_ATOL, one float or one unit of the finest weight either way."""
+    st = Spacetime("minkowski-1+1", eps_caus=draw(_EPS_CAUS))
+    tol = st.causal_tol
+    dt = draw(st_.sampled_from([1.0, 7.3, 2.0 ** -40]))
+    if draw(st_.booleans()):
+        w = _ulps(coupling.MASS_ATOL, draw(st_.integers(-1, 1)))
+        rest = 1 - Fraction(w)
+        c = float(rest)
+        c = c if Fraction(c) <= rest else math.nextafter(c, 0.0)
+        r = float(rest - Fraction(c))
+        assert Fraction(w) + Fraction(c) + Fraction(r) == 1
+        far = -50.0 - 2 * dt
+        mu = [(far, w), (0.0, c), (dt, r)]
+        nu = [(0.0, c), (dt, r), (dt / 2, w)]
+        tiny = draw(st_.sampled_from([5e-324, 2.0 ** -1022, 2.0 ** -60]))
+        extra = draw(st_.sampled_from(["none", "left", "right"]))
+        if extra == "left":
+            mu.append((far - 10.0, tiny))  # reaches nothing either
+        elif extra == "right":
+            nu.append((far, tiny))  # reached by the far atom alone
+    else:
+        m = draw(st_.integers(1, 200))
+        xs = draw(st_.lists(st_.integers(-400, 400), min_size=m, max_size=m, unique=True))
+        ks = draw(st_.lists(st_.integers(1, 64), min_size=m, max_size=m))
+        mu, nu = [], []
+        for x, k in zip(xs, ks):
+            x, wx = x / 8, k / sum(ks)
+            parts = [wx] if draw(st_.booleans()) else [wx / 2, wx - wx / 2]
+            for part in parts:
+                gap = dt + draw(st_.sampled_from([-tol, 0.0, tol, 2 * tol]))
+                y = _ulps(x + draw(st_.sampled_from([1.0, -1.0])) * gap,
+                          draw(st_.integers(-2, 2)))
+                nu.append((y, part))
+            mu.append((x, wx))
+        for side in (mu, nu):
+            for _ in range(draw(st_.integers(0, 2))):
+                side.append((draw(st_.integers(-500, 500)) / 8 + 2.0 ** -20, draw(_TINY)))
+    return (st, SliceMeasure(st, [(st.event(0.0, x), w) for x, w in mu]),
+            SliceMeasure(st, [(st.event(dt, y), w) for y, w in nu]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_convex_pair())
+def test_decisions_match_an_exact_oracle_on_convex_supports(pair):
+    # ROADMAP item 8: an oracle that shares no code with the decision, for
+    # supports beyond the exhaustive check's 20 atoms.  A cut's excess, its
+    # mass over the mass its runs reach, is the exact deficit.
+    st, mu, nu = pair
+    feasible, runs, supply, demand, deficit = _convex_oracle(st, mu, nu)
+    plan, cut = coupling._decide(st, mu, nu)
+    assert (plan is not None) == feasible and (cut is None) == feasible
+    if cut is not None:
+        index = {e: i for i, (e, _) in enumerate(mu.atoms)}
+        left = [index[e] for e in cut.events]
+        reached = {j for i in left if runs[i] is not None for j in range(*runs[i])}
+        assert sum(supply[i] for i in left) - sum(demand[j] for j in reached) == deficit > 0
+
+
 # -- the witness coupling, built once -------------------------------------------------
 
 
@@ -750,7 +874,10 @@ def _witness_route(st, mu, nu):
     same ones by ``test_decisions_match_plain_edmonds_karp``): the same
     atoms in the same order with the same float bits, or the same
     ``InputError``.  Returns the constructor the decision used:
-    ``"trusted"``, ``"public"``, or None for a cut."""
+    ``"trusted"``, ``"public"``, or None for a cut.  The public one is used
+    exactly when two consecutive atoms are close on both events, the one
+    case that the merge joins; with total sort keys no tie sends a witness
+    there."""
     with mock.patch.object(coupling, "Coupling", wraps=Coupling) as spy:
         try:
             got = coupling._decide(st, mu, nu)
@@ -767,7 +894,12 @@ def _witness_route(st, mu, nu):
     else:
         assert not isinstance(got, InputError) and got[1] is None
         assert _bits(got[0]) == _bits(want)
-    return "public" if spy.called else "trusted"
+    close = st.events_close
+    joined = any(close(p0, p) and close(q0, q)
+                 for ((p0, q0), _), ((p, q), _) in zip(atoms, atoms[1:]))
+    route = "public" if spy.called else "trusted"
+    assert route == ("public" if joined else "trusted")
+    return route
 
 
 def test_a_join_across_a_gap_in_a_row_goes_through_the_merge():
@@ -784,8 +916,9 @@ def test_a_join_across_a_gap_in_a_row_goes_through_the_merge():
          (st.event(0.0, 5.0), st.event(1.0, 5.0), 0.6)]
 
 
-# Vertex names with "|" give unequal edge points one sort key:
-# ("a", "b|c", off) and ("a|b", "c", off) both read "a|b|c" at off.
+# Vertex names with "|" give the edge points ("a", "b|c", off) and ("a|b",
+# "c", off) one edge name, "a|b|c", and one offset: their sort keys are
+# told apart by the edge's first vertex alone.
 TIED = Spacetime("static-graph", vertices=["a", "a|b", "b|c", "c"],
                  edges=[("a", "b|c", 2.0), ("a|b", "c", 2.0), ("a", "a|b", 1.0),
                         ("b|c", "c", 1.0)])
@@ -821,7 +954,7 @@ def _witness_pair(draw, kind):
     """A spacetime and a slice pair for the witness oracle: Minkowski right
     events on the light cones of left ones, at ``d`` or ``d + tol`` moved
     up to three ulps either way, on one time or at mixed times; graph
-    points on vertices and inside edges with tied sort keys, right times
+    points on vertices and inside edges of one edge name, right times
     ``d``, ``d +/- tol`` or ``d +/- 1 ulp`` after a left event; the
     item 5 join, in a row and across rows that carry no flow; and the dust
     pair."""

@@ -201,6 +201,36 @@ def test_a_pace_must_be_positive_and_finite(mink, pace, breakpoints):
         CausalCurve(mink, Interval.compact(0.0, b), bps, pace=pace, time_function=T0)
 
 
+@pytest.mark.parametrize("domain, params", [
+    # NaN fails `t <= s` and every affinity comparison
+    (Interval.line(), (math.nan, math.nan)),
+    (Interval.line(), (0.0, math.nan)),
+    (Interval.line(), (-math.inf, 0.0)),
+    (Interval.future(0.0), (0.0, math.inf)),
+    (Interval.past(0.0), (-math.inf, 0.0)),
+])
+@pytest.mark.parametrize("pace", [1.0, None])
+def test_a_breakpoint_parameter_must_be_finite(mink, domain, params, pace):
+    bad = next(tau for tau in params if not math.isfinite(tau))
+    bps = [(tau, mink.event(t, 0.0)) for tau, t in zip(params, (0.0, 1.0))]
+    with pytest.raises(InputError, match=f"^breakpoint parameter {bad} is not finite$"):
+        CausalCurve(mink, domain, bps, pace=pace, time_function=T0 if pace else None)
+
+
+def test_canonicalize_noncompact_refuses_a_rate_or_shift_that_is_not_finite(mink):
+    line = RawPath(mink, [mink.event(0, 0.0), mink.event(1, 0.5)],
+                   extend_past=True, extend_future=True)
+    for rate in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(InputError, match=f"^rate must be positive and finite, got {rate}$"):
+            canonicalize_noncompact(mink, T0, line, Interval.line(), rate=rate)
+    # the shift moves every parameter: NaN or inf makes none of them finite
+    for shift in (math.nan, math.inf):
+        with pytest.raises(InputError, match=r"^breakpoint parameter (nan|-inf) is not finite$"):
+            canonicalize_noncompact(mink, T0, line, Interval.line(), shift=shift)
+    c = canonicalize_noncompact(mink, T0, line, Interval.line(), rate=2.0, shift=1.0)
+    assert c._params == (-0.5, 0.0) and c.at(0.0) == mink.event(1.0, 0.5)
+
+
 # -- reparametrize -------------------------------------------------------------------
 
 def test_reparametrize_identity(mink):
@@ -301,6 +331,27 @@ def test_concat_mixed_pace_flagged(mink):
     # restrictions are pointwise exact even though the affinity flag is gone
     assert c.restrict(0, 1).breakpoints == c1.breakpoints
     assert c.restrict(1, 2).breakpoints == c2.breakpoints
+
+
+def test_a_glued_curve_has_the_key_it_would_compute_itself(mink, chain_graph):
+    # concat joins the pieces' keys; the result is the key of the same curve
+    # built whole, the pace last (a glue that drops it sorts below one that
+    # keeps it)
+    def whole(c):
+        return CausalCurve(c.spacetime, c.domain, c.breakpoints, pace=c.pace,
+                           time_function=c.time_function)
+
+    p1 = RawPath(mink, [mink.event(0, 0.0), mink.event(1, 0.0)])
+    p2 = RawPath(mink, [mink.event(1, 0.0), mink.event(3, 0.0)])
+    c1 = canonicalize_compact(mink, T0, p1, 0, 1)
+    mixed = concat(c1, canonicalize_compact(mink, T0, p2, 1, 2))
+    kept = concat(c1, canonicalize_compact(mink, T0, p2, 1, 3))
+    g = causal_geodesic(chain_graph, chain_graph.event(0, "A"), chain_graph.event(4, "C"))
+    graph = concat(g.restrict(0.0, 2.5), g.restrict(2.5, 4.0))
+    for glued in (mixed, kept, graph):
+        assert glued.sort_key() == whole(glued).sort_key()
+    assert mixed.pace is None and mixed.sort_key()[-1] == -math.inf
+    assert kept.pace == 1.0 and kept.sort_key()[-1] == 1.0
 
 
 def test_restrict_inside_one_segment(mink, chain_graph):

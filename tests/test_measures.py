@@ -1,10 +1,11 @@
+import itertools
 import math
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st_
+from hypothesis import example, given, settings, strategies as st_
 from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance as scipy_w1
 
@@ -154,18 +155,25 @@ def _weights(draw, n):
 
 
 MERGE_MINK = Spacetime("minkowski-1+1")
-MERGE_GRAPH = Spacetime("static-graph", vertices=["A", "B", "C", "1"],
-                        edges=[("A", "B", 1.0), ("B", "C", 2.0), ("1", "B", 1.0)])
+# Vertex ids with "|" name the edges ("A|B", "C") and ("A", "B|C"), whose
+# interior points at one offset tied on their sort key until the key told
+# the two edges apart.
+MERGE_GRAPH = Spacetime("static-graph", vertices=["A", "B", "C", "1", "A|B", "B|C"],
+                        edges=[("A", "B", 1.0), ("B", "C", 2.0), ("1", "B", 1.0),
+                               ("A|B", "C", 1.0), ("A", "B|C", 1.0)])
 # repeated values, -0.0 against 0.0, int against float, atoms within GEOM_ATOL
 MINK_TIMES = (0, 0.0, -0.0, 1, 1.0, 5e-10, 1.5e-9)
 MINK_POINTS = (0, 0.0, -0.0, 1, 1.0, 1 + 4e-10, 1 + 8e-10, 1 + 1.2e-9, -0.5, 2e-9)
 # offsets that normalize onto vertices, both edge orientations, near-vertex
-# interior points, a list, which cannot be hashed, and equal vertex ids of
-# other types, which only the id "1" names
+# interior points, a list, which cannot be hashed, equal vertex ids of
+# other types, which only the id "1" names, and the points of the two edges
+# named "A|B|C" at one offset, one within GEOM_ATOL of another
 GRAPH_POINTS = ("A", "B", "C", ("A", "B", 0.0), ("B", "A", 1.0), ("A", "B", 0.5),
                 ("B", "A", 0.5), ("A", "B", 0.5 + 3e-10), ("A", "B", 4e-10),
                 ["A", "B", 0.5], ("B", "C", 2.0), ("B", "C", 1.0), "1", 1, 1.0,
-                (1, "B", 0.5), (1.0, "B", 0.5), (True, "B", 0.5), ("1", "B", 0.5))
+                (1, "B", 0.5), (1.0, "B", 0.5), (True, "B", 0.5), ("1", "B", 0.5),
+                ("A|B", "C", 0.5), ("C", "A|B", 0.5), ("A", "B|C", 0.5),
+                ("A", "B|C", 0.5 + 3e-10))
 
 
 @st_.composite
@@ -180,8 +188,14 @@ def raw_slice_atoms(draw):
     return st, list(zip(events, _weights(draw, n)))
 
 
+# P, Q, P for the points P and Q of the two edges named "A|B|C": the sorted
+# merge, which sorts every pair, keeps three atoms when P and Q tie
+P_Q_P = [Event(0.0, x) for x in (("A|B", "C", 0.5), ("A", "B|C", 0.5), ("A|B", "C", 0.5))]
+
+
 @settings(max_examples=400, deadline=None)
 @given(raw_slice_atoms())
+@example((MERGE_GRAPH, list(zip(P_Q_P, (0.25, 0.25, 0.5)))))
 def test_slice_measure_merge_matches_the_sorted_merge(case):
     st, atoms = case
     build = lambda: SliceMeasure(st, atoms)
@@ -190,23 +204,31 @@ def test_slice_measure_merge_matches_the_sorted_merge(case):
 
 @st_.composite
 def raw_coupling_atoms(draw):
-    xs = (0, 0.0, -0.0, 0.25, 0.25 + 4e-10, 0.25 + 8e-10, -0.5, 0.5)
+    """Minkowski pairs from one to a later time, or graph pairs from
+    ``GRAPH_POINTS`` at time 0 to ``GRAPH_POINTS`` at time 10, late
+    enough for every pair to be causal."""
+    if draw(st_.booleans()):
+        xs = (0, 0.0, -0.0, 0.25, 0.25 + 4e-10, 0.25 + 8e-10, -0.5, 0.5)
+        st, times = MERGE_MINK, (0.0, 1)
+    else:
+        st, xs, times = MERGE_GRAPH, GRAPH_POINTS, (0.0, 10.0)
     n = draw(st_.integers(1, 10))
-    pairs = [(Event(0.0, draw(st_.sampled_from(xs))), Event(1, draw(st_.sampled_from(xs))))
-             for _ in range(n)]
-    return list(zip(pairs, _weights(draw, n)))
+    pairs = [tuple(Event(t, draw(st_.sampled_from(xs))) for t in times) for _ in range(n)]
+    return st, list(zip(pairs, _weights(draw, n)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(raw_coupling_atoms())
-def test_coupling_merge_matches_the_sorted_merge(atoms):
-    build = lambda: Coupling(MERGE_MINK, atoms)
+@example((MERGE_GRAPH, [((p, Event(10.0, "A")), w) for p, w in zip(P_Q_P, (0.25, 0.25, 0.5))]))
+def test_coupling_merge_matches_the_sorted_merge(case):
+    st, atoms = case
+    build = lambda: Coupling(st, atoms)
     assert _outcome(build) == _reference(build)
 
 
 def _curve_pool():
-    """Geodesics on [0, 1], equal copies of some (other objects), and copies
-    moved by 3e-10 (within GEOM_ATOL)."""
+    """Geodesics on [0, 1], equal copies of some (other objects), copies
+    moved by 3e-10 (within GEOM_ATOL), and copies without a pace."""
     st = MERGE_MINK
     pool = [causal_geodesic(st, st.event(0, x0), st.event(1, x1))
             for x0 in (0.0, 0.5) for x1 in (0.0, 0.25, 1.0)]
@@ -216,6 +238,7 @@ def _curve_pool():
         pool.append(CausalCurve(st, c.domain,
                                 [(tau, Event(e.t, e.x + 3e-10)) for tau, e in c.breakpoints],
                                 pace=c.pace, time_function=c.time_function))
+        pool.append(CausalCurve(st, c.domain, c.breakpoints))
     return pool
 
 
@@ -287,27 +310,70 @@ def test_canonical_edge_interior_events_are_returned_themselves():
         assert str(got.value) == str(want.value)
 
 
-def test_merge_differs_from_the_sorted_merge_only_on_tied_unequal_atoms():
-    # Vertex ids containing "|" give the interior points P of edge (a|b, c) and
-    # Q of edge (a, b|c) one sort key.  The sorted merge kept P, Q, P as three
-    # atoms, P twice; grouping equal atoms first gives one atom per event.
-    st = Spacetime("static-graph", vertices=["a", "a|b", "b|c", "c"],
-                   edges=[("a|b", "c", 1.0), ("a", "b|c", 1.0), ("a", "c", 1.0)])
-    p, q = st.event(0, ("a|b", "c", 0.5)), st.event(0, ("a", "b|c", 0.5))
-    assert st.event_key(p) == st.event_key(q)
-    build = lambda: SliceMeasure(st, [(p, 0.25), (q, 0.25), (p, 0.5)])
-    assert build().atoms == ((p, 0.75), (q, 0.25))
-    assert build()._members == [[0, 2], [1]]
-    assert _reference(build) == [(repr(p), 0.25.hex(), [0]), (repr(q), 0.25.hex(), [1]),
-                                 (repr(p), 0.5.hex(), [2])]
-    # The same holds for one curve object around a curve with its breakpoints
-    # but another pace.
+def test_unequal_atoms_get_unequal_keys_and_their_atoms_come_in_key_order():
+    # The points P of edge ("A|B", "C") and Q of edge ("A", "B|C") both read
+    # "A|B|C" at offset 0.5, and a geodesic and its copy without a pace have
+    # one list of breakpoints: the keys end on the edge's first vertex and on
+    # the pace, with None below every pace, so each pair is ordered in every
+    # listing of its atoms.
+    st = MERGE_GRAPH
+    p, q, _ = P_Q_P
+    assert st.event_key(q) < st.event_key(p)
+    for order in itertools.permutations([(p, 0.25), (q, 0.25), (p, 0.5)]):
+        assert SliceMeasure(st, order).atoms == ((q, 0.25), (p, 0.75))
     c = causal_geodesic(MERGE_MINK, MERGE_MINK.event(0, 0.0), MERGE_MINK.event(1, 0.5))
     bare = CausalCurve(MERGE_MINK, c.domain, c.breakpoints)
-    build = lambda: CurveMeasure(MERGE_MINK, [(c, 0.25), (bare, 0.25), (c, 0.5)])
-    assert build().atoms == ((c, 0.75), (bare, 0.25))
-    assert _outcome(build) == [(id(c), 0.75.hex(), [0, 2]), (id(bare), 0.25.hex(), [1])]
-    assert len(_reference(build)) == 3
+    assert bare.sort_key() < c.sort_key()
+    for order in itertools.permutations([(c, 0.25), (bare, 0.25), (c, 0.5)]):
+        assert CurveMeasure(MERGE_MINK, order).atoms == ((bare, 0.25), (c, 0.75))
+
+
+@st_.composite
+def permuted_atoms(draw):
+    """A measure kind, its spacetime, its (atom, weight) pairs from the
+    sorted-merge oracles' pools, and a permutation of those pairs."""
+    kind = draw(st_.sampled_from(["slice", "coupling", "curve"]))
+    if kind == "curve":
+        n = draw(st_.integers(1, 12))
+        st = MERGE_MINK
+        atoms = list(zip(draw(st_.lists(st_.sampled_from(CURVE_POOL), min_size=n, max_size=n)),
+                         _weights(draw, n)))
+    else:
+        st, atoms = draw(raw_slice_atoms() if kind == "slice" else raw_coupling_atoms())
+    return kind, st, atoms, draw(st_.permutations(atoms))
+
+
+def _by_value(measure):
+    # atoms by value (a curve by its sort key) and weights bit for bit
+    return [(a.sort_key() if isinstance(a, CausalCurve) else a, w.hex())
+            for a, w in measure.atoms]
+
+
+_BARE = CausalCurve(MERGE_MINK, CURVE_POOL[0].domain, CURVE_POOL[0].breakpoints)
+
+
+@settings(max_examples=400, deadline=None)
+@given(permuted_atoms())
+@example(("slice", MERGE_GRAPH, list(zip(P_Q_P, (0.25, 0.25, 0.5))),
+          list(zip(P_Q_P[1:] + P_Q_P[:1], (0.25, 0.5, 0.25)))))
+@example(("curve", MERGE_MINK, [(CURVE_POOL[0], 0.5), (_BARE, 0.5)],
+          [(_BARE, 0.5), (CURVE_POOL[0], 0.5)]))
+def test_a_measure_does_not_depend_on_the_order_of_its_atoms(case):
+    # ROADMAP item 5's permutation check.  A refusal is compared by its
+    # verdict: its message names the first listed of equal atoms.
+    kind, st, atoms, shuffled = case
+    build = {"slice": lambda a: SliceMeasure(st, a), "coupling": lambda a: Coupling(st, a),
+             "curve": lambda a: CurveMeasure(st, a)}[kind]
+    try:
+        want = build(atoms)
+    except InputError:
+        with pytest.raises(InputError):
+            build(shuffled)
+        return
+    got = build(shuffled)
+    assert _by_value(got) == _by_value(want)
+    if kind == "slice":
+        assert slice_measures_equal(got, want)
 
 
 # -- evaluation marginals ------------------------------------------------------------

@@ -430,6 +430,22 @@ def test_plan_right_open_geometric(mink):
         assert slice_measures_equal(marginal_at(sigma, t), mu)
 
 
+def test_geometric_times_stay_below_the_open_end_or_are_refused():
+    # 1 - 2**-53 is the last float below 1.0; 1 - 2**-54 rounds to it
+    times = geometric_times(0.0, 1.0, 53)
+    assert times[-1] == 1.0 - 2.0 ** -53 and all(s < t for s, t in zip(times, times[1:]))
+    assert times == [1.0 - 2.0 ** -i for i in range(54)]
+    for n in (54, 2000):
+        with pytest.raises(InputError, match=re.escape(
+                f"a geometric mesh {n} halvings deep reaches 1.0 in floating point on "
+                "[0.0, 1.0); the deepest that stays below it is 53")):
+            geometric_times(0.0, 1.0, n)
+    # far from zero the float grid is coarser, and the limit comes sooner
+    assert geometric_times(1024.0, 1025.0, 42)[-1] < 1025.0
+    with pytest.raises(InputError, match="the deepest that stays below it is 42$"):
+        geometric_times(1024.0, 1025.0, 43)
+
+
 def test_engines_refuse_an_unknown_direction_or_side(mink):
     entries = [(t, delta(mink, t, 0.0)) for t in geometric_times(0.0, 1.0, 1)]
     evo = Evolution(mink, entries, T0, MeshSpec("explicit"))
