@@ -5,7 +5,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st_
+from hypothesis import assume, example, given, settings, strategies as st_
 
 from causalot import (Coupling, Evolution, InputError, MeshSpec, NonCausalEvolutionError,
                       SliceMeasure, Spacetime, TimeFunction, canonical_time, check_evolution,
@@ -688,8 +688,8 @@ def _runs(st, mu, nu):
     runs = []
     for p, _ in mu.atoms:
         hits = [j for j, (q, _) in enumerate(nu.atoms) if st.causally_precedes(p, q)]
-        assert hits == list(range(hits[0], hits[-1] + 1)) if hits else True
         runs.append((hits[0], hits[-1] + 1) if hits else None)
+        assert not hits or hits == list(range(*runs[-1]))
     ends = [run for run in runs if run is not None]
     assert all(a <= c and b <= d for (a, b), (c, d) in zip(ends, ends[1:]))
     return runs
@@ -734,58 +734,81 @@ def _convex_oracle(st, mu, nu):
     return feasible, runs, supply, demand, deficit
 
 
-@st_.composite
-def _convex_pair(draw):
-    """One-time Minkowski slices of up to 200 atoms a side.  ``pushed``:
-    each left atom sends its mass, whole or split, to right atoms whose
-    distance d from it lies at dt + tol, dt or dt - tol, moved up to two
-    ulps, or at dt + 2 tol; either side may gain atoms of tiny weights down
-    to 2**-1074.  ``bound``: a left atom that reaches nothing carries
-    MASS_ATOL or its float neighbours, the rest of the pair is balanced
-    exactly, and a tiny atom may sit beside it on either side: deficits
-    at MASS_ATOL, one float or one unit of the finest weight either way."""
-    st = Spacetime("minkowski-1+1", eps_caus=draw(_EPS_CAUS))
-    tol = st.causal_tol
-    dt = draw(st_.sampled_from([1.0, 7.3, 2.0 ** -40]))
-    if draw(st_.booleans()):
-        w = _ulps(coupling.MASS_ATOL, draw(st_.integers(-1, 1)))
-        rest = 1 - Fraction(w)
-        c = float(rest)
-        c = c if Fraction(c) <= rest else math.nextafter(c, 0.0)
-        r = float(rest - Fraction(c))
-        assert Fraction(w) + Fraction(c) + Fraction(r) == 1
-        far = -50.0 - 2 * dt
-        mu = [(far, w), (0.0, c), (dt, r)]
-        nu = [(0.0, c), (dt, r), (dt / 2, w)]
-        tiny = draw(st_.sampled_from([5e-324, 2.0 ** -1022, 2.0 ** -60]))
-        extra = draw(st_.sampled_from(["none", "left", "right"]))
-        if extra == "left":
-            mu.append((far - 10.0, tiny))  # reaches nothing either
-        elif extra == "right":
-            nu.append((far, tiny))  # reached by the far atom alone
-    else:
-        m = draw(st_.integers(1, 200))
-        xs = draw(st_.lists(st_.integers(-400, 400), min_size=m, max_size=m, unique=True))
-        ks = draw(st_.lists(st_.integers(1, 64), min_size=m, max_size=m))
-        mu, nu = [], []
-        for x, k in zip(xs, ks):
-            x, wx = x / 8, k / sum(ks)
-            parts = [wx] if draw(st_.booleans()) else [wx / 2, wx - wx / 2]
-            for part in parts:
-                gap = dt + draw(st_.sampled_from([-tol, 0.0, tol, 2 * tol]))
-                y = _ulps(x + draw(st_.sampled_from([1.0, -1.0])) * gap,
-                          draw(st_.integers(-2, 2)))
-                nu.append((y, part))
-            mu.append((x, wx))
-        for side in (mu, nu):
-            for _ in range(draw(st_.integers(0, 2))):
-                side.append((draw(st_.integers(-500, 500)) / 8 + 2.0 ** -20, draw(_TINY)))
+def _bound_pair(st, dt, w, short, extra=None):
+    """A one-time pair whose deficit sits at the forgiveness bound: a left
+    atom far from every right atom carries ``w``; the rest of each side is
+    balanced exactly at a total of ``1 - short``; ``extra``, ``("left",
+    tiny)`` or ``("right", tiny)``, adds a tiny atom that reaches nothing or
+    that only the far atom reaches."""
+    rest = 1 - Fraction(short) - Fraction(w)
+    c = float(rest)
+    c = c if Fraction(c) <= rest else math.nextafter(c, 0.0)
+    r = float(rest - Fraction(c))
+    assert Fraction(w) + Fraction(c) + Fraction(r) == 1 - Fraction(short)
+    far = -50.0 - 2 * dt
+    mu = [(far, w), (0.0, c), (dt, r)]
+    nu = [(0.0, c), (dt, r), (dt / 2, w)]
+    if extra is not None:
+        side, tiny = extra
+        (mu if side == "left" else nu).append((far - 10.0 if side == "left" else far, tiny))
     return (st, SliceMeasure(st, [(st.event(0.0, x), w) for x, w in mu]),
             SliceMeasure(st, [(st.event(dt, y), w) for y, w in nu]))
 
 
+@st_.composite
+def _convex_pair(draw):
+    """One-time Minkowski slices of up to 200 atoms a side.  Either each
+    left atom sends its mass, whole or split, to right atoms whose distance
+    d from it lies at dt + tol, dt or dt - tol, moved up to two ulps, or at
+    dt + 2 tol, and either side may gain atoms of tiny weights down to
+    2**-1074; or a ``_bound_pair`` whose far atom carries MASS_ATOL or half
+    of it, or their float neighbours, at a total of one or 0.6 MASS_ATOL
+    short of it, maybe with a tiny atom: deficits at MASS_ATOL, one float
+    or one unit of the finest weight either way, and flows at
+    1 - MASS_ATOL."""
+    st = Spacetime("minkowski-1+1", eps_caus=draw(_EPS_CAUS))
+    tol = st.causal_tol
+    if draw(st_.booleans()):
+        # the bound pair's atoms lie dt / 2 apart, so dt keeps them apart
+        atol = coupling.MASS_ATOL
+        w = _ulps(atol * draw(st_.sampled_from([1.0, 0.5])), draw(st_.integers(-1, 1)))
+        extra = draw(st_.sampled_from([None, "left", "right"]))
+        tiny = draw(st_.sampled_from([5e-324, 2.0 ** -1022, 2.0 ** -60]))
+        return _bound_pair(st, draw(st_.sampled_from([1.0, 7.3])), w,
+                           draw(st_.sampled_from([0.0, 0.6 * atol])),
+                           None if extra is None else (extra, tiny))
+    dt = draw(st_.sampled_from([1.0, 7.3, 2.0 ** -40]))
+    m = draw(st_.integers(1, 200))
+    xs = draw(st_.lists(st_.integers(-400, 400), min_size=m, max_size=m, unique=True))
+    ks = draw(st_.lists(st_.integers(1, 64), min_size=m, max_size=m))
+    mu, nu = [], []
+    for x, k in zip(xs, ks):
+        x, wx = x / 8, k / sum(ks)
+        parts = [wx] if draw(st_.booleans()) else [wx / 2, wx - wx / 2]
+        for part in parts:
+            gap = dt + draw(st_.sampled_from([-tol, 0.0, tol, 2 * tol]))
+            y = _ulps(x + draw(st_.sampled_from([1.0, -1.0])) * gap, draw(st_.integers(-2, 2)))
+            nu.append((y, part))
+        mu.append((x, wx))
+    for side in (mu, nu):
+        for _ in range(draw(st_.integers(0, 2))):
+            side.append((draw(st_.integers(-500, 500)) / 8 + 2.0 ** -20, draw(_TINY)))
+    return (st, SliceMeasure(st, [(st.event(0.0, x), w) for x, w in mu]),
+            SliceMeasure(st, [(st.event(dt, y), w) for y, w in nu]))
+
+
+_EXACT = Spacetime("minkowski-1+1", eps_caus=0.0)
+
+
 @settings(max_examples=120, deadline=None)
 @given(_convex_pair())
+# a deficit of exactly MASS_ATOL at unit mass, forgiven, and the next float,
+# refused; half of MASS_ATOL with mu 0.6 MASS_ATOL short of one, refused
+# for the flow it leaves, and at unit mass, forgiven
+@example(_bound_pair(_EXACT, 1.0, coupling.MASS_ATOL, 0.0))
+@example(_bound_pair(_EXACT, 1.0, math.nextafter(coupling.MASS_ATOL, 1.0), 0.0))
+@example(_bound_pair(_EXACT, 1.0, coupling.MASS_ATOL / 2, 0.6 * coupling.MASS_ATOL))
+@example(_bound_pair(_EXACT, 1.0, coupling.MASS_ATOL / 2, 0.0))
 def test_decisions_match_an_exact_oracle_on_convex_supports(pair):
     # ROADMAP item 8: an oracle that shares no code with the decision, for
     # supports beyond the exhaustive check's 20 atoms.  A cut's excess, its

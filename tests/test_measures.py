@@ -156,8 +156,8 @@ def _weights(draw, n):
 
 MERGE_MINK = Spacetime("minkowski-1+1")
 # Vertex ids with "|" name the edges ("A|B", "C") and ("A", "B|C"), whose
-# interior points at one offset tied on their sort key until the key told
-# the two edges apart.
+# interior points at one offset share the edge name "A|B|C" in their sort
+# keys, which only the edge's first vertex tells apart.
 MERGE_GRAPH = Spacetime("static-graph", vertices=["A", "B", "C", "1", "A|B", "B|C"],
                         edges=[("A", "B", 1.0), ("B", "C", 2.0), ("1", "B", 1.0),
                                ("A|B", "C", 1.0), ("A", "B|C", 1.0)])
@@ -326,6 +326,24 @@ def test_unequal_atoms_get_unequal_keys_and_their_atoms_come_in_key_order():
     assert bare.sort_key() < c.sort_key()
     for order in itertools.permutations([(c, 0.25), (bare, 0.25), (c, 0.5)]):
         assert CurveMeasure(MERGE_MINK, order).atoms == ((bare, 0.25), (c, 0.75))
+
+
+def test_event_and_pair_keys_are_total_and_decided_before_a_key_ends():
+    # Vertex keys have four elements and edge-interior keys five: unequal
+    # keys must differ within the shorter one, so that a pair key, the left
+    # key joined to the right one, orders pairs by their left events first.
+    st = MERGE_GRAPH
+    points = sorted(st.vertices) + [("A", "B", 0.5), ("A", "B", 0.5 + 3e-10), ("1", "B", 0.5),
+                                    ("A|B", "C", 0.5), ("A", "B|C", 0.5), ("A", "B|C", 0.25)]
+    events = [st.event(t, x) for t in (0.0, 1.0) for x in points]
+    keys = {e: st.event_key(e) for e in events}
+    assert len(set(keys.values())) == len(events)
+    for e, f in itertools.combinations(events, 2):
+        k, l = keys[e], keys[f]
+        assert k[:min(len(k), len(l))] != l[:min(len(k), len(l))]
+    pairs = list(itertools.product(events, repeat=2))
+    assert sorted(pairs, key=M._pair_key(st)) == \
+        sorted(pairs, key=lambda pq: (keys[pq[0]], keys[pq[1]]))
 
 
 @st_.composite
