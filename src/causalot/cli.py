@@ -33,6 +33,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -151,9 +152,7 @@ class Scenario:
             return Interval.future(spec["a"])
         if kind == "past":
             return Interval.past(spec["b"])
-        if kind == "line":
-            return Interval.line()
-        raise InputError(f"unknown interval kind {kind!r}")
+        return Interval.line()  # the schema admits no other kind
 
     def _curve(self, spec):
         st = self.spacetime
@@ -198,9 +197,9 @@ def _event_out(e):
 
 def _curve_out(c: CausalCurve):
     domain = {"kind": c.domain.kind}
-    if c.domain.a is not None:
+    if c.domain.a > -math.inf:
         domain["a"] = c.domain.a
-    if c.domain.b is not None:
+    if c.domain.b < math.inf:
         domain["b"] = c.domain.b
     out = {
         "domain": domain,
@@ -275,7 +274,8 @@ def _sub_mesh(evo: Evolution, depth):
     declared = evo.mesh.depth
     if depth > declared:
         raise InputError(f"requested depth {depth} exceeds declared depth {declared}")
-    stride = 1 << (declared - depth)
+    # any stride beyond the entry count keeps the first entry alone
+    stride = 1 << min(declared - depth, len(evo.entries).bit_length())
     entries = evo.entries[::stride]
     return Evolution(evo.spacetime, entries, time_function=evo.time_function,
                      mesh=MeshSpec(MeshSpec.DYADIC, evo.mesh.a, evo.mesh.b, depth))

@@ -140,9 +140,10 @@ class Evolution:
         mesh = self.mesh
         times = self.times
         if mesh.kind == MeshSpec.DYADIC:
-            # the count first: a deep declared mesh is refused without
-            # building its 2**depth + 1 times
-            if len(times) != (1 << mesh.depth) + 1 or not _times_match(
+            # the count first, 2**depth read off its bits: a deep declared
+            # mesh is refused without building 2**depth or its times
+            n = len(times) - 1
+            if n.bit_length() != mesh.depth + 1 or n & (n - 1) or not _times_match(
                     times, dyadic_times(mesh.a, mesh.b, mesh.depth)):
                 raise InputError(
                     f"times {list(times)} do not form the dyadic mesh of "

@@ -12,7 +12,8 @@ time function of the family with a stored curve is piecewise linear with
 kinks only at breakpoints, and every reparametrization below is computed
 by exact piecewise-linear inversion rather than iteration.
 
-Curves over unbounded intervals store a finite breakpoint window and
+A curve's domain is an interval [a, b] with ``a = -inf`` or ``b = +inf``
+at an open end.  Curves with an open end store a finite breakpoint window and
 extend beyond it statically: the spatial point freezes at the window
 endpoint while coordinate time keeps growing at the rate that keeps the
 parametrizing time function affine along the curve.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InputError, PreconditionError
 from .spacetime import Event, GEOM_ATOL, GRID_ATOL, Spacetime
@@ -38,56 +39,53 @@ def _endpoint(v):
 
 @dataclass(frozen=True)
 class Interval:
-    """Parameter domain of a curve: compact, half-line, or the full line."""
+    """Parameter domain of a curve: [a, b] of the extended line, with
+    ``a = -inf`` or ``b = +inf`` at an open end; ``kind`` is set from the ends."""
 
-    kind: str  # "compact" | "future" | "past" | "line"
-    a: float | None = None
-    b: float | None = None
+    a: float
+    b: float
+    kind: str = field(init=False, compare=False)
 
     COMPACT = "compact"
     FUTURE = "future"   # [a, +inf)
     PAST = "past"       # (-inf, b]
     LINE = "line"
+    _KINDS = (COMPACT, FUTURE, PAST, LINE)  # by 2 * (a is open) + (b is open)
+
+    def __post_init__(self):
+        a, b = self.a, self.b
+        if not (a < math.inf and b > -math.inf):  # also False for NaN
+            raise InputError(f"interval ends must be finite or open, got [{a}, {b}]")
+        if not a <= b:
+            raise InputError(f"compact interval needs a <= b, got [{a}, {b}]")
+        object.__setattr__(self, "kind", self._KINDS[2 * (a == -math.inf) + (b == math.inf)])
 
     @classmethod
     def compact(cls, a, b):
         a, b = float(a), float(b)
-        # one chained comparison, which also fails on a NaN or infinite
-        # endpoint; _endpoint then names it
-        if not -math.inf < a <= b < math.inf:
-            _endpoint(a)
-            _endpoint(b)
-            raise InputError(f"compact interval needs a <= b, got [{a}, {b}]")
-        return cls(cls.COMPACT, a, b)
+        return cls(_endpoint(a), _endpoint(b))
 
     @classmethod
     def future(cls, a):
-        return cls(cls.FUTURE, _endpoint(a), None)
+        return cls(_endpoint(a), math.inf)
 
     @classmethod
     def past(cls, b):
-        return cls(cls.PAST, None, _endpoint(b))
+        return cls(-math.inf, _endpoint(b))
 
     @classmethod
     def line(cls):
-        return cls(cls.LINE, None, None)
+        return cls(-math.inf, math.inf)
 
     def contains(self, tau, tol=0.0):
-        if self.kind == self.COMPACT:
-            return self.a - tol <= tau <= self.b + tol
-        if self.kind == self.FUTURE:
-            return tau >= self.a - tol
-        if self.kind == self.PAST:
-            return tau <= self.b + tol
-        return True
+        return self.a - tol <= tau <= self.b + tol
 
     def __str__(self):
-        return {
-            self.COMPACT: f"[{self.a}, {self.b}]",
-            self.FUTURE: f"[{self.a}, +inf)",
-            self.PAST: f"(-inf, {self.b}]",
-            self.LINE: "R",
-        }[self.kind]
+        if self.kind == self.LINE:
+            return "R"
+        low = "(-inf" if self.a == -math.inf else f"[{self.a}"
+        high = "+inf)" if self.b == math.inf else f"{self.b}]"
+        return f"{low}, {high}"
 
 
 class RawPath:
@@ -202,16 +200,15 @@ class CausalCurve:
             # ensures evaluation is well defined on the graph backend
             st.segment_length(p.x, q.x)
         lo, hi = self._params[0], self._params[-1]
-        if self.domain.kind == Interval.COMPACT:
-            if abs(lo - self.domain.a) > GRID_ATOL or abs(hi - self.domain.b) > GRID_ATOL:
+        a, b = self.domain.a, self.domain.b
+        starts = a == -math.inf or abs(lo - a) <= GRID_ATOL
+        ends = b == math.inf or abs(hi - b) <= GRID_ATOL
+        if not (starts and ends):
+            if self.domain.kind == Interval.COMPACT:
                 raise InputError(
                     f"compact curve breakpoints [{lo}, {hi}] must span the domain {self.domain}")
-        elif self.domain.kind == Interval.FUTURE:
-            if abs(lo - self.domain.a) > GRID_ATOL:
-                raise InputError("half-line curve must start at the domain endpoint")
-        elif self.domain.kind == Interval.PAST:
-            if abs(hi - self.domain.b) > GRID_ATOL:
-                raise InputError("half-line curve must end at the domain endpoint")
+            raise InputError(f"half-line curve must {'end' if starts else 'start'} at the "
+                             "domain endpoint")
         if self.pace is not None:
             if not 0 < self.pace < math.inf:  # False for NaN
                 raise InputError(f"pace must be positive and finite, got {self.pace}")
@@ -413,37 +410,30 @@ def canonicalize_noncompact(st, tf: TimeFunction, path: RawPath, request: Interv
     """Parametrize a path with declared end behavior over a noncompact
     interval so that ``tf`` increases at constant pace.
 
-    The admissible interval kind is dictated by whether the ``tf``-values
-    along the path are bounded toward each end (static extensions make
-    them unbounded).  Bounded/bounded paths go to compact intervals where
-    the pace is forced; every unbounded case leaves an affine freedom,
-    fixed here by ``rate`` (the pace) and, on the full line, ``shift``.
+    The requested interval's ends are open exactly where the ``tf``-values
+    along the path are unbounded, at the ends the path extends statically.
+    Bounded/bounded paths go to compact intervals where the pace is
+    forced; every unbounded case leaves an affine freedom, fixed here by
+    ``rate`` (the pace) and, on the full line, ``shift``.
     """
     if not validate_tf(st, tf):
         raise InputError("time function is not valid on this spacetime")
     rate = float(rate)
     if not 0 < rate < math.inf:  # False for NaN
         raise InputError(f"rate must be positive and finite, got {rate}")
-    lower_unbounded = path.extend_past
-    upper_unbounded = path.extend_future
-    expected = {
-        (False, False): Interval.COMPACT,
-        (False, True): Interval.FUTURE,
-        (True, False): Interval.PAST,
-        (True, True): Interval.LINE,
-    }[(lower_unbounded, upper_unbounded)]
-    if request.kind != expected:
-        low = "-inf" if lower_unbounded else "finite"
-        high = "+inf" if upper_unbounded else "finite"
+    past, future = path.extend_past, path.extend_future
+    if (request.a == -math.inf, request.b == math.inf) != (past, future):
+        low = "-inf" if past else "finite"
+        high = "+inf" if future else "finite"
         raise InputError(
             f"path with time-function range ({low}, {high}) parametrizes over a "
-            f"{expected} interval, not {request}")
-    if request.kind == Interval.COMPACT:
+            f"{Interval._KINDS[2 * past + future]} interval, not {request}")
+    if not (past or future):
         return canonicalize_compact(st, tf, path, request.a, request.b)
     chain, values = _increasing_chain(st, tf, path.events)
-    if request.kind == Interval.FUTURE:
+    if not past:
         anchor_param, anchor_value = request.a, values[0]
-    elif request.kind == Interval.PAST:
+    elif not future:
         anchor_param, anchor_value = request.b, values[-1]
     else:
         anchor_param, anchor_value = 0.0, float(shift)
@@ -491,7 +481,8 @@ def reparametrize(st, curve: CausalCurve, tf1: TimeFunction, tf2: TimeFunction) 
 def concat(c1: CausalCurve, c2: CausalCurve) -> CausalCurve:
     """Concatenate two curves meeting at the junction parameter.
 
-    The result restricts exactly to the two inputs.  Its validation checks
+    The result's domain runs from c1's lower end to c2's upper one, and
+    restricts exactly to the two inputs.  Its validation checks
     what the pieces' own did not: the junction pair, and, when both pieces
     are affine in one time function, affinity from the junction on against
     c1's first breakpoint and pace (see ``CausalCurve._validate``).  A glue
@@ -505,29 +496,18 @@ def concat(c1: CausalCurve, c2: CausalCurve) -> CausalCurve:
     instead, and the result has no leaves (None).
     """
     st = c1.spacetime
-    if c1.domain.kind not in (Interval.COMPACT, Interval.PAST):
+    if c1.domain.b == math.inf:
         raise InputError(f"left curve must be bounded above, got {c1.domain}")
-    if c2.domain.kind not in (Interval.COMPACT, Interval.FUTURE):
+    if c2.domain.a == -math.inf:
         raise InputError(f"right curve must be bounded below, got {c2.domain}")
-    b1 = c1.domain.b
-    b2 = c2.domain.a
-    if abs(b1 - b2) > GEOM_ATOL:
+    if abs(c1.domain.b - c2.domain.a) > GEOM_ATOL:
         raise InputError(f"domains do not meet: {c1.domain} then {c2.domain}")
     e1 = c1.breakpoints[-1][1]
     e2 = c2.breakpoints[0][1]
     if not st.events_close(e1, e2):
         raise InputError(f"endpoint mismatch at junction: {e1} vs {e2}")
     pts = c1.breakpoints + c2.breakpoints[1:]
-    left_open = c1.domain.kind == Interval.PAST
-    right_open = c2.domain.kind == Interval.FUTURE
-    if left_open and right_open:
-        domain = Interval.line()
-    elif left_open:
-        domain = Interval.past(c2.domain.b)
-    elif right_open:
-        domain = Interval.future(c1.domain.a)
-    else:
-        domain = Interval.compact(c1.domain.a, c2.domain.b)
+    domain = Interval(c1.domain.a, c2.domain.b)
     pace = None
     tf = None
     if c1.pace is not None and c2.pace is not None:

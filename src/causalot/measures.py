@@ -52,11 +52,12 @@ causal precedence (``coupling._Instance``).
 from __future__ import annotations
 
 import math
+import struct
 from itertools import accumulate
 
 from .errors import InputError, PreconditionError
 from .spacetime import GEOM_ATOL, _dyadic_ints
-from .curves import Interval, concat, curves_close, reparametrize
+from .curves import concat, curves_close, reparametrize
 from .timefunc import canonical_time
 
 MASS_ATOL = 1e-12
@@ -116,10 +117,11 @@ def _weights(items, key, members=None):
     ``math.fsum`` of its ``members``' weights, which does not depend on
     their order; without ``members`` each pair is its own atom.
     """
-    # the error names the first non-positive or NaN weight in sort order
+    # the error names the first non-positive or NaN weight by atom key, then
+    # weight in IEEE total order, then atom text: the same in every order
     bad = [aw for aw in items if not aw[1] > 0]
     if bad:
-        atom, w = min(bad, key=lambda aw: key(aw[0]))
+        atom, w = min(bad, key=lambda aw: (key(aw[0]), _total_order(aw[1]), repr(aw[0])))
         raise InputError(f"weights must be positive, got {w} at {atom!r}")
     if members is None:
         weights = [w for _, w in items]
@@ -131,6 +133,12 @@ def _weights(items, key, members=None):
     if abs(total - 1.0) > MASS_ATOL:
         raise InputError(f"weights must sum to 1 within {MASS_ATOL}, got {total!r}")
     return weights
+
+
+def _total_order(w):
+    """The IEEE 754 total order of floats as an integer key."""
+    bits = struct.unpack("<q", struct.pack("<d", w))[0]
+    return bits ^ 0x7FFFFFFFFFFFFFFF if bits < 0 else bits
 
 
 class SliceMeasure:
@@ -408,9 +416,9 @@ def concat_measures(s1: CurveMeasure, s2: CurveMeasure) -> CurveMeasure:
     event (:func:`causalot.curves.concat`).
     """
     st = s1.spacetime
-    if s1.domain.kind not in (Interval.COMPACT, Interval.PAST):
+    if s1.domain.b == math.inf:
         raise InputError(f"left measure must live on curves bounded above, got {s1.domain}")
-    if s2.domain.kind not in (Interval.COMPACT, Interval.FUTURE):
+    if s2.domain.a == -math.inf:
         raise InputError(f"right measure must live on curves bounded below, got {s2.domain}")
     b, a = s1.domain.b, s2.domain.a
     if abs(b - a) > GEOM_ATOL:

@@ -66,15 +66,16 @@ def lift_coupling(st, tf, omega: Coupling, a, b) -> CurveMeasure:
     return _lift(st, tf, omega, a, b)
 
 
-def _lift(st, tf, omega, a, b, past=False, future=False):
-    """The lift onto [a, b], (-inf, b] with ``past`` or [a, +inf) with ``future``."""
+def _lift(st, tf, omega, a, b, domain=None):
+    """The lift onto ``domain``: [a, b] itself by default, or a domain that
+    replaces an end of [a, b] by -inf or +inf, the slab's half-line."""
     a, b = float(a), float(b)
     if a >= b:
         raise InputError(f"lift needs a < b, got [{a}, {b}]")
     if not validate_tf(st, tf):
         raise InputError("time function is not valid on this spacetime")
-    domain = (Interval.past(b) if past else Interval.future(a) if future
-              else Interval.compact(a, b))
+    if domain is None:
+        domain = Interval.compact(a, b)
     atoms = []
     for (p, q), w in omega.atoms:
         vp = tf.value(st, p)
@@ -93,37 +94,38 @@ def _lift(st, tf, omega, a, b, past=False, future=False):
     return sigma
 
 
-def _fold_slabs(st, tf, entries, past, future):
+def _fold_slabs(st, tf, entries, a, b):
     """Fold witness-coupling lifts over consecutive slices into one curve
-    measure, the first lift onto its past half-line with ``past``, the last
-    onto its future one with ``future``; each glue restricts back to the
-    previous fold by :func:`causalot.measures.concat_measures`."""
+    measure on the domain [a, b]: the first lift runs from ``a``, the first
+    time or -inf, and the last to ``b``, the last time or +inf, so an open
+    end's outer slab is lifted onto its half-line.  Each glue restricts
+    back to the previous fold by :func:`causalot.measures.concat_measures`."""
     sigma = None
     for k, ((s, mu), (t, nu)) in enumerate(zip(entries, entries[1:])):
         omega, cut = _decide(st, mu, nu)
         if cut is not None:
             raise NonCausalEvolutionError(s, t, cut)
-        piece = _lift(st, tf, omega, s, t, past and k == 0,
-                      future and k == len(entries) - 2)
+        piece = _lift(st, tf, omega, s, t,
+                      Interval(a if k == 0 else s, b if k == len(entries) - 2 else t))
         sigma = piece if sigma is None else concat_measures(sigma, piece)
     return sigma
 
 
-def _synthesize(st, tf, entries, split=None, kind=Interval.COMPACT):
-    """Fold the entries into one curve measure and check its paces and mesh marginals.
+def _synthesize(st, tf, entries, domain, split=None):
+    """Fold the entries into one curve measure on ``domain`` and check its
+    paces and mesh marginals.
 
-    With ``split``, the entries up to and from ``entries[split]`` are folded
-    separately and the two folds are glued there; ``kind`` is the interval
-    kind of the result, and each unbounded end's outer slab is lifted onto
-    its half-line (see ``_fold_slabs``).
+    The domain's ends are the first and last entry times, or -inf and +inf
+    where it is open.  With ``split``, the entries up to and from
+    ``entries[split]`` are folded separately and the two folds are glued
+    there (see ``_fold_slabs``).
     """
-    past = kind in (Interval.PAST, Interval.LINE)
-    future = kind in (Interval.FUTURE, Interval.LINE)
     if split is None:
-        sigma = _fold_slabs(st, tf, entries, past, future)
+        sigma = _fold_slabs(st, tf, entries, domain.a, domain.b)
     else:
-        sigma = concat_measures(_fold_slabs(st, tf, entries[:split + 1], past, False),
-                                _fold_slabs(st, tf, entries[split:], False, future))
+        t = entries[split][0]
+        sigma = concat_measures(_fold_slabs(st, tf, entries[:split + 1], domain.a, t),
+                                _fold_slabs(st, tf, entries[split:], t, domain.b))
     if sigma._affine_in is None:
         raise VerificationError(
             "synthesized curves are not time-affine: a glued slab lift leaves the "
@@ -164,7 +166,7 @@ def synthesize_compact(st, tf, evo: Evolution) -> CurveMeasure:
     if evo.mesh.kind != MeshSpec.DYADIC:
         raise InputError(f"compact synthesis expects a dyadic mesh, got {evo.mesh.kind!r}")
     evo.validate_mesh()
-    return _synthesize(st, tf, evo.entries)
+    return _synthesize(st, tf, evo.entries, Interval(evo.times[0], evo.times[-1]))
 
 
 def synthesize_slabs(st, tf, evo: Evolution, horizon, direction="both") -> CurveMeasure:
@@ -191,12 +193,12 @@ def synthesize_slabs(st, tf, evo: Evolution, horizon, direction="both") -> Curve
         if max_h < horizon:
             raise InputError(f"grid supports horizons up to {max_h}, requested {horizon}")
         return _synthesize(st, tf, evo.entries[center - horizon:center + horizon + 1],
-                           split=horizon, kind=Interval.LINE)
+                           Interval.line(), split=horizon)
     if len(times) < horizon + 1:
         raise InputError(f"grid has {len(times)} times, need {horizon + 1}")
     if direction == "forward":
-        return _synthesize(st, tf, evo.entries[:horizon + 1], kind=Interval.FUTURE)
-    return _synthesize(st, tf, evo.entries[-(horizon + 1):], kind=Interval.PAST)
+        return _synthesize(st, tf, evo.entries[:horizon + 1], Interval.future(times[0]))
+    return _synthesize(st, tf, evo.entries[-(horizon + 1):], Interval.past(times[-1]))
 
 
 def extract_coupling(sigma: CurveMeasure, s, t) -> Coupling:
@@ -354,4 +356,4 @@ def synthesize_open(st, tf, evo: Evolution, a, b, horizon, side) -> CurveMeasure
         left = [a + b - t for t in right][::-1]
         wanted, what, split = left[:-1] + right, "two-sided geometric", len(left) - 1
     _match_times(evo.times, wanted, what)
-    return _synthesize(st, tf, evo.entries, split)
+    return _synthesize(st, tf, evo.entries, Interval(evo.times[0], evo.times[-1]), split)

@@ -5,6 +5,8 @@ import re
 import shlex
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -563,6 +565,34 @@ def test_a_declared_dyadic_depth_of_60_fails_validate(tmp_path):
     assert all("at depth 60" in entry["error"] for entry in evolutions.values())
 
 
+def test_a_declared_dyadic_depth_of_10_to_the_12_costs_no_memory(tmp_path, capsys):
+    # 2**depth would take 125 GB: the slice count is compared through its
+    # bits, and the sub-mesh stride's exponent stops at the entry count
+    depth = 10 ** 12
+
+    def deepen(doc):
+        for evolution in doc["evolutions"].values():
+            evolution["mesh"]["depth"] = depth
+
+    path = _scenario_copy(tmp_path, "minkowski_branching.json", deepen)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert run(tmp_path, path, "validate") == 2
+        assert main([path, "synthesize", "--mesh-depth", "0",
+                     "--report-dir", str(tmp_path / "none")]) == 1
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == "error: need at least two slices\n"
+    evolutions = report(tmp_path, "validate")["result"]["evolutions"]
+    assert evolutions and all(
+        entry["error"].endswith(f"do not form the dyadic mesh of [0.0, 1.0] at depth {depth}")
+        for entry in evolutions.values())
+    assert elapsed < 1.0 and peak < 20e6
+
+
 @pytest.mark.parametrize("flag", [["--horizon", "x"], ["--a", "-inf"], ["--to-IT"]])
 def test_malformed_flag_exits_1(tmp_path, capsys, flag):
     # argparse exits 2, the code of a failed verification, on a malformed
@@ -700,6 +730,18 @@ def test_every_synthesis_request_exits_0(tmp_path, name, flags):
     assert curves and all(curve["pace"] is not None for curve in curves)
     if kind in ("future", "past", "line"):
         assert {curve["domain"]["kind"] for curve in curves} == {kind}
+
+
+@pytest.mark.parametrize("name, interval, domain", [
+    ("minkowski_branching.json", "compact", {"kind": "compact", "a": 0.0, "b": 1.0}),
+    ("static_graph.json", "future", {"kind": "future", "a": -3.0}),
+    ("static_graph.json", "past", {"kind": "past", "b": 3.0}),
+    ("static_graph.json", "line", {"kind": "line"}),
+])
+def test_a_synthesized_domain_lists_only_its_finite_ends(tmp_path, name, interval, domain):
+    assert run(tmp_path, scenario(name), "synthesize", "--interval", interval) == 0
+    atoms = report(tmp_path, "synthesize")["result"]["curve_measure"]["atoms"]
+    assert atoms and all(curve["domain"] == domain for curve, _ in atoms)
 
 
 @pytest.mark.parametrize("flags, section, message", [

@@ -1,14 +1,16 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st_
 
-from causalot import (CausalCurve, Coupling, InputError, Interval,
+from causalot import (CausalCurve, Coupling, Event, InputError, Interval,
                       PreconditionError, RawPath, Spacetime, TimeFunction,
                       bilipschitz_report, canonical_time, canonicalize_compact,
                       canonicalize_noncompact, causal_geodesic, concat,
                       curves_close, is_time_parametrized, lift_coupling,
                       reparametrize, verify_causal)
+from causalot.spacetime import GEOM_ATOL
 from genrand import (random_full_line_curve, random_graph, random_time_function,
                      rng_for)
 
@@ -184,6 +186,171 @@ def test_noncompact_kind_mismatch(chain_graph):
 def test_interval_endpoints_must_be_finite(build, v):
     with pytest.raises(InputError, match=f"interval endpoints must be finite, got {v}"):
         build(v)
+
+
+# -- parameter domains ---------------------------------------------------------------
+
+DOMAINS = {"compact": Interval.compact(0.0, 1.0), "future": Interval.future(0.0),
+           "past": Interval.past(1.0), "line": Interval.line()}
+
+
+@pytest.mark.parametrize("kind, text, inside, outside", [
+    ("compact", "[0.0, 1.0]", [0.0, 1.0, -1e-9, 1 + 1e-9], [-2e-9, 1 + 2e-9]),
+    ("future", "[0.0, +inf)", [0.0, -1e-9, 1e300, math.inf], [-2e-9, -math.inf]),
+    ("past", "(-inf, 1.0]", [1.0, 1 + 1e-9, -1e300, -math.inf], [1 + 2e-9, math.inf]),
+    ("line", "R", [-math.inf, -1e300, 0.0, 1e300, math.inf], []),
+])
+def test_each_domain_kind_reads_its_ends(kind, text, inside, outside):
+    domain = DOMAINS[kind]
+    assert domain.kind == kind and str(domain) == text
+    assert all(domain.contains(tau, 1e-9) for tau in inside)
+    assert not any(domain.contains(tau, 1e-9) for tau in outside)
+    # without a tolerance a finite end admits nothing beyond it
+    assert [domain.contains(tau) for tau in (-1e-9, 0.5, 1 + 1e-9)] == \
+        [kind in ("past", "line"), True, kind in ("future", "line")]
+    for other, built in DOMAINS.items():
+        assert (domain == built) == (kind == other)
+        assert (domain != built) == (kind != other)
+    rebuilt = {"compact": Interval.compact(0, 1), "future": Interval.future(0),
+               "past": Interval.past(1), "line": Interval.line()}[kind]
+    assert rebuilt == domain and hash(rebuilt) == hash(domain) and str(rebuilt) == text
+    assert Interval.future(0.0) != Interval.past(0.0)
+    assert Interval.future(-0.0) == Interval.future(0.0)
+
+
+@pytest.mark.parametrize("domain, params, message", [
+    (Interval.compact(0.0, 1.0), (0.0, 0.5),
+     "compact curve breakpoints [0.0, 0.5] must span the domain [0.0, 1.0]"),
+    (Interval.compact(0.0, 1.0), (2e-12, 1.0),
+     "compact curve breakpoints [2e-12, 1.0] must span the domain [0.0, 1.0]"),
+    (Interval.future(0.0), (2e-12, 1.0), "half-line curve must start at the domain endpoint"),
+    (Interval.past(1.0), (0.0, 1 - 2e-12), "half-line curve must end at the domain endpoint"),
+    # a span within GRID_ATOL of each finite end, and any span on the open side
+    (Interval.compact(0.0, 1.0), (5e-13, 1 - 5e-13), None),
+    (Interval.future(0.0), (-5e-13, 5.0), None),
+    (Interval.past(1.0), (-5.0, 1 + 5e-13), None),
+    (Interval.line(), (-5.0, 5.0), None),
+])
+def test_a_curve_spans_the_finite_ends_of_its_domain(mink, domain, params, message):
+    bps = [(tau, mink.event(t, 0.0)) for tau, t in zip(params, (0.0, 1.0))]
+    if message is None:
+        assert CausalCurve(mink, domain, bps).window == params
+        return
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        CausalCurve(mink, domain, bps)
+
+
+@pytest.mark.parametrize("past, future, wrong, message, right", [
+    (False, False, Interval.line(),
+     "path with time-function range (finite, finite) parametrizes over a compact "
+     "interval, not R", Interval.compact(0.0, 1.0)),
+    (False, True, Interval.past(1.0),
+     "path with time-function range (finite, +inf) parametrizes over a future "
+     "interval, not (-inf, 1.0]", Interval.future(0.0)),
+    (True, False, Interval.compact(0.0, 1.0),
+     "path with time-function range (-inf, finite) parametrizes over a past "
+     "interval, not [0.0, 1.0]", Interval.past(1.0)),
+    (True, True, Interval.future(0.0),
+     "path with time-function range (-inf, +inf) parametrizes over a line "
+     "interval, not [0.0, +inf)", Interval.line()),
+])
+def test_canonicalize_noncompact_names_the_kind_a_path_needs(mink, past, future, wrong,
+                                                             message, right):
+    path = RawPath(mink, [mink.event(0, 0.0), mink.event(1, 0.5)],
+                   extend_past=past, extend_future=future)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        canonicalize_noncompact(mink, T0, path, wrong)
+    c = canonicalize_noncompact(mink, T0, path, right)
+    assert c.domain == right
+    # a finite end anchors the path's end there, the full line its time 0 at 0
+    assert c.window == (0.0, 1.0)
+
+
+def _piece(mink, domain, a, b):
+    return CausalCurve(mink, domain, [(a, mink.event(a, 0.0)), (b, mink.event(b, 0.0))],
+                       pace=1.0)
+
+
+@pytest.mark.parametrize("left, right, kind, text", [
+    (Interval.compact(0.0, 1.0), Interval.compact(1.0, 2.0), "compact", "[0.0, 2.0]"),
+    (Interval.compact(0.0, 1.0), Interval.future(1.0), "future", "[0.0, +inf)"),
+    (Interval.past(1.0), Interval.compact(1.0, 2.0), "past", "(-inf, 2.0]"),
+    (Interval.past(1.0), Interval.future(1.0), "line", "R"),
+])
+def test_concat_keeps_the_outer_ends_of_its_pieces(mink, left, right, kind, text):
+    glued = concat(_piece(mink, left, 0.0, 1.0), _piece(mink, right, 1.0, 2.0))
+    assert (glued.domain.kind, str(glued.domain)) == (kind, text)
+    assert glued.domain == {"compact": Interval.compact(0.0, 2.0),
+                            "future": Interval.future(0.0), "past": Interval.past(2.0),
+                            "line": Interval.line()}[kind]
+
+
+@pytest.mark.parametrize("left, right, start, message", [
+    (Interval.future(0.0), Interval.compact(1.0, 2.0), 1.0,
+     "left curve must be bounded above, got [0.0, +inf)"),
+    (Interval.line(), Interval.compact(1.0, 2.0), 1.0,
+     "left curve must be bounded above, got R"),
+    (Interval.compact(0.0, 1.0), Interval.past(2.0), 1.0,
+     "right curve must be bounded below, got (-inf, 2.0]"),
+    (Interval.compact(0.0, 1.0), Interval.line(), 1.0,
+     "right curve must be bounded below, got R"),
+    (Interval.compact(0.0, 1.0), Interval.compact(1 + 2e-9, 2.0), 1 + 2e-9,
+     "domains do not meet: [0.0, 1.0] then [1.000000002, 2.0]"),
+    (Interval.past(1.0), Interval.future(1 - 2e-9), 1 - 2e-9,
+     "domains do not meet: (-inf, 1.0] then [0.999999998, +inf)"),
+])
+def test_concat_refuses_domains_that_do_not_join(mink, left, right, start, message):
+    c1, c2 = _piece(mink, left, 0.0, 1.0), _piece(mink, right, start, 2.0)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        concat(c1, c2)
+
+
+# one curve per kind, from (0, 0) to (1, 0.5) at pace 1 over [0, 1]
+@pytest.mark.parametrize("kind, tau, want", [
+    # a compact domain clamps within GEOM_ATOL of either end
+    ("compact", -5e-10, (0.0, 0.0)),
+    ("compact", 1 + 5e-10, (1.0, 0.5)),
+    # a half-line extends statically, also within GEOM_ATOL of its finite end
+    ("future", -5e-10, (-5e-10, 0.0)),
+    ("future", 1 + 5e-10, (1 + 5e-10, 0.5)),
+    ("future", 3.0, (3.0, 0.5)),
+    ("past", 1 + 5e-10, (1 + 5e-10, 0.5)),
+    ("past", -5e-10, (-5e-10, 0.0)),
+    ("past", -3.0, (-3.0, 0.0)),
+    ("line", -5e-10, (-5e-10, 0.0)),
+    ("line", 1 + 5e-10, (1 + 5e-10, 0.5)),
+])
+def test_evaluation_just_outside_a_finite_end(mink, kind, tau, want):
+    domain = DOMAINS[kind]
+    c = CausalCurve(mink, domain, [(0.0, mink.event(0.0, 0.0)), (1.0, mink.event(1.0, 0.5))],
+                    pace=1.0, time_function=T0)
+    assert c.at(tau) == Event(*want)
+    for beyond in (-2e-9, 1 + 2e-9):
+        if not domain.contains(beyond, GEOM_ATOL):
+            message = f"parameter {beyond} outside domain {domain}"
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                c.at(beyond)
+
+
+@pytest.mark.parametrize("kind", sorted(DOMAINS))
+def test_a_nan_parameter_lies_in_no_domain(mink, kind):
+    # the full line used to contain NaN, and evaluation then refused the
+    # event it built ("event time must be finite, got nan")
+    domain = DOMAINS[kind]
+    assert not domain.contains(math.nan) and not domain.contains(math.nan, GEOM_ATOL)
+    c = CausalCurve(mink, domain, [(0.0, mink.event(0.0, 0.0)), (1.0, mink.event(1.0, 0.0))],
+                    pace=1.0)
+    message = f"parameter nan outside domain {domain}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        c.at(math.nan)
+
+
+def test_a_half_line_extends_just_below_its_start():
+    mink = Spacetime("minkowski-1+1")
+    c = CausalCurve(mink, Interval.future(0.0), [(0.0, mink.event(0.0, 0.0)),
+                                                 (1.0, mink.event(1.0, 0.0))],
+                    pace=1.0, time_function=T0)
+    assert repr(c.at(-5e-10)) == "Event(t=-5e-10, x=0.0)"
 
 
 @pytest.mark.parametrize("pace, breakpoints", [

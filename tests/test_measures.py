@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 from unittest import mock
 
@@ -61,6 +62,29 @@ def test_nan_weight_is_refused(mink, atoms):
         SliceMeasure(mink, [(mink.event(0.0, x), w) for x, w in atoms])
 
 
+@pytest.mark.parametrize("pairs, named", [
+    # one atom listed twice: the lower weight in IEEE total order is named
+    ([((0.0, 0.0), 0.0), ((0.0, 0.0), -0.25)], (-0.25, (0.0, 0.0))),
+    ([((0.0, 0.0), 0.0), ((0.0, 0.0), -0.0)], (-0.0, (0.0, 0.0))),
+    ([((0.0, 0.0), math.nan), ((0.0, 0.0), -0.25)], (-0.25, (0.0, 0.0))),
+    ([((0.0, 0.0), -math.nan), ((0.0, 0.0), -0.25)], (math.nan, (0.0, 0.0))),
+    # equal atoms spelled apart, at one weight: the atom's text decides
+    ([((0.0, 0.0), 0.0), ((0.0, -0.0), 0.0)], (0.0, (0.0, -0.0))),
+    ([((0.0, 0.0), 0.0), ((-0.0, 0.0), 0.0)], (0.0, (-0.0, 0.0))),
+])
+def test_a_weight_refusal_names_one_pair_in_every_order(mink, pairs, named):
+    pairs = [(Event(*e), w) for e, w in pairs] + [(Event(0.0, 1.0), 1.0)]
+    w, e = named[0], Event(*named[1])
+    pair = (e, Event(1.0, e.x))
+    for order in itertools.permutations(pairs):
+        with pytest.raises(InputError) as err:
+            SliceMeasure(mink, order)
+        assert str(err.value) == f"weights must be positive, got {w} at {e!r}"
+        with pytest.raises(InputError) as err:
+            Coupling(mink, [((p, Event(1.0, p.x)), v) for p, v in order])
+        assert str(err.value) == f"weights must be positive, got {w} at {pair!r}"
+
+
 def _two_atoms(st, kind, ws, off=False):
     """A measure of the given kind with two distinct atoms of weights ws;
     with ``off``, a slice measure whose atoms miss its level set, or a
@@ -101,11 +125,14 @@ def _sorted_merge(items, key, close, groups=None):
     """Reference: the merge that sorts every pair by key and merges each atom
     into the previous one when they are close, without grouping first (so
     it ignores ``groups``); the members of an atom are the input indices its
-    sweep merged into it.  The total mass is checked as ``_merge`` does."""
+    sweep merged into it.  The first non-positive weight, by atom key, then
+    by value with -0.0 below 0.0, then by the atom's text, is refused first,
+    and the total mass is checked as ``_merge`` does."""
+    order = lambda aw: (key(aw[0]), aw[1], math.copysign(1.0, aw[1]), repr(aw[0]))
+    for atom, w in sorted((aw for aw in items if aw[1] <= 0), key=order)[:1]:
+        raise InputError(f"weights must be positive, got {w} at {atom!r}")
     out = []
     for i, (atom, w) in sorted(enumerate(items), key=lambda iaw: key(iaw[1][0])):
-        if w <= 0:
-            raise InputError(f"weights must be positive, got {w} at {atom!r}")
         if out and close(out[-1][0], atom):
             out[-1][1].append(w)
             out[-1][2].append(i)
@@ -376,17 +403,29 @@ _BARE = CausalCurve(MERGE_MINK, CURVE_POOL[0].domain, CURVE_POOL[0].breakpoints)
           list(zip(P_Q_P[1:] + P_Q_P[:1], (0.25, 0.5, 0.25)))))
 @example(("curve", MERGE_MINK, [(CURVE_POOL[0], 0.5), (_BARE, 0.5)],
           [(_BARE, 0.5), (CURVE_POOL[0], 0.5)]))
+# one atom listed twice with two non-positive weights
+@example(("slice", MERGE_MINK, [(Event(0.0, 0.0), 0.0), (Event(0.0, 0.0), -0.25),
+                                (Event(0.0, 1.0), 1.0)],
+          [(Event(0.0, 0.0), -0.25), (Event(0.0, 0.0), 0.0), (Event(0.0, 1.0), 1.0)]))
+@example(("slice", MERGE_MINK, [(Event(0.0, 0.0), 0.0), (Event(0.0, -0.0), 0.0),
+                                (Event(0.0, 1.0), 1.0)],
+          [(Event(0.0, -0.0), 0.0), (Event(0.0, 0.0), 0.0), (Event(0.0, 1.0), 1.0)]))
 def test_a_measure_does_not_depend_on_the_order_of_its_atoms(case):
-    # ROADMAP item 5's permutation check.  A refusal is compared by its
-    # verdict: its message names the first listed of equal atoms.
+    # ROADMAP item 5's permutation check.  A weight or mass refusal is
+    # compared by its message.  A point that does not normalize is refused
+    # as it is met, so there only the verdict is compared.
     kind, st, atoms, shuffled = case
     build = {"slice": lambda a: SliceMeasure(st, a), "coupling": lambda a: Coupling(st, a),
              "curve": lambda a: CurveMeasure(st, a)}[kind]
     try:
         want = build(atoms)
-    except InputError:
-        with pytest.raises(InputError):
+    except InputError as refused:
+        with pytest.raises(InputError) as again:
             build(shuffled)
+        if str(refused).startswith("weights must"):
+            assert str(again.value) == str(refused)
+        else:
+            assert not str(again.value).startswith("weights must")
         return
     got = build(shuffled)
     assert _by_value(got) == _by_value(want)
@@ -491,6 +530,32 @@ def test_concat_requires_compatible_marginals(mink):
     s1 = point_mass(mink, geod(mink, 0, 0.0, 1, 0.0))
     s2 = point_mass(mink, geod(mink, 1, 1.0, 2, 1.0))
     with pytest.raises(PreconditionError, match="junction"):
+        concat_measures(s1, s2)
+
+
+def _on(st, domain, a, b):
+    """A point mass on the static curve at x = 0 over [a, b], on ``domain``."""
+    return point_mass(st, CausalCurve(st, domain, [(a, st.event(a, 0.0)), (b, st.event(b, 0.0))],
+                                      pace=1.0))
+
+
+@pytest.mark.parametrize("left, right, start, message", [
+    (Interval.future(0.0), Interval.compact(1.0, 2.0), 1.0,
+     "left measure must live on curves bounded above, got [0.0, +inf)"),
+    (Interval.line(), Interval.future(1.0), 1.0,
+     "left measure must live on curves bounded above, got R"),
+    (Interval.compact(0.0, 1.0), Interval.past(2.0), 1.0,
+     "right measure must live on curves bounded below, got (-inf, 2.0]"),
+    (Interval.past(1.0), Interval.line(), 1.0,
+     "right measure must live on curves bounded below, got R"),
+    (Interval.compact(0.0, 1.0), Interval.compact(1 + 2e-9, 2.0), 1 + 2e-9,
+     "domains do not meet: [0.0, 1.0] then [1.000000002, 2.0]"),
+    (Interval.past(1.0), Interval.future(1 - 2e-9), 1 - 2e-9,
+     "domains do not meet: (-inf, 1.0] then [0.999999998, +inf)"),
+])
+def test_concat_measures_refuses_domains_that_do_not_join(mink, left, right, start, message):
+    s1, s2 = _on(mink, left, 0.0, 1.0), _on(mink, right, start, 2.0)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         concat_measures(s1, s2)
 
 
