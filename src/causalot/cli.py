@@ -42,8 +42,8 @@ from importlib import resources
 from .errors import CausalotError, InputError, VerificationError
 from .spacetime import GEOM_ATOL, Spacetime, causal_lipschitz_constant
 from .timefunc import TimeFunction, canonical_time, validate as validate_tf
-from .curves import (CausalCurve, Interval, bilipschitz_report, curves_close, reparametrize,
-                     verify_causal)
+from .curves import (CausalCurve, Interval, _endpoint, bilipschitz_report, curves_close,
+                     reparametrize, verify_causal)
 from .measures import (CurveMeasure, SliceMeasure, marginal_at, pushforward_reparametrize,
                        transport_distance)
 from .coupling import Evolution, MeshSpec, _decide, check_evolution
@@ -89,88 +89,76 @@ def _check_schema(doc):
 
 class Scenario:
     """A fully resolved scenario: every cross-reference checked before any
-    computation runs."""
+    computation runs.
+
+    Each section is built, as ``json.load`` made it, by the library
+    constructor that owns it (``Spacetime``, ``TimeFunction``,
+    ``SliceMeasure``, ``Interval`` and ``CausalCurve.from_breakpoints``,
+    ``MeshSpec`` and ``Evolution``), so their rules are the only rules.
+    The scenario adds what joins the sections: names are looked up, a
+    curve domain's declared ``kind`` must be the one its ends make, and an
+    evolution slice may name only its evolution's time function."""
 
     def __init__(self, doc, name="<memory>"):
         _check_schema(doc)
         self.name = name
-        self.doc = doc
         sec = doc["spacetime"]
-        self.spacetime = Spacetime(
+        self.spacetime = st = Spacetime(
             sec["backend"],
             vertices=sec.get("vertices"),
-            edges=[tuple(e) for e in sec.get("edges", [])],
+            edges=sec.get("edges"),
             alpha=sec.get("alpha", 1.0),
             u=sec.get("u", 1.0),
             eps_caus=sec.get("tolerance", 0.0),
         )
-        st = self.spacetime
         self.time_functions = {"T0": canonical_time()}
         for name_, spec in doc.get("time_functions", {}).items():
-            if "slope" in spec:
-                tf = TimeFunction(slope=spec["slope"], name=name_)
-            elif "offsets" in spec:
-                tf = TimeFunction(offsets=spec["offsets"], spacetime=st, name=name_)
-            else:
-                tf = canonical_time(name=name_)
-            self.time_functions[name_] = tf
+            self.time_functions[name_] = TimeFunction(
+                slope=spec.get("slope"), offsets=spec.get("offsets"), spacetime=st, name=name_)
         self.measures = {}
         for name_, spec in doc.get("measures", {}).items():
-            tf = self.time_function(spec.get("time_function", "T0"))
+            tf = _named(self.time_functions, spec.get("time_function", "T0"), "time function")
             self.measures[name_] = self._slice_measure(spec, tf)
         self.curves = {}
         for name_, spec in doc.get("curves", {}).items():
-            self.curves[name_] = self._curve(spec)
+            self.curves[name_] = self._curve(name_, spec)
         self.evolutions = {}
         for name_, spec in doc.get("evolutions", {}).items():
-            self.evolutions[name_] = self._evolution(spec)
+            self.evolutions[name_] = self._evolution(name_, spec)
         self.commands = doc.get("commands", {})
-
-    def time_function(self, name):
-        try:
-            return self.time_functions[name]
-        except KeyError:
-            raise InputError(f"unknown time function {name!r}") from None
-
-    def _spatial(self, raw):
-        if isinstance(raw, list):
-            return tuple(raw)
-        return raw
 
     def _slice_measure(self, spec, tf):
         st = self.spacetime
         tau = spec["tau"]
-        atoms = [(tf.level_event(st, tau, self._spatial(x)), w)
-                 for x, w in spec["atoms"]]
+        atoms = [(tf.level_event(st, tau, x), w) for x, w in spec["atoms"]]
         return SliceMeasure(st, atoms, time_function=tf, tau=tau)
 
-    def _interval(self, spec):
-        kind = spec["kind"]
-        if kind == "compact":
-            return Interval.compact(spec["a"], spec["b"])
-        if kind == "future":
-            return Interval.future(spec["a"])
-        if kind == "past":
-            return Interval.past(spec["b"])
-        return Interval.line()  # the schema admits no other kind
-
-    def _curve(self, spec):
+    def _curve(self, name, spec):
         st = self.spacetime
-        domain = self._interval(spec["domain"])
-        bps = [(tau, st.event(t, self._spatial(x))) for tau, t, x in spec["breakpoints"]]
+        ends = spec["domain"]
+        domain = Interval(_endpoint(ends["a"]) if "a" in ends else -math.inf,
+                          _endpoint(ends["b"]) if "b" in ends else math.inf)
+        if domain.kind != ends["kind"]:
+            raise InputError(f"curve {name!r} declares a {ends['kind']} domain, but its ends "
+                             f"make {domain}, a {domain.kind} domain")
+        bps = [(tau, st.event(t, x)) for tau, t, x in spec["breakpoints"]]
         tf = None
         if "time_function" in spec:
-            tf = self.time_function(spec["time_function"])
+            tf = _named(self.time_functions, spec["time_function"], "time function")
         return CausalCurve.from_breakpoints(st, domain, bps, time_function=tf)
 
-    def _evolution(self, spec):
-        st = self.spacetime
-        tf = self.time_function(spec.get("time_function", "T0"))
-        mesh_spec = spec.get("mesh", {"kind": "explicit"})
-        mesh = MeshSpec(mesh_spec["kind"], mesh_spec.get("a"), mesh_spec.get("b"),
-                        mesh_spec.get("depth"))
-        entries = [(sl["tau"], self._slice_measure(sl, tf)) for sl in spec["slices"]]
-        return Evolution(st, entries, time_function=tf, mesh=mesh)
+    def _evolution(self, name, spec):
+        tf_name = spec.get("time_function", "T0")
+        tf = _named(self.time_functions, tf_name, "time function")
+        entries = []
+        for sl in spec["slices"]:
+            if sl.get("time_function", tf_name) != tf_name:
+                raise InputError(f"evolution {name!r}: the slice at tau {sl['tau']} names "
+                                 f"time function {sl['time_function']!r}, not the "
+                                 f"evolution's {tf_name!r}")
+            entries.append((sl["tau"], self._slice_measure(sl, tf)))
+        mesh = MeshSpec(**spec.get("mesh", {"kind": "explicit"}))
+        return Evolution(self.spacetime, entries, time_function=tf, mesh=mesh)
 
 
 def _refuse_constant(token):
@@ -323,7 +311,7 @@ def _verb_synthesize(sc: Scenario, args):
         result["identity_parametrized"] = True
         sigma = ups
     if args.observer:
-        tf2 = sc.time_function(args.observer)
+        tf2 = _named(sc.time_functions, args.observer, "time function")
         moved = pushforward_reparametrize(sigma, tf, tf2)
         result["observer"] = {"time_function": args.observer,
                               "curve_measure": _curve_measure_out(moved)}
@@ -345,8 +333,8 @@ def _write_csv(args, rows):
 
 def _verb_reparametrize(sc: Scenario, args):
     st = sc.spacetime
-    tf1 = sc.time_function(args.source)
-    tf2 = sc.time_function(args.target)
+    tf1 = _named(sc.time_functions, args.source, "time function")
+    tf2 = _named(sc.time_functions, args.target, "time function")
     if args.curve:
         curve = _named(sc.curves, args.curve, "curve")
         moved = reparametrize(st, curve, tf1, tf2)
@@ -357,7 +345,7 @@ def _verb_reparametrize(sc: Scenario, args):
 
 def _verb_bounds_report(sc: Scenario, args):
     st = sc.spacetime
-    tf2 = sc.time_function(args.t2)
+    tf2 = _named(sc.time_functions, args.t2, "time function")
     if args.curves is None:
         raise InputError("bounds-report needs --curves")
     if args.a is None or args.b is None:
@@ -374,7 +362,7 @@ def _verb_bounds_report(sc: Scenario, args):
 def _verb_invariance(sc: Scenario, args):
     st = sc.spacetime
     evo = _named(sc.evolutions, args.evolution, "evolution")
-    tf2 = sc.time_function(args.observer)
+    tf2 = _named(sc.time_functions, args.observer, "time function")
     rep = observer_invariance_report(st, evo.time_function, tf2, evo,
                                      horizon=args.horizon)
     return rep.ok, rep.to_dict()

@@ -242,17 +242,19 @@ class CausalCurve:
         pts = [(float(tau), st.event(e.t, e.x)) for tau, e in breakpoints]
         refined = [pts[0]]
         for (s, p), (t, q) in zip(pts, pts[1:]):
-            for e in _refine_leg(st, p, q):
-                frac = (e.t - p.t) / (q.t - p.t)
-                refined.append((s + frac * (t - s), e))
+            if q.t > p.t:  # otherwise the constructor refuses the leg
+                for e in _refine_leg(st, p, q):
+                    frac = (e.t - p.t) / (q.t - p.t)
+                    refined.append((s + frac * (t - s), e))
             refined.append((t, q))
         pace = None
-        if time_function is not None and len(refined) >= 2:
-            v0 = time_function.value(st, refined[0][1])
-            v1 = time_function.value(st, refined[-1][1])
-            pace = (v1 - v0) / (refined[-1][0] - refined[0][0])
-        elif time_function is not None:
+        if time_function is not None:
+            span = refined[-1][0] - refined[0][0]
             pace = 1.0
+            if span > 0:  # otherwise the constructor refuses the parameters
+                v0 = time_function.value(st, refined[0][1])
+                v1 = time_function.value(st, refined[-1][1])
+                pace = (v1 - v0) / span
         return cls(st, domain, refined, pace=pace, time_function=time_function)
 
     # -- basic geometry -------------------------------------------------------

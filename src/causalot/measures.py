@@ -141,6 +141,20 @@ def _total_order(w):
     return bits ^ 0x7FFFFFFFFFFFFFFF if bits < 0 else bits
 
 
+def _refuse_least(st, events):
+    """Raise the refusal of the event least by its text (``repr``, then the
+    message) among those that ``st.canonical_event`` refuses, so that a
+    measure names the same malformed point in every order of its atoms.
+    Called once a refusal was met: valid atoms never pay for the search."""
+    refusals = []
+    for e in events:
+        try:
+            st.canonical_event(e)
+        except InputError as err:
+            refusals.append((repr(e), str(err)))
+    raise InputError(min(refusals)[1]) from None
+
+
 class SliceMeasure:
     """Probability measure on events, optionally tagged as living on a
     level set of a time function."""
@@ -150,7 +164,11 @@ class SliceMeasure:
         # canonical events already (see ``_merge``)
         self.spacetime = st
         if _groups is None:
-            atoms = [(st.canonical_event(e), float(w)) for e, w in atoms]
+            atoms = list(atoms)
+            try:
+                atoms = [(st.canonical_event(e), float(w)) for e, w in atoms]
+            except InputError:
+                _refuse_least(st, [e for e, _ in atoms])
         self.atoms, self._members = _merge(atoms, st.event_key, st.events_close, _groups)
         self.time_function = time_function
         self.tau = None if tau is None else float(tau)
@@ -276,7 +294,11 @@ class Coupling:
         self.spacetime = st
         if _groups is None:
             event = st.canonical_event
-            atoms = [((event(p), event(q)), float(w)) for (p, q), w in atoms]
+            atoms = list(atoms)
+            try:
+                atoms = [((event(p), event(q)), float(w)) for (p, q), w in atoms]
+            except InputError:
+                _refuse_least(st, [e for pq, _ in atoms for e in pq])
         self.atoms = _merge(atoms, key, close, _groups)[0]
         for (p, q), _ in self.atoms:
             if not st.causally_precedes(p, q):

@@ -39,6 +39,8 @@ class TimeFunction:
         self.name = name
         if self.offsets is not None and spacetime is None:
             raise InputError("vertex offsets need the spacetime they refer to")
+        if self.offsets is not None and spacetime.backend != Spacetime.GRAPH:
+            raise InputError("offset form only applies to the graph backend")
         if self.slope is not None and not math.isfinite(self.slope):
             raise InputError(f"time function slope must be finite, got {self.slope!r}")
         if self.offsets is not None:

@@ -1,5 +1,8 @@
+import contextlib
 import copy
+import io
 import json
+import math
 import os
 import re
 import shlex
@@ -10,10 +13,11 @@ import tracemalloc
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st_
 
 import causalot.cli
 import causalot.coupling
-from causalot import (Evolution, InputError, MeshSpec, NonCausalEvolutionError,
+from causalot import (CausalotError, Evolution, InputError, MeshSpec, NonCausalEvolutionError,
                       SliceMeasure, Spacetime, canonical_time, geometric_times,
                       synthesize_compact)
 from causalot.cli import _load_schema, load_scenario, main
@@ -836,3 +840,186 @@ def test_a_glue_beyond_the_curve_cap_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: gluing at 0.0 would build 344701 curves, "
                                        "more than the cap of 100000\n")
     assert not reports.exists() or os.listdir(reports) == []
+
+
+def _probe(base, edit):
+    with open(scenario(base), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    return doc
+
+
+def _domain(domain):
+    return lambda doc: doc["curves"]["halfspeed"].__setitem__("domain", domain)
+
+
+def _offsets_on_minkowski(doc):
+    doc["time_functions"]["tilt"] = {"offsets": {"A": 1.0}}
+    doc["measures"] = {"m": {"tau": 0.0, "time_function": "tilt", "atoms": [[0.0, 1.0]]}}
+
+
+# schema-valid scenarios that the loader refuses: each once crashed with a
+# traceback or was silently misread
+LOAD_PROBES = [
+    ("minkowski_branching.json", _domain({"kind": "compact", "b": 1.0}),
+     "curve 'halfspeed' declares a compact domain, but its ends make (-inf, 1.0], "
+     "a past domain"),
+    ("minkowski_branching.json", _domain({"kind": "future"}),
+     "curve 'halfspeed' declares a future domain, but its ends make R, a line domain"),
+    ("minkowski_branching.json", _domain({"kind": "past"}),
+     "curve 'halfspeed' declares a past domain, but its ends make R, a line domain"),
+    ("minkowski_branching.json", _domain({"kind": "line", "a": 0.0}),
+     "curve 'halfspeed' declares a line domain, but its ends make [0.0, +inf), "
+     "a future domain"),
+    ("minkowski_branching.json", _domain({"kind": "future", "a": 0.0, "b": 5.0}),
+     "curve 'halfspeed' declares a future domain, but its ends make [0.0, 5.0], "
+     "a compact domain"),
+    ("tilted_observer.json",
+     lambda doc: doc["time_functions"].__setitem__("tilt", {"slope": 0.5, "offsets": {"A": 1.0}}),
+     "give either a slope or vertex offsets, not both"),
+    ("tilted_observer.json", _offsets_on_minkowski,
+     "offset form only applies to the graph backend"),
+    ("tilted_observer.json",
+     lambda doc: doc["evolutions"]["drift"]["slices"].__setitem__(
+         2, {"tau": 0.0, "time_function": "tilt", "atoms": [[2.0, 1.0]]}),
+     "evolution 'drift': the slice at tau 0.0 names time function 'tilt', "
+     "not the evolution's 'T0'"),
+    ("minkowski_branching.json",
+     lambda doc: doc["curves"]["static"].__setitem__(
+         "breakpoints", [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+     "breakpoint parameters must increase: 0.0 then 0.0"),
+]
+
+
+@pytest.mark.parametrize("base, edit, message", LOAD_PROBES)
+def test_a_schema_valid_scenario_is_refused_at_load(tmp_path, capsys, base, edit, message):
+    doc = _probe(base, edit)
+    causalot.cli._check_schema(doc)
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    reports = tmp_path / "reports"
+    for verb in sorted(causalot.cli.VERBS):
+        assert main([str(path), verb, "--report-dir", str(reports)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not reports.exists() or os.listdir(reports) == []
+
+
+def test_an_infinite_domain_end_is_refused_at_load(tmp_path, capsys):
+    doc = _probe("minkowski_branching.json", _domain({"kind": "future", "a": 12345.0}))
+    path = tmp_path / "probe.json"
+    # json.load reads 1e999 as inf; json.dumps cannot write it
+    path.write_text(json.dumps(doc).replace("12345.0", "1e999"), encoding="utf-8")
+    assert run(tmp_path, str(path), "validate") == 1
+    assert capsys.readouterr().err == "error: interval endpoints must be finite, got inf\n"
+
+
+def test_a_slice_may_repeat_its_evolutions_time_function():
+    doc = _probe("tilted_observer.json", lambda doc: doc["evolutions"]["drift"]["slices"][2]
+                 .__setitem__("time_function", "T0"))
+    assert causalot.cli.Scenario(doc).evolutions["drift"].entries[2][1].atoms == \
+        load_scenario(scenario("tilted_observer.json")).evolutions["drift"].entries[2][1].atoms
+
+
+def test_invariance_check_without_an_observer_names_what_is_missing(tmp_path, capsys):
+    assert run(tmp_path, scenario("tilted_observer.json"), "invariance-check",
+               "--evolution", "drift") == 0  # the commands section names the observer
+    doc = _probe("tilted_observer.json", lambda doc: doc["commands"].pop("invariance-check"))
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run(tmp_path, str(path), "invariance-check", "--evolution", "drift") == 1
+    assert capsys.readouterr().err == "error: missing required time function name\n"
+
+
+_NUMBER = st_.one_of(st_.sampled_from([0.0, 0.5, 1.0, -1.0, 2.0, math.inf, -math.inf]),
+                     st_.floats(-3.0, 3.0))
+_SPATIAL = st_.one_of(_NUMBER, st_.sampled_from(["A", "B", "C", "Z"]),
+                      st_.tuples(st_.sampled_from("ABCZ"), st_.sampled_from("ABCZ"),
+                                 _NUMBER).map(list))
+_TF_NAMES = st_.sampled_from(["T0", "f", "g"])
+
+
+@st_.composite
+def _time_function_spec(draw):
+    spec = {}
+    if draw(st_.booleans()):
+        spec["slope"] = draw(_NUMBER)
+    if draw(st_.booleans()):
+        spec["offsets"] = draw(st_.dictionaries(st_.sampled_from("ABCZ"), _NUMBER, max_size=3))
+    return spec
+
+
+@st_.composite
+def _slice_spec(draw):
+    spec = {"tau": draw(_NUMBER),
+            "atoms": draw(st_.lists(st_.tuples(_SPATIAL, st_.sampled_from([0.5, 1.0]))
+                                    .map(list), min_size=1, max_size=2))}
+    if draw(st_.booleans()):
+        spec["time_function"] = draw(_TF_NAMES)
+    return spec
+
+
+@st_.composite
+def _curve_spec(draw):
+    domain = {"kind": draw(st_.sampled_from(["compact", "future", "past", "line"]))}
+    for end in draw(st_.sets(st_.sampled_from("ab"))):
+        domain[end] = draw(_NUMBER)
+    taus = st_.sampled_from([0.0, 0.0, 1.0, 2.0])  # repeated parameters included
+    spec = {"domain": domain,
+            "breakpoints": draw(st_.lists(st_.tuples(taus, _NUMBER, _SPATIAL).map(list),
+                                          min_size=1, max_size=3))}
+    if draw(st_.booleans()):
+        spec["time_function"] = draw(_TF_NAMES)
+    return spec
+
+
+@st_.composite
+def _scenario_doc(draw):
+    graph = draw(st_.booleans())
+    space = ({"backend": "static-graph", "vertices": ["A", "B", "C"],
+              "edges": [["A", "B", 1.0], ["B", "C", 2.0]]} if graph
+             else {"backend": "minkowski-1+1"})
+    evolution = {"slices": draw(st_.lists(_slice_spec(), min_size=1, max_size=3))}
+    if draw(st_.booleans()):
+        evolution["time_function"] = draw(_TF_NAMES)
+    return {"schema_version": 1, "spacetime": space,
+            "time_functions": draw(st_.dictionaries(st_.sampled_from(["f", "g"]),
+                                                    _time_function_spec(), max_size=2)),
+            "measures": draw(st_.dictionaries(st_.sampled_from(["m"]), _slice_spec(),
+                                              max_size=1)),
+            "curves": draw(st_.dictionaries(st_.sampled_from(["c"]), _curve_spec(),
+                                            max_size=1)),
+            "evolutions": {"e": evolution}}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_scenario_doc())
+# offsets on Minkowski, and equal curve parameters with a time function
+@example({"schema_version": 1, "spacetime": {"backend": "minkowski-1+1"},
+          "time_functions": {"f": {"offsets": {"A": 1.0}}},
+          "measures": {"m": {"tau": 0.0, "time_function": "f", "atoms": [[0.0, 1.0]]}},
+          "evolutions": {"e": {"slices": [{"tau": 0.0, "atoms": [[0.0, 1.0]]}]}}})
+@example({"schema_version": 1, "spacetime": {"backend": "minkowski-1+1"},
+          "curves": {"c": {"domain": {"kind": "compact", "a": 0.0, "b": 0.0},
+                           "breakpoints": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                           "time_function": "T0"}},
+          "evolutions": {"e": {"slices": [{"tau": 0.0, "atoms": [[0.0, 1.0]]}]}}})
+def test_a_schema_valid_scenario_fails_only_with_an_input_error(tmp_path, doc):
+    assume(causalot.cli._scenario_check()(doc))
+    try:
+        causalot.cli.Scenario(doc)
+    except CausalotError:
+        pass
+    path = tmp_path / "scenario.json"
+    # json.load reads 1e999 as inf, which json.dumps cannot write
+    text = json.dumps(doc).replace("-Infinity", "-1e999").replace("Infinity", "1e999")
+    path.write_text(text, encoding="utf-8")
+    for argv in (["validate"], ["check-evolution", "--evolution", "e"],
+                 ["synthesize", "--evolution", "e"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(tmp_path, str(path), *argv)
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().startswith(("error: ", "verification failed: "))

@@ -757,3 +757,22 @@ def test_bilipschitz_needs_two_samples(mink, samples):
     c = causal_geodesic(mink, mink.event(0, 0.0), mink.event(1, 0.0))
     with pytest.raises(InputError, match="need at least 2 samples"):
         bilipschitz_report(mink, T0, [c], 0.0, 1.0, samples=samples)
+
+
+def test_from_breakpoints_refuses_equal_parameters_before_the_pace(mink):
+    # the pace divides by the parameter span; with equal first and last
+    # parameters the constructor's own refusal comes first
+    bps = [(0.0, mink.event(0.0, 0.0)), (0.0, mink.event(1.0, 0.0))]
+    for tf in (None, T0):
+        with pytest.raises(InputError, match=r"^breakpoint parameters must increase: 0.0 then 0.0$"):
+            CausalCurve.from_breakpoints(mink, Interval.compact(0.0, 0.0), bps, time_function=tf)
+
+
+def test_from_breakpoints_refuses_a_leg_at_one_time_across_a_vertex(chain_graph):
+    # A -> C crosses B; the crossing's parameter divides by the leg's time
+    # span, so a leg at one coordinate time is refused by the constructor
+    bps = [(0.0, chain_graph.event(0.0, "A")), (1.0, chain_graph.event(0.0, "C"))]
+    for tf in (None, T0):
+        with pytest.raises(InputError, match="^coordinate time must increase: "):
+            CausalCurve.from_breakpoints(chain_graph, Interval.compact(0.0, 1.0), bps,
+                                         time_function=tf)

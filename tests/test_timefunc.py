@@ -143,3 +143,10 @@ def test_spatial_part_normalizes_only_points_that_are_not_canonical(mink, edge_g
     assert calls == []
     assert ramp.spatial_part(edge_graph, ("B", "A", 1.5)) == 0.5
     assert calls == [("B", "A", 1.5)]
+
+
+def test_offsets_need_a_graph(mink):
+    with pytest.raises(InputError, match="^offset form only applies to the graph backend$"):
+        TimeFunction(offsets={"A": 1.0}, spacetime=mink)
+    with pytest.raises(InputError, match="^vertex offsets need the spacetime they refer to$"):
+        TimeFunction(offsets={"A": 1.0})
