@@ -30,6 +30,7 @@ Exit codes: 0 success, 1 input error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import functools
 import json
@@ -94,7 +95,8 @@ class Scenario:
     Each section is built, as ``json.load`` made it, by the library
     constructor that owns it (``Spacetime``, ``TimeFunction``,
     ``SliceMeasure``, ``Interval`` and ``CausalCurve.from_breakpoints``,
-    ``MeshSpec`` and ``Evolution``), so their rules are the only rules.
+    ``MeshSpec`` and ``Evolution``, which level-checks untagged slices),
+    so their rules are the only rules.
     The scenario adds what joins the sections: names are looked up, a
     curve domain's declared ``kind`` must be the one its ends make, and an
     evolution slice may name only its evolution's time function."""
@@ -118,7 +120,8 @@ class Scenario:
         self.measures = {}
         for name_, spec in doc.get("measures", {}).items():
             tf = _named(self.time_functions, spec.get("time_function", "T0"), "time function")
-            self.measures[name_] = self._slice_measure(spec, tf)
+            self.measures[name_] = SliceMeasure(st, self._level_atoms(spec, tf),
+                                                time_function=tf, tau=spec["tau"])
         self.curves = {}
         for name_, spec in doc.get("curves", {}).items():
             self.curves[name_] = self._curve(name_, spec)
@@ -127,11 +130,8 @@ class Scenario:
             self.evolutions[name_] = self._evolution(name_, spec)
         self.commands = doc.get("commands", {})
 
-    def _slice_measure(self, spec, tf):
-        st = self.spacetime
-        tau = spec["tau"]
-        atoms = [(tf.level_event(st, tau, x), w) for x, w in spec["atoms"]]
-        return SliceMeasure(st, atoms, time_function=tf, tau=tau)
+    def _level_atoms(self, spec, tf):
+        return [(tf.level_event(self.spacetime, spec["tau"], x), w) for x, w in spec["atoms"]]
 
     def _curve(self, name, spec):
         st = self.spacetime
@@ -156,7 +156,7 @@ class Scenario:
                 raise InputError(f"evolution {name!r}: the slice at tau {sl['tau']} names "
                                  f"time function {sl['time_function']!r}, not the "
                                  f"evolution's {tf_name!r}")
-            entries.append((sl["tau"], self._slice_measure(sl, tf)))
+            entries.append((sl["tau"], SliceMeasure(self.spacetime, self._level_atoms(sl, tf))))
         mesh = MeshSpec(**spec.get("mesh", {"kind": "explicit"}))
         return Evolution(self.spacetime, entries, time_function=tf, mesh=mesh)
 
@@ -165,10 +165,16 @@ def _refuse_constant(token):
     raise ValueError(f"{token} is not a JSON number")
 
 
+def _parse_int(token):
+    if math.isinf(float(token)):  # float() rounds a long digit string, never raises
+        raise InputError(f"scenario integer {token[:20]}... lies beyond the float range")
+    return int(token)
+
+
 def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_refuse_constant)
+            doc = json.load(fh, parse_constant=_refuse_constant, parse_int=_parse_int)
     except OSError as err:
         raise InputError(f"cannot read scenario {path}: {err}")
     except ValueError as err:  # json.JSONDecodeError, or a refused constant
@@ -264,9 +270,10 @@ def _sub_mesh(evo: Evolution, depth):
         raise InputError(f"requested depth {depth} exceeds declared depth {declared}")
     # any stride beyond the entry count keeps the first entry alone
     stride = 1 << min(declared - depth, len(evo.entries).bit_length())
-    entries = evo.entries[::stride]
-    return Evolution(evo.spacetime, entries, time_function=evo.time_function,
-                     mesh=MeshSpec(MeshSpec.DYADIC, evo.mesh.a, evo.mesh.b, depth))
+    sub = copy.copy(evo)  # a subset of the entries evo checked
+    sub.entries, sub.mesh = evo.entries[::stride], MeshSpec(
+        MeshSpec.DYADIC, evo.mesh.a, evo.mesh.b, depth)
+    return sub
 
 
 def _verb_synthesize(sc: Scenario, args):

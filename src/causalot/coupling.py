@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from .errors import InputError
 from .measures import (MASS_ATOL, Coupling, SliceMeasure, _glued_pairs, _one_time,
                        slice_measures_equal)
-from .spacetime import GEOM_ATOL, GRID_ATOL, _dyadic_ints
+from .spacetime import GRID_ATOL, _dyadic_ints
 from .timefunc import canonical_time
 
 UPSET_SUPPORT_CAP = 20
@@ -123,11 +123,9 @@ class Evolution:
                 raise InputError(f"slice times must strictly increase: {s} then {t}")
         self.time_function = tf = time_function or canonical_time()
         for t, mu in entries:
-            for e, _ in mu.atoms:
-                v = tf.value(st, e)
-                if abs(v - t) > GEOM_ATOL:
-                    raise InputError(
-                        f"atom {e} of the slice at {t} has time value {v}")
+            off = tf.off_level(st, (e for e, _ in mu.atoms), t)
+            if off:
+                raise InputError(f"atom {off[0]} of the slice at {t} has time value {off[1]}")
         self.spacetime = st
         self.entries = entries
         self.mesh = mesh or MeshSpec(MeshSpec.EXPLICIT)
@@ -135,6 +133,14 @@ class Evolution:
     @property
     def times(self):
         return tuple(t for t, _ in self.entries)
+
+    def _check_frame(self, st, tf=None):
+        """Refuse a reader on another spacetime, or along another ``tf``."""
+        if st is not self.spacetime:
+            raise InputError("the evolution was built on another spacetime")
+        if tf is not None and not tf.same_as(self.time_function):
+            raise InputError(f"the evolution's time function is {self.time_function!r}, "
+                             f"not {tf!r}")
 
     def validate_mesh(self):
         mesh = self.mesh
@@ -574,6 +580,7 @@ def check_evolution(st, evo: Evolution, mode="consecutive") -> EvolutionReport:
     """
     if mode not in ("consecutive", "all-pairs"):
         raise InputError(f"unknown mode {mode!r}")
+    evo._check_frame(st)
     if mode == "consecutive":
         pairs = [(i, i + 1) for i in range(len(evo) - 1)]
     else:

@@ -456,13 +456,18 @@ def reparametrize(st, curve: CausalCurve, tf1: TimeFunction, tf2: TimeFunction) 
     has the same pace, and satisfies ``tf2(result(s)) = tf1(curve(s))``
     for every s; these postconditions are asserted before returning.
     """
+    if not validate_tf(st, tf1) or not validate_tf(st, tf2):
+        raise InputError("both time functions must be valid")
+    return _reparametrize(st, curve, tf1, tf2)
+
+
+def _reparametrize(st, curve, tf1, tf2):
+    """:func:`reparametrize` along two time functions known to be valid."""
     if curve.domain.kind != Interval.LINE:
         raise InputError(
             "reparametrize needs a full-line curve; canonicalize compact paths instead")
     if curve.pace is None:
         raise InputError("curve is not time-affine")
-    if not validate_tf(st, tf1) or not validate_tf(st, tf2):
-        raise InputError("both time functions must be valid")
     base_tf = curve.time_function or canonical_time()
     if not base_tf.same_as(tf1):
         raise InputError("curve is not parametrized by the given source time function")
@@ -569,7 +574,7 @@ def is_time_parametrized(st, tf: TimeFunction, curve: CausalCurve):
     affinity)."""
     if curve.domain.kind != Interval.LINE:
         raise InputError("membership is defined for full-line curves only")
-    return all(abs(tf.value(st, curve.at(s)) - s) <= GEOM_ATOL for s in (0.0, 1.0))
+    return not any(tf.off_level(st, (curve.at(s),), s) for s in (0.0, 1.0))
 
 
 # -- bi-Lipschitz envelopes ------------------------------------------------------

@@ -16,7 +16,8 @@ measures pushed through curve concatenation.  Conditioning, concatenation and th
 composition of couplings (:func:`causalot.coupling.compose_couplings`)
 read one fiber rule, the merge's own: a junction atom's fiber is the
 inputs merged into it, which a slice measure keeps, so the fibers
-partition the inputs.
+partition the inputs.  A slice measure given ``tau`` checks its atoms by
+the one level-set rule, :meth:`causalot.timefunc.TimeFunction.off_level`.
 
 Cost model, for N (atom, weight) pairs with D distinct atoms: a
 constructor passes events with a float time and a canonical point (a
@@ -57,8 +58,8 @@ from itertools import accumulate
 
 from .errors import InputError, PreconditionError
 from .spacetime import GEOM_ATOL, _dyadic_ints
-from .curves import concat, curves_close, reparametrize
-from .timefunc import canonical_time
+from .curves import _reparametrize, concat, curves_close
+from .timefunc import canonical_time, validate as validate_tf
 
 MASS_ATOL = 1e-12
 
@@ -175,12 +176,11 @@ class SliceMeasure:
         if self.tau is not None:
             if not math.isfinite(self.tau):
                 raise InputError(f"level-set time tau={self.tau} is not finite")
-            tf = time_function or canonical_time()
-            for e, _ in self.atoms:
-                v = tf.value(st, e)
-                if not abs(v - self.tau) <= GEOM_ATOL:
-                    raise InputError(
-                        f"atom {e} has time value {v}, not on the level set {self.tau}")
+            off = (time_function or canonical_time()).off_level(
+                st, (e for e, _ in self.atoms), self.tau)
+            if off:
+                raise InputError(f"atom {off[0]} has time value {off[1]}, "
+                                 f"not on the level set {self.tau}")
 
     def weight_of(self, event):
         close = self.spacetime.events_close
@@ -465,9 +465,12 @@ def concat_measures(s1: CurveMeasure, s2: CurveMeasure) -> CurveMeasure:
 
 def pushforward_reparametrize(sigma: CurveMeasure, tf1, tf2) -> CurveMeasure:
     """Reparametrize every atom of a full-line curve measure from the
-    first time function's foliation to the second's, weights carried."""
+    first time function's foliation to the second's, weights carried; the
+    two time functions are validated once, not per atom."""
     st = sigma.spacetime
-    return CurveMeasure(st, [(reparametrize(st, c, tf1, tf2), w) for c, w in sigma.atoms])
+    if not validate_tf(st, tf1) or not validate_tf(st, tf2):
+        raise InputError("both time functions must be valid")
+    return CurveMeasure(st, [(_reparametrize(st, c, tf1, tf2), w) for c, w in sigma.atoms])
 
 
 # -- transport distance ---------------------------------------------------------

@@ -20,6 +20,9 @@ a deeper horizon projects exactly onto a shallower one by construction
 (:func:`causalot.measures.concat_measures`).  The three engines run
 through one fold path and check its result before they return: every
 curve is time-affine, and every mesh marginal equals its input slice.
+Their input is checked once: an evolution's constructor puts each atom on
+its level set (the one rule, :meth:`causalot.timefunc.TimeFunction.off_level`),
+``_synthesize`` checks its frame, and the lifts trust both.
 """
 
 from __future__ import annotations
@@ -63,29 +66,28 @@ def lift_coupling(st, tf, omega: Coupling, a, b) -> CurveMeasure:
     The result has one slab window, [a, b], and each of its curves is its
     own one leaf there (see :func:`causalot.measures.marginal_at`).
     """
-    return _lift(st, tf, omega, a, b)
-
-
-def _lift(st, tf, omega, a, b, domain=None):
-    """The lift onto ``domain``: [a, b] itself by default, or a domain that
-    replaces an end of [a, b] by -inf or +inf, the slab's half-line."""
     a, b = float(a), float(b)
     if a >= b:
         raise InputError(f"lift needs a < b, got [{a}, {b}]")
     if not validate_tf(st, tf):
         raise InputError("time function is not valid on this spacetime")
-    if domain is None:
-        domain = Interval.compact(a, b)
-    atoms = []
-    for (p, q), w in omega.atoms:
-        vp = tf.value(st, p)
-        vq = tf.value(st, q)
-        if abs(vp - a) > GEOM_ATOL:
-            raise PreconditionError(f"left atom {p} not on the level set {a} (value {vp})")
-        if abs(vq - b) > GEOM_ATOL:
-            raise PreconditionError(f"right atom {q} not on the level set {b} (value {vq})")
+    for (p, q), _ in omega.atoms:
+        for side, e, tau in (("left", p, a), ("right", q, b)):
+            off = tf.off_level(st, (e,), tau)
+            if off:
+                raise PreconditionError(f"{side} atom {e} not on the level set {tau} "
+                                        f"(value {off[1]})")
         if omega.spacetime is not st and not st.causally_precedes(p, q):
             raise PreconditionError(f"non-causal coupling atom ({p}, {q})")
+    return _lift(st, tf, omega, a, b, Interval.compact(a, b))
+
+
+def _lift(st, tf, omega, a, b, domain):
+    """The lift onto ``domain``, [a, b] or its half-line past an end, of
+    atoms its caller checked: causal pairs on the level sets at a < b of a
+    valid ``tf``.  It refuses only a degenerate atom."""
+    atoms = []
+    for (p, q), w in omega.atoms:
         if q.t <= p.t:  # a tilted time function can still increase here
             raise PreconditionError(f"degenerate coupling atom ({p}, {q}): no time passes")
         atoms.append((_compact_curve(st, tf, (p, q), a, b, domain), w))
@@ -111,15 +113,18 @@ def _fold_slabs(st, tf, entries, a, b):
     return sigma
 
 
-def _synthesize(st, tf, entries, domain, split=None):
-    """Fold the entries into one curve measure on ``domain`` and check its
-    paces and mesh marginals.
+def _synthesize(st, tf, evo, entries, domain, split=None):
+    """Fold ``entries``, a run of ``evo``'s, into one curve measure on
+    ``domain`` and check its paces and mesh marginals.
 
     The domain's ends are the first and last entry times, or -inf and +inf
     where it is open.  With ``split``, the entries up to and from
     ``entries[split]`` are folded separately and the two folds are glued
     there (see ``_fold_slabs``).
     """
+    evo._check_frame(st, tf)
+    if not validate_tf(st, tf):
+        raise InputError("time function is not valid on this spacetime")
     if split is None:
         sigma = _fold_slabs(st, tf, entries, domain.a, domain.b)
     else:
@@ -166,7 +171,7 @@ def synthesize_compact(st, tf, evo: Evolution) -> CurveMeasure:
     if evo.mesh.kind != MeshSpec.DYADIC:
         raise InputError(f"compact synthesis expects a dyadic mesh, got {evo.mesh.kind!r}")
     evo.validate_mesh()
-    return _synthesize(st, tf, evo.entries, Interval(evo.times[0], evo.times[-1]))
+    return _synthesize(st, tf, evo, evo.entries, Interval(evo.times[0], evo.times[-1]))
 
 
 def synthesize_slabs(st, tf, evo: Evolution, horizon, direction="both") -> CurveMeasure:
@@ -192,13 +197,13 @@ def synthesize_slabs(st, tf, evo: Evolution, horizon, direction="both") -> Curve
         max_h = min(center, len(times) - 1 - center)
         if max_h < horizon:
             raise InputError(f"grid supports horizons up to {max_h}, requested {horizon}")
-        return _synthesize(st, tf, evo.entries[center - horizon:center + horizon + 1],
+        return _synthesize(st, tf, evo, evo.entries[center - horizon:center + horizon + 1],
                            Interval.line(), split=horizon)
     if len(times) < horizon + 1:
         raise InputError(f"grid has {len(times)} times, need {horizon + 1}")
     if direction == "forward":
-        return _synthesize(st, tf, evo.entries[:horizon + 1], Interval.future(times[0]))
-    return _synthesize(st, tf, evo.entries[-(horizon + 1):], Interval.past(times[-1]))
+        return _synthesize(st, tf, evo, evo.entries[:horizon + 1], Interval.future(times[0]))
+    return _synthesize(st, tf, evo, evo.entries[-(horizon + 1):], Interval.past(times[-1]))
 
 
 def extract_coupling(sigma: CurveMeasure, s, t) -> Coupling:
@@ -278,19 +283,14 @@ def observer_invariance_report(st, tf1, tf2, evo: Evolution, horizon=None) -> In
     ups1 = to_time_parametrized(st, tf1, sigma1)
     moved = pushforward_reparametrize(ups1, tf1, tf2)
 
-    taus = [float(k) for k in range(-horizon, horizon + 1)]
-    slices_tagged = True
-    entries = []
-    for tau in taus:
-        nu = marginal_at(moved, tau)
-        if nu.tau is None or abs(nu.tau - tau) > GEOM_ATOL:
-            slices_tagged = False
-        for e, _ in nu.atoms:
-            if abs(tf2.value(st, e) - tau) > GEOM_ATOL:
-                slices_tagged = False
-        entries.append((tau, nu))
-    causal = slices_tagged and bool(check_evolution(
-        st, Evolution(st, entries, time_function=tf2, mesh=MeshSpec(MeshSpec.INTEGER))))
+    entries = [(float(k), marginal_at(moved, k)) for k in range(-horizon, horizon + 1)]
+    slices_tagged = all(nu.tau is not None and abs(nu.tau - tau) <= GEOM_ATOL
+                        for tau, nu in entries)
+    try:  # the Evolution checks that every atom lies on its tf2 level set
+        evo2 = Evolution(st, entries, time_function=tf2, mesh=MeshSpec(MeshSpec.INTEGER))
+    except InputError:
+        slices_tagged = False
+    causal = slices_tagged and bool(check_evolution(st, evo2))
 
     def path_multiset(sig):
         return sorted((tuple(st.event_key(e) for e in c.raw_path()), w)
@@ -356,4 +356,4 @@ def synthesize_open(st, tf, evo: Evolution, a, b, horizon, side) -> CurveMeasure
         left = [a + b - t for t in right][::-1]
         wanted, what, split = left[:-1] + right, "two-sided geometric", len(left) - 1
     _match_times(evo.times, wanted, what)
-    return _synthesize(st, tf, evo.entries, Interval(evo.times[0], evo.times[-1]), split)
+    return _synthesize(st, tf, evo, evo.entries, Interval(evo.times[0], evo.times[-1]), split)

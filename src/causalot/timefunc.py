@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError
-from .spacetime import Event, Spacetime
+from .spacetime import GEOM_ATOL, Event, Spacetime
 
 # Strictness margin: Lipschitz constants must stay below 1 - LIP_MARGIN.
 # Exact-equality foliations are null and break monotone invertibility.
@@ -79,6 +79,14 @@ class TimeFunction:
     def value(self, st: Spacetime, p: Event):
         """T(p) = p.t + f(p.x)."""
         return p.t + self.spatial_part(st, p.x)
+
+    def off_level(self, st: Spacetime, events, tau):
+        """The library's one level-set rule: the first of ``events`` whose
+        value is not within GEOM_ATOL of tau, with that value, else None."""
+        for e in events:
+            v = self.value(st, e)
+            if not abs(v - tau) <= GEOM_ATOL:
+                return e, v
 
     def level_event(self, st: Spacetime, tau, x):
         """The unique event over x with T-value tau: (tau - f(x), x)."""

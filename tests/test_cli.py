@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
@@ -420,6 +421,27 @@ def test_non_json_number_tokens_exit_1(tmp_path, capsys, name, literal, replacem
     assert run(tmp_path, str(path), "validate") == 1
     assert capsys.readouterr().err == (f"error: scenario {path} is not valid JSON: "
                                        f"{token} is not a JSON number\n")
+
+
+@pytest.mark.parametrize("name, literal, replacement", [
+    ("minkowski_branching.json", '"alpha": 1.0', '"alpha": 1' + "0" * 400),
+    ("static_graph.json", '["A", "B", 1.0]', '["A", "B", ' + "7" * 400 + "]"),
+    ("static_graph.json", '"C": 1.5', '"C": -' + "9" * 400),
+])
+def test_an_integer_beyond_the_float_range_is_refused_at_load(tmp_path, capsys, name, literal,
+                                                              replacement):
+    # json.load reads a long digit string as an int, which no constructor
+    # can convert to a float: OverflowError, where 1e400 reads as inf
+    with open(scenario(name), encoding="utf-8") as fh:
+        text = fh.read()
+    assert literal in text
+    path = tmp_path / name
+    path.write_text(text.replace(literal, replacement, 1))
+    digits = replacement.split(" ")[-1].rstrip("]")[:20]
+    for verb in ("validate", "check-evolution", "synthesize"):
+        assert run(tmp_path, str(path), verb) == 1
+        assert capsys.readouterr().err == (f"error: scenario integer {digits}... lies "
+                                           "beyond the float range\n")
 
 
 @pytest.mark.parametrize("name, literal, replacement, message", [
@@ -992,34 +1014,68 @@ def _scenario_doc(draw):
             "evolutions": {"e": evolution}}
 
 
+# JSON number tokens that json.load reads as an int beyond the float range,
+# as inf, as the int 0 and as 0.0
+_TOKENS = ["1" + "0" * 400, "-" + "9" * 400, "1e400", "-1e400", "-0", "1e-400"]
+
+
+def _numbers(doc, path=()):
+    """The paths of every number in a JSON document."""
+    if isinstance(doc, dict):
+        doc = doc.items()
+    elif isinstance(doc, list):
+        doc = enumerate(doc)
+    else:
+        return [path] if type(doc) in (int, float) else []
+    return [p for key, value in doc for p in _numbers(value, path + (key,))]
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_scenario_doc())
+@given(_scenario_doc(), st_.one_of(st_.none(), st_.sampled_from(_TOKENS)), st_.integers(0, 99))
 # offsets on Minkowski, and equal curve parameters with a time function
 @example({"schema_version": 1, "spacetime": {"backend": "minkowski-1+1"},
           "time_functions": {"f": {"offsets": {"A": 1.0}}},
           "measures": {"m": {"tau": 0.0, "time_function": "f", "atoms": [[0.0, 1.0]]}},
-          "evolutions": {"e": {"slices": [{"tau": 0.0, "atoms": [[0.0, 1.0]]}]}}})
+          "evolutions": {"e": {"slices": [{"tau": 0.0, "atoms": [[0.0, 1.0]]}]}}},
+         None, 0)
 @example({"schema_version": 1, "spacetime": {"backend": "minkowski-1+1"},
           "curves": {"c": {"domain": {"kind": "compact", "a": 0.0, "b": 0.0},
                            "breakpoints": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                            "time_function": "T0"}},
-          "evolutions": {"e": {"slices": [{"tau": 0.0, "atoms": [[0.0, 1.0]]}]}}})
-def test_a_schema_valid_scenario_fails_only_with_an_input_error(tmp_path, doc):
+          "evolutions": {"e": {"slices": [{"tau": 0.0, "atoms": [[0.0, 1.0]]}]}}},
+         None, 0)
+# a 400-digit integer as the spacetime's alpha (the second number)
+@example({"schema_version": 1, "spacetime": {"backend": "minkowski-1+1", "alpha": 1.0},
+          "evolutions": {"e": {"slices": [{"tau": 0.0, "atoms": [[0.0, 1.0]]}]}}},
+         "1" + "0" * 400, 1)
+# a valid scenario whose time function is not: validate reports it, exit 2
+@example({"schema_version": 1, "spacetime": {"backend": "minkowski-1+1"},
+          "time_functions": {"f": {"slope": 1.0}},
+          "evolutions": {"e": {"slices": [{"tau": 0.0, "atoms": [[0.0, 1.0]]}]}}},
+         None, 0)
+def test_a_schema_valid_scenario_fails_only_with_an_input_error(tmp_path, doc, token, pick):
     assume(causalot.cli._scenario_check()(doc))
     try:
         causalot.cli.Scenario(doc)
     except CausalotError:
         pass
+    if token is not None:  # the pick-th number of the document, written as the raw token
+        numbers = _numbers(doc)
+        where = numbers[pick % len(numbers)]
+        doc = copy.deepcopy(doc)
+        functools.reduce(lambda node, key: node[key], where[:-1], doc)[where[-1]] = "@token"
     path = tmp_path / "scenario.json"
     # json.load reads 1e999 as inf, which json.dumps cannot write
     text = json.dumps(doc).replace("-Infinity", "-1e999").replace("Infinity", "1e999")
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text.replace('"@token"', token or ""), encoding="utf-8")
     for argv in (["validate"], ["check-evolution", "--evolution", "e"],
                  ["synthesize", "--evolution", "e"]):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(tmp_path, str(path), *argv)
         assert code in (0, 1, 2)
-        if code:
+        if code and not err.getvalue():  # a verification failure the report holds
+            assert code == 2 and out.getvalue().startswith(f"{argv[0]}: verification failed ")
+        elif code:
             assert err.getvalue().startswith(("error: ", "verification failed: "))

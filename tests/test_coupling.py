@@ -1094,6 +1094,25 @@ def test_superluminal_step_flagged(mink):
     assert rep.first_failure.witness is not None
 
 
+@pytest.mark.parametrize("mode", ["consecutive", "all-pairs"])
+def test_an_evolution_is_decided_on_its_own_spacetime_only(chain_graph, mink, mode):
+    # another graph without the evolution's vertex B used to raise KeyError,
+    # and a graph for a Minkowski evolution TypeError
+    walk = Evolution(chain_graph, [(float(t), delta(chain_graph, t, v))
+                                   for t, v in enumerate("AB")], T0, MeshSpec("integer"))
+    still = Evolution(mink, [(float(t), delta(mink, t, 0.0)) for t in range(2)], T0,
+                      MeshSpec("integer"))
+    other = Spacetime("static-graph", vertices=["A", "C"], edges=[("A", "C", 1.0)])
+    twin = Spacetime("static-graph", vertices=["A", "B", "C"],
+                     edges=[("A", "B", 1.0), ("B", "C", 2.0)])
+    for st, evo in ((other, walk), (twin, walk), (chain_graph, still),
+                    (Spacetime("minkowski-1+1"), still)):
+        with pytest.raises(InputError, match="^the evolution was built on another spacetime$"):
+            check_evolution(st, evo, mode)
+    assert check_evolution(chain_graph, walk, mode).causal
+    assert check_evolution(mink, still, mode).causal
+
+
 def test_consecutive_implies_all_pairs():
     rng = rng_for(135)
     for _ in range(15):

@@ -2,6 +2,7 @@ import gc
 import re
 import weakref
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st_
@@ -17,8 +18,9 @@ from causalot import (CausalCurve, Coupling, CurveMeasure, Event, Evolution, Inp
                       marginal_at, observer_invariance_report,
                       pushforward_reparametrize, slice_measures_equal,
                       synthesize_compact, synthesize_open, synthesize_slabs,
-                      to_time_parametrized,
+                      reparametrize, to_time_parametrized,
                       transport_distance, RawPath, VerificationError)
+from causalot import curves, measures, synthesis, timefunc
 from causalot.measures import _evaluators
 from genrand import (dyadic_weights, random_backend, random_causal_evolution,
                      random_graph, random_time_function, rng_for)
@@ -971,3 +973,205 @@ def test_a_synthesized_measure_holds_no_reference_cycle(mink):
         assert leaf() is None and curve() is None
     finally:
         gc.enable()
+
+
+# -- one level-set rule, checked where the input enters ---------------------------
+
+def _curve_measure_bits(sigma):
+    """A curve measure bit for bit: each curve's domain, breakpoints, pace
+    and time function with its weight, and the slab windows."""
+    return ([(_bits((c.domain.a, c.domain.b)), _bits(c.breakpoints), _bits(c.pace),
+              c.time_function, w.hex()) for c, w in sigma.atoms], _bits(sigma._windows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st_.sampled_from(["minkowski", "graph"]),
+       st_.sampled_from(["forward", "backward", "both", "compact"]),
+       st_.sampled_from(["bundle", "branching"]), st_.integers(1, 3), st_.integers(0, 2 ** 16))
+def test_the_folds_trusted_lift_is_the_public_lift(backend, direction, slices, horizon, seed):
+    # the fold lifts each witness through _lift, which trusts the checks the
+    # evolution and _synthesize ran; lift_coupling runs them itself
+    rng = rng_for(seed)
+    if backend == "minkowski":
+        st = Spacetime("minkowski-1+1")
+    else:
+        st = random_graph(rng, n_vertices=rng.randint(3, 5), far=False)
+    tf = random_time_function(rng, st, max_lip=0.5)  # a slope, or vertex offsets
+    if direction == "compact":
+        times, mesh = dyadic_times(0.0, 1.0, horizon), MeshSpec("dyadic", 0.0, 1.0, horizon)
+    else:
+        times, mesh = [float(k) for k in range(-horizon, horizon + 1)], MeshSpec("integer")
+    if slices == "bundle":
+        evo, _, _ = random_causal_evolution(rng, st, times, max_atoms=3, tf=tf, mesh=mesh)
+    else:
+        evo = _branching_evolution(rng, st, tf, times, mesh)
+    lifts, trusted = [], synthesis._lift
+
+    def spy(*args):
+        lifts.append((args, trusted(*args)))
+        return lifts[-1][1]
+
+    with mock.patch.object(synthesis, "_lift", spy):
+        try:
+            if direction == "compact":
+                synthesize_compact(st, tf, evo)
+            else:
+                synthesize_slabs(st, tf, evo, horizon, direction)
+        except (NonCausalEvolutionError, PreconditionError):
+            assume(False)  # a tilt can make a drawn step non-causal
+    assert len(lifts) == (len(times) - 1 if direction in ("compact", "both") else horizon)
+    for (st_arg, tf_arg, omega, a, b, domain), piece in lifts:
+        assert st_arg is st and tf_arg is tf
+        public = lift_coupling(st, tf, omega, a, b)
+        if domain != Interval.compact(a, b):  # an end slab, lifted onto its half-line
+            piece = trusted(st, tf, omega, a, b, Interval.compact(a, b))
+        assert _curve_measure_bits(piece) == _curve_measure_bits(public)
+
+
+def _engines(mink):
+    """Each synthesis engine and the observer check, with an evolution of
+    Dirac slices at x = 0 on the canonical level sets that each accepts."""
+    def static(times, mesh):
+        return Evolution(mink, [(t, delta(mink, t, 0.0)) for t in times], T0, mesh)
+    line = static([float(k) for k in range(-2, 3)], MeshSpec("integer"))
+    return {
+        "compact": (lambda st, tf: synthesize_compact(
+            st, tf, static(dyadic_times(0.0, 1.0, 2), MeshSpec("dyadic", 0.0, 1.0, 2)))),
+        "slabs": lambda st, tf: synthesize_slabs(st, tf, line, 2, "both"),
+        "open": (lambda st, tf: synthesize_open(
+            st, tf, static(geometric_times(0.0, 1.0, 2), MeshSpec("explicit")),
+            0.0, 1.0, 2, "right")),
+        "observer": lambda st, tf: observer_invariance_report(st, tf, T0, line),
+    }
+
+
+@pytest.mark.parametrize("engine", ["compact", "slabs", "open", "observer"])
+def test_synthesis_reads_an_evolution_in_its_own_frame_only(mink, engine):
+    run = _engines(mink)[engine]
+    with pytest.raises(InputError, match="^the evolution was built on another spacetime$"):
+        run(Spacetime("minkowski-1+1"), T0)
+    # every atom lies at x = 0, on the tilted level sets too, yet the
+    # evolution was checked on T0's alone
+    with pytest.raises(InputError, match=re.escape(
+            "the evolution's time function is TimeFunction(T0), not "
+            "TimeFunction(('slope', 0.5))")):
+        run(mink, TimeFunction(slope=0.5))
+    assert run(mink, TimeFunction(slope=0.0))  # the same time function by value
+
+
+def test_synthesis_refuses_an_invalid_time_function(mink):
+    null = TimeFunction(slope=1.0)  # null level sets: not a valid time function
+    evo = Evolution(mink, [(float(k), delta(mink, k, 0.0)) for k in range(2)], null,
+                    MeshSpec("integer"))
+    with pytest.raises(InputError, match="^time function is not valid on this spacetime$"):
+        synthesize_slabs(mink, null, evo, 1, "forward")
+
+
+def _count_validations(monkeypatch):
+    """Count the calls of timefunc.validate, under each name it is imported by."""
+    calls, real = [], timefunc.validate
+
+    def counted(st, tf):
+        calls.append(tf)
+        return real(st, tf)
+
+    monkeypatch.setattr(timefunc, "validate", counted)
+    for module in (synthesis, measures, curves):
+        monkeypatch.setattr(module, "validate_tf", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["minkowski", "graph"])
+@pytest.mark.parametrize("horizon, atoms", [(1, 1), (2, 3), (3, 4)])
+def test_a_synthesis_validates_its_time_function_once(monkeypatch, backend, horizon, atoms):
+    rng = rng_for(7 * horizon + atoms)
+    st = (Spacetime("minkowski-1+1") if backend == "minkowski"
+          else random_graph(rng, n_vertices=4, far=False))
+    tf, tf2 = (TimeFunction(slope=0.25), TimeFunction(slope=-0.25)) if backend == "minkowski" \
+        else (random_time_function(rng, st, 0.5), random_time_function(rng, st, 0.5))
+    times = [float(k) for k in range(-horizon, horizon + 1)]
+    evo, _, _ = random_causal_evolution(rng, st, times, max_atoms=atoms, tf=tf,
+                                        mesh=MeshSpec("integer"))
+    calls = _count_validations(monkeypatch)
+    sigma = synthesize_slabs(st, tf, evo, horizon, "both")
+    assert calls == [tf]
+    for direction in ("forward", "backward"):
+        calls.clear()
+        synthesize_slabs(st, tf, evo, horizon, direction)
+        assert calls == [tf]
+    calls.clear()
+    moved = pushforward_reparametrize(sigma, tf, tf2)
+    assert calls == [tf, tf2] and len(moved) == len(sigma) > 0
+    calls.clear()
+    observer_invariance_report(st, tf, tf2, evo, horizon)
+    assert calls == [tf, tf, tf2]  # synthesis, then the pushforward
+
+
+def _lift_refusal(mink, atoms, a, b, tf=T0, st=None):
+    omega = Coupling(st or mink, [((mink.event(*p), mink.event(*q)), w) for p, q, w in atoms])
+    return lambda: lift_coupling(mink, tf, omega, a, b)
+
+
+def _line_curve(mink, tf=None, pace=1.0, domain=None):
+    return CausalCurve(mink, domain or Interval.line(), [(0.0, mink.event(0.0, 0.0)),
+                                                          (1.0, mink.event(1.0, 0.0))],
+                       pace=pace, time_function=tf)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("lift a = b", InputError, "lift needs a < b, got [1.0, 1.0]"),
+    ("lift invalid tf", InputError, "time function is not valid on this spacetime"),
+    ("lift left off", PreconditionError,
+     "left atom Event(t=0.0, x=0.0) not on the level set 0.5 (value 0.0)"),
+    ("lift right off", PreconditionError,
+     "right atom Event(t=1.0, x=0.0) not on the level set 2.0 (value 1.0)"),
+    ("lift first atom first", PreconditionError,
+     "right atom Event(t=1.0, x=0.0) not on the level set 1.5 (value 1.0)"),
+    ("lift non-causal", PreconditionError,
+     "non-causal coupling atom (Event(t=0.0, x=0.0), Event(t=1.0, x=1.2))"),
+    ("lift degenerate", PreconditionError,
+     "degenerate coupling atom (Event(t=0.0, x=0.0), Event(t=0.0, x=0.0)): no time passes"),
+    ("reparametrize compact", InputError,
+     "reparametrize needs a full-line curve; canonicalize compact paths instead"),
+    ("reparametrize not affine", InputError, "curve is not time-affine"),
+    ("reparametrize invalid tf", InputError, "both time functions must be valid"),
+    ("reparametrize source", InputError,
+     "curve is not parametrized by the given source time function"),
+    ("pushforward invalid tf", InputError, "both time functions must be valid"),
+    ("slice off level", InputError,
+     "atom Event(t=0.5, x=0.0) has time value 0.5, not on the level set 0.0"),
+    ("evolution off level", InputError,
+     "atom Event(t=0.5, x=0.0) of the slice at 0.0 has time value 0.5"),
+])
+def test_each_level_and_validity_refusal_keeps_its_class_and_message(mink, case, error,
+                                                                      message):
+    loose = Spacetime("minkowski-1+1", eps_caus=0.25)
+    slope = TimeFunction(slope=0.5)
+    calls = {
+        "lift a = b": _lift_refusal(mink, [((0, 0.0), (1, 0.0), 1.0)], 1.0, 1.0),
+        "lift invalid tf": _lift_refusal(mink, [((0, 0.0), (1, 0.0), 1.0)], 0.0, 1.0,
+                                         tf=TimeFunction(slope=1.0)),
+        "lift left off": _lift_refusal(mink, [((0, 0.0), (1, 0.0), 1.0)], 0.5, 1.0),
+        "lift right off": _lift_refusal(mink, [((0, 0.0), (1, 0.0), 1.0)], 0.0, 2.0),
+        # the first atom's right end is named before the second's left end
+        "lift first atom first": _lift_refusal(
+            mink, [((0.25, 0.5), (1, 0.0), 0.5), ((0.5, 0.5), (1.25, 0.5), 0.5)], 0.5, 1.5,
+            tf=slope),
+        "lift non-causal": _lift_refusal(mink, [((0, 0.0), (1, 1.2), 1.0)], 0.0, 1.0,
+                                         st=loose),
+        "lift degenerate": _lift_refusal(mink, [((0, 0.0), (0, 0.0), 1.0)], 0.0, 1e-10),
+        "reparametrize compact": lambda: reparametrize(
+            mink, _line_curve(mink, domain=Interval.compact(0.0, 1.0)), T0, slope),
+        "reparametrize not affine": lambda: reparametrize(
+            mink, _line_curve(mink, pace=None), T0, slope),
+        "reparametrize invalid tf": lambda: reparametrize(
+            mink, _line_curve(mink), T0, TimeFunction(slope=1.0)),
+        "reparametrize source": lambda: reparametrize(mink, _line_curve(mink), slope, T0),
+        "pushforward invalid tf": lambda: pushforward_reparametrize(
+            CurveMeasure(mink, [(_line_curve(mink), 1.0)]), T0, TimeFunction(slope=-1.0)),
+        "slice off level": lambda: SliceMeasure(mink, [(mink.event(0.5, 0.0), 1.0)], tau=0.0),
+        "evolution off level": lambda: Evolution(mink, [(0.0, delta(mink, 0.5, 0.0))]),
+    }
+    with pytest.raises(error) as err:
+        calls[case]()
+    assert str(err.value) == message
